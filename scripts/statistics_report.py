@@ -7,10 +7,9 @@ Usage: python3 scripts/statistics_report.py [--max-n N]
 """
 
 import argparse
-from collections import Counter
 
-from asmdpp.asm import asm_stats, enumerate_asms
-from asmdpp.dpp import dpp_stats, enumerate_dpps
+from asmdpp.asm import z_asm_brute
+from asmdpp.dpp import z_dpp_brute
 from asmdpp.formulas import asm_total, refined_total
 from asmdpp.matrices import genfunc_det
 from asmdpp.polynomial import poly_str
@@ -22,29 +21,24 @@ def main() -> None:
     args = parser.parse_args()
 
     for n in range(1, args.max_n + 1):
-        asm_cells = Counter()
-        for a in enumerate_asms(n):
-            s = asm_stats(a)
-            asm_cells[(s.nu, s.mu, s.rho)] += 1
-        dpp_cells = Counter()
-        for d in enumerate_dpps(n):
-            s = dpp_stats(d, n)
-            dpp_cells[(s.nu, s.mu, s.rho)] += 1
+        # the coefficient of x^nu y^mu z^rho is the count of that cell
+        asm_cells = z_asm_brute(n).terms
+        dpp_cells = z_dpp_brute(n).terms
 
         total = sum(asm_cells.values())
         print(f"== order {n}: {total} objects per family (formula {asm_total(n)})")
         print(f"   Z = {poly_str(genfunc_det(n))}")
         disagreements = [
-            cell
+            cell[:3]
             for cell in set(asm_cells) | set(dpp_cells)
-            if asm_cells[cell] != dpp_cells[cell]
+            if asm_cells.get(cell) != dpp_cells.get(cell)
         ]
         print(
             f"   {len(asm_cells)} occupied (nu, mu, rho) cells, "
             f"{'all equal' if not disagreements else f'DISAGREE at {disagreements}'}"
         )
         refined = [
-            sum(c for (p, m, k), c in asm_cells.items() if k == kk) for kk in range(n)
+            sum(c for (p, m, k, _, _), c in asm_cells.items() if k == kk) for kk in range(n)
         ]
         formula = [refined_total(n, kk) for kk in range(n)]
         print(f"   refined counts by rho: {refined} (formula {formula})")

@@ -9,10 +9,12 @@ Subcommands:
   matrix     dump one of the named matrices as JSON term lists
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-environment variable ASMDPP_MAX_N caps the order accepted by the
-enumeration-backed commands.  Outputs are byte-deterministic given the
-command line and seed; verify prints timing only to stderr (text) or
-under --timings (json).
+environment variable ASMDPP_MAX_N caps the order accepted by every
+command that takes --n (a larger order exits with 2) and lowers verify's
+--max-n.  enumerate --cache DIR writes a cache file only after a
+complete enumeration, so a run stopped early by --limit leaves none.
+Outputs are byte-deterministic given the command line and seed; verify
+prints timing only to stderr (text) or under --timings (json).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 from typing import Iterator
 
@@ -83,6 +86,10 @@ def _text_of(kind: str, obj: object) -> str:
 
 
 def _cached_json_lines(kind: str, n: int, cache_dir: str) -> Iterator[object]:
+    """Serve the cache file if present; otherwise enumerate, writing a
+    temporary file that is renamed into place only once the enumeration
+    is exhausted, so an early stop (--limit, a closed pipe) leaves no
+    partial cache behind."""
     path = Path(cache_dir) / f"{kind}_n{n}.ndjson"
     if path.exists():
         with path.open() as fh:
@@ -91,10 +98,15 @@ def _cached_json_lines(kind: str, n: int, cache_dir: str) -> Iterator[object]:
                     yield json.loads(line)
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for obj in _json_objects(kind, n):
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            yield obj
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            for obj in _json_objects(kind, n):
+                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                yield obj
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
@@ -105,14 +117,16 @@ def cmd_enumerate(args: argparse.Namespace, out) -> int:
         else _json_objects(args.kind, args.n)
     )
     emitted = 0
-    for obj in objects:
-        if args.limit is not None and emitted >= args.limit:
-            break
-        if args.format == "json":
-            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        else:
-            out.write(_text_of(args.kind, obj) + "\n")
-        emitted += 1
+    # closing an unfinished cache writer discards its temporary file
+    with closing(objects):
+        for obj in objects:
+            if args.limit is not None and emitted >= args.limit:
+                break
+            if args.format == "json":
+                out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            else:
+                out.write(_text_of(args.kind, obj) + "\n")
+            emitted += 1
     return 0
 
 
@@ -141,19 +155,9 @@ def cmd_genfunc(args: argparse.Namespace, out) -> int:
 
 def cmd_table(args: argparse.Namespace, out) -> int:
     _check_cap(args.n)
-    from .asm import asm_stats
-    from .dpp import dpp_stats
-
-    asm_cells: dict = {}
-    for a in enumerate_asms(args.n):
-        s = asm_stats(a)
-        key = (s.nu, s.mu, s.rho)
-        asm_cells[key] = asm_cells.get(key, 0) + 1
-    dpp_cells: dict = {}
-    for d in enumerate_dpps(args.n):
-        s = dpp_stats(d, args.n)
-        key = (s.nu, s.mu, s.rho)
-        dpp_cells[key] = dpp_cells.get(key, 0) + 1
+    # coefficients are keyed by (p, m, k, 0, 0), so they sort as (p, m, k)
+    asm_cells = z_asm_brute(args.n).terms
+    dpp_cells = z_dpp_brute(args.n).terms
     out.write("p,m,k,asm_count,dpp_count,equal\n")
     for key in sorted(set(asm_cells) | set(dpp_cells)):
         ac = asm_cells.get(key, 0)
@@ -206,6 +210,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace, out) -> int:
+    _check_cap(args.n)
     m = build(args.name, args.n, refined=not args.unrefined)
     doc = {
         "name": args.name,

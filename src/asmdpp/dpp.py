@@ -168,12 +168,7 @@ def _check_brute_limit(n: int) -> None:
 
 def z_dpp_brute(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho over DPP(n)."""
-    _check_brute_limit(n)
-    counts: Counter[tuple[int, int, int]] = Counter()
-    for d in enumerate_dpps(n):
-        s = dpp_stats(d, n)
-        counts[(s.nu, s.mu, s.rho)] += 1
-    return MultiPoly(NVARS, {(p, m, k, 0, 0): c for (p, m, k), c in counts.items()})
+    return z_dpp_brute_w(n).substitute(3, 1)
 
 
 def z_dpp_brute_w(n: int) -> MultiPoly:

@@ -1,11 +1,10 @@
 """Exact matrix algebra over the polynomial ring and over the rationals.
 
 ``PolyMatrix`` holds MultiPoly or OmegaPoly entries (homogeneous per
-matrix).  The default determinant is division-free expansion by minors,
-memoized over column subsets (2^n subproblems), which is safe over any
-commutative ring.  A fraction-free Bareiss elimination is available for
-MultiPoly entries as an optimization path; every division it performs is
-checked to be exact.
+matrix).  The determinant is division-free expansion by minors, memoized
+over column subsets (2^n subproblems), which is safe over any
+commutative ring.  ``divide_exact`` is exact polynomial division that
+raises unless the divisor divides.
 
 Rational matrices are plain nested lists of ``Fraction``; ``det_rat``
 uses exact Gaussian elimination.
@@ -126,9 +125,6 @@ class PolyMatrix:
             rows.append(tuple(row))
         return PolyMatrix(tuple(rows))
 
-    def scale(self, factor) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(e * factor for e in row) for row in self.entries))
-
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
@@ -198,59 +194,16 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly(p.arity, quotient)
 
 
-def _det_bareiss(entries) -> MultiPoly:
-    n = len(entries)
-    sample = entries[0][0]
-    if not isinstance(sample, MultiPoly):
-        raise ValidationError("Bareiss elimination requires MultiPoly entries")
-    zero = _zero_like(sample)
-    one = _one_like(sample)
-    m = [list(row) for row in entries]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = divide_exact(m[i][j] * pivot - m[i][k] * m[k][j], prev)
-            m[i][k] = zero
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def det_poly(m: PolyMatrix, method: str = "minors"):
-    """Exact determinant of a square polynomial matrix.
-
-    ``minors`` (default) is division-free and supports OmegaPoly entries;
-    ``bareiss`` is fraction-free elimination restricted to MultiPoly.
-    """
+def det_poly(m: PolyMatrix):
+    """Exact determinant of a square polynomial matrix (MultiPoly or
+    OmegaPoly entries), by division-free expansion by minors."""
     if not m.is_square():
         raise ValidationError("determinant of a non-square matrix")
     if m.n_rows > DET_POLY_MAX_N:
         raise ResourceLimitError(
             f"determinant order {m.n_rows} exceeds limit {DET_POLY_MAX_N}"
         )
-    if method == "minors":
-        return _det_minors(m.entries)
-    if method == "bareiss":
-        return _det_bareiss(m.entries)
-    raise ValueError(f"unknown determinant method {method!r}")
-
-
-RatMatrix = list  # nested lists of Fraction
-
-
-def rat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return _det_minors(m.entries)
 
 
 def rat_matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):

@@ -8,6 +8,8 @@ All matrices are n x n, indexed 0 <= i, j <= n-1, over Z[x, y, z, w, q]
              refined form the last column carries the z-refined sum
              sum_{k,l} C(i-1,i-k) C(n-l-1,k-l) x^k y^(i-k) z^l.  Its
              determinant is the full generating function of both families.
+             The entries are the path weight sums of paths.path_weight_sum,
+             assembled by paths.lgv_matrix.
   M_BAR_W    M_BAR with the binomial sum (not the -delta term) multiplied
              by w; the determinant then also tracks the row count.
   M_ASM      (1-omega) delta(i,j) + omega sum_k C(i,k) C(j,k) x^k y^(i-k),
@@ -37,6 +39,7 @@ from random import Random
 from .asm import z_asm_brute
 from .errors import ValidationError
 from .linalg import PolyMatrix, det_poly, det_rat, lift_to_omega
+from .paths import lgv_matrix, path_weight_sum
 from .polynomial import (
     NVARS,
     MultiPoly,
@@ -61,44 +64,6 @@ FAMILY_NAMES = (
 
 _ZERO = MultiPoly.zero(NVARS)
 _ONE = MultiPoly.const(1, NVARS)
-
-
-def _path_sum_entry(i: int, j: int) -> MultiPoly:
-    terms: dict[tuple, int] = {}
-    for k in range(min(i, j + 1) + 1):
-        c = binom(i - 1, i - k) * binom(j + 1, k)
-        if c:
-            terms[(k, i - k, 0, 0, 0)] = c
-    return MultiPoly(NVARS, terms)
-
-
-def _path_sum_entry_refined(i: int, n: int) -> MultiPoly:
-    terms: dict[tuple, int] = {}
-    for k in range(i + 1):
-        for l in range(k + 1):
-            c = binom(i - 1, i - k) * binom(n - l - 1, k - l)
-            if c:
-                exp = (k, i - k, l, 0, 0)
-                terms[exp] = terms.get(exp, 0) + c
-    return MultiPoly(NVARS, terms)
-
-
-def _mbar(n: int, refined: bool, w_weight: bool) -> PolyMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if refined and j == n - 1:
-                e = _path_sum_entry_refined(i, n)
-            else:
-                e = _path_sum_entry(i, j)
-            if w_weight:
-                e = e * monomial(1, w=1)
-            if i == j + 1:
-                e = e - _ONE
-            row.append(e)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
 
 
 def _masm_entry_poly(i: int, j: int, n: int, refined: bool) -> MultiPoly:
@@ -131,24 +96,17 @@ def _masm(n: int, refined: bool) -> PolyMatrix:
 
 
 def _mdpp(n: int, refined: bool) -> PolyMatrix:
+    mbar = lgv_matrix(n, refined)
     if not refined:
-        return _mbar(n, refined=False, w_weight=False)
+        return mbar
     z_minus_1 = monomial(1, z=1) - _ONE
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == n - 1:
-                h = _path_sum_entry_refined(i, n)
-                base = h - _ONE if i == j + 1 else h
-                row.append(OmegaPoly((base, z_minus_1 * h)))
-            else:
-                e = _path_sum_entry(i, j)
-                if i == j + 1:
-                    e = e - _ONE
-                row.append(OmegaPoly((e,)))
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix(
+        tuple(
+            tuple(OmegaPoly((e,)) for e in row[:-1])
+            + (OmegaPoly((row[-1], z_minus_1 * row[-1])),)
+            for row in mbar.entries
+        )
+    )
 
 
 def _mprime(n: int, refined: bool) -> PolyMatrix:
@@ -246,9 +204,9 @@ def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     if n < 1:
         raise ValidationError("order must be at least 1")
     if name == "M_BAR":
-        return _mbar(n, refined, w_weight=False)
+        return lgv_matrix(n, refined)
     if name == "M_BAR_W":
-        return _mbar(n, refined, w_weight=True)
+        return lgv_matrix(n, refined, w_weight=True)
     if name == "M_ASM":
         return _masm(n, refined)
     if name == "M_DPP":
@@ -274,10 +232,10 @@ def l_matrix_rat(n: int, alpha: Fraction, beta: Fraction) -> list[list[Fraction]
     ]
 
 
-def genfunc_det(n: int, w_refined: bool = False, method: str = "minors") -> MultiPoly:
+def genfunc_det(n: int, w_refined: bool = False) -> MultiPoly:
     """The determinant route to the generating function."""
     name = "M_BAR_W" if w_refined else "M_BAR"
-    return det_poly(build(name, n, refined=True), method=method)
+    return det_poly(build(name, n, refined=True))
 
 
 def check_omega_relation(
@@ -459,22 +417,19 @@ def homogeneous_weight_determinant(n: int, q: Fraction, rho0: Fraction) -> Fract
     vertex weights:
 
         c^n det( -b^(2i) delta(i,j+1)
-                 + sum_k C(i-1,i-k) C(j+1,k) a^(2k) c^(2(i-k)) ).
+                 + sum_k C(i-1,i-k) C(j+1,k) a^(2k) c^(2(i-k)) ),
+
+    the path weight sum taken at x = a^2, y = c^2.
     """
     a, b, c = homogeneous_weights(q, rho0)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = Fraction(0)
-            for k in range(min(i, j + 1) + 1):
-                coeff = binom(i - 1, i - k) * binom(j + 1, k)
-                if coeff:
-                    val += coeff * a ** (2 * k) * c ** (2 * (i - k))
-            if i == j + 1:
-                val -= b ** (2 * i)
-            row.append(val)
-        rows.append(row)
+    point = (a**2, c**2, 1, 1, 1)
+    rows = [
+        [
+            path_weight_sum(i, j, n).evaluate(point) - (b ** (2 * i) if i == j + 1 else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
     return c**n * det_rat(rows)
 
 

@@ -284,15 +284,19 @@ def family_weight(p: NilpSet, refined: bool = False) -> MultiPoly:
     return monomial(1, x=ex, y=ey, z=ez)
 
 
-def lgv_matrix(n: int, refined: bool = False) -> PolyMatrix:
+def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMatrix:
     """-delta(i, j+1) + path weight sum, the matrix whose determinant
-    carries the full family sum."""
+    carries the full family sum (M_BAR).  With w_weight the path weight
+    sum, not the -delta term, is multiplied by w (M_BAR_W)."""
     neg_one = MultiPoly.const(-1)
+    w = monomial(1, w=1)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             e = path_weight_sum(i, j, n, refined)
+            if w_weight:
+                e = e * w
             if i == j + 1:
                 e = e + neg_one
             row.append(e)

@@ -82,18 +82,6 @@ def _dpps(n: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _asm_stat_triples(n: int) -> tuple:
-    return tuple((s.nu, s.mu, s.rho) for s in map(asm_stats, _asms(n)))
-
-
-@lru_cache(maxsize=8)
-def _dpp_stat_triples(n: int) -> tuple:
-    return tuple(
-        (s.nu, s.mu, s.rho) for s in (dpp_stats(d, n) for d in _dpps(n))
-    )
-
-
-@lru_cache(maxsize=8)
 def _z_asm(n: int) -> MultiPoly:
     return z_asm_brute(n)
 
@@ -101,6 +89,13 @@ def _z_asm(n: int) -> MultiPoly:
 @lru_cache(maxsize=8)
 def _z_dpp(n: int) -> MultiPoly:
     return z_dpp_brute(n)
+
+
+def _marginal(z: MultiPoly, var: int, value: int) -> int:
+    """Number of objects whose statistic number var (0 nu, 1 mu, 2 rho)
+    equals value.  The brute-force generating functions are the cell
+    counts: the coefficient of x^p y^m z^k counts cell (p, m, k)."""
+    return sum(c for exp, c in z.items() if exp[var] == value)
 
 
 def _timed(run: Callable[[], bool], name: str, params: dict) -> CheckResult:
@@ -137,8 +132,8 @@ def _suite_counting(max_n: int, seed: int) -> Iterator[CheckResult]:
         yield _timed(
             lambda n=n: all(
                 formulas.refined_total(n, k)
-                == sum(1 for t in _asm_stat_triples(n) if t[2] == k)
-                == sum(1 for t in _dpp_stat_triples(n) if t[2] == k)
+                == _marginal(_z_asm(n), 2, k)
+                == _marginal(_z_dpp(n), 2, k)
                 for k in range(n)
             ),
             "refined_count",
@@ -146,25 +141,17 @@ def _suite_counting(max_n: int, seed: int) -> Iterator[CheckResult]:
         )
 
 
-def _cell_counts(triples) -> dict:
-    out: dict = {}
-    for t in triples:
-        out[t] = out.get(t, 0) + 1
-    return out
-
-
 def _suite_table(max_n: int, seed: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: _cell_counts(_asm_stat_triples(n))
-            == _cell_counts(_dpp_stat_triples(n)),
+            lambda n=n: _z_asm(n) == _z_dpp(n),
             "cells_agree",
             {"n": n},
         )
     if max_n >= 5:
         yield _timed(
-            lambda: _cell_counts(_asm_stat_triples(5)).get((3, 1, 2)) == 10
-            and _cell_counts(_dpp_stat_triples(5)).get((3, 1, 2)) == 10,
+            lambda: _z_asm(5).terms.get((3, 1, 2, 0, 0)) == 10
+            and _z_dpp(5).terms.get((3, 1, 2, 0, 0)) == 10,
             "cell_5_312",
             {"n": 5},
         )
@@ -362,9 +349,7 @@ def _union_delta_distribution(p: int) -> dict:
 
 def _osc_vs_enumeration(n: int, p: int) -> bool:
     asm_side, dpp_side = oscillating.osc_counts(n, p)
-    asm_count = sum(1 for t in _asm_stat_triples(n) if t[0] == p)
-    dpp_count = sum(1 for t in _dpp_stat_triples(n) if t[0] == p)
-    return asm_side == asm_count and dpp_side == dpp_count
+    return asm_side == _marginal(_z_asm(n), 0, p) and dpp_side == _marginal(_z_dpp(n), 0, p)
 
 
 def _m0_roundtrip(n: int) -> bool:
@@ -412,12 +397,11 @@ def _symstat_holds(n: int) -> bool:
 
 def _dpp_multiset_symmetry(n: int) -> bool:
     half = n * (n - 1) // 2
-    triples = _cell_counts(_dpp_stat_triples(n))
-    mapped: dict = {}
-    for (p, m, k), c in triples.items():
-        key = (half - p - m, m, n - 1 - k)
-        mapped[key] = mapped.get(key, 0) + c
-    return mapped == triples
+    z = _z_dpp(n)
+    mapped = MultiPoly(
+        z.arity, {(half - p - m, m, n - 1 - k, w, q): c for (p, m, k, w, q), c in z.items()}
+    )
+    return mapped == z
 
 
 def _suite_symmetry(max_n: int, seed: int) -> Iterator[CheckResult]:

@@ -95,6 +95,23 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert len(dpps) == 7
 
 
+def test_cache_not_written_by_partial_enumeration(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--kind", "asm", "--n", "4", "--limit", "3", "--cache", str(cache)
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3
+    assert list(cache.iterdir()) == []
+    code, full, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--cache", str(cache))
+    assert code == 0
+    assert len(full.strip().splitlines()) == 42
+    assert [p.name for p in cache.iterdir()] == ["asm_n4.ndjson"]
+    code, cached, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--cache", str(cache))
+    assert code == 0
+    assert cached == full
+
+
 def test_genfunc_det_string(capsys):
     code, out, _ = run_cli(capsys, "genfunc", "--n", "3", "--method", "det")
     assert code == 0
@@ -185,6 +202,21 @@ def test_matrix_dump(capsys):
     assert doc["n"] == 2 and doc["refined"] is True
     # entry (0,0) is the constant 1
     assert doc["entries"][0][0] == [[[0, 0, 0, 0, 0], 1]]
+
+
+def test_matrix_honours_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("ASMDPP_MAX_N", "3")
+    code, out, err = run_cli(capsys, "matrix", "--name", "S", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "ASMDPP_MAX_N" in err
+
+
+def test_table_past_brute_force_limit_is_refused(capsys):
+    code, out, err = run_cli(capsys, "table", "--n", "8")
+    assert code == 2
+    assert out == ""
+    assert "capped at order 7" in err
 
 
 def test_output_file(capsys, tmp_path):

@@ -1,0 +1,212 @@
+"""sha256 of the stdout of `matrix` and `table`, pinned from the
+outputs before the M_BAR builders, the cell counters and the
+determinant were merged; any change to these bytes must be deliberate."""
+
+import hashlib
+
+import pytest
+
+from asmdpp.cli import main
+from asmdpp.matrices import FAMILY_NAMES
+
+ORDERS = range(1, 7)
+
+# name -> (refined digests for n = 1..6, unrefined digests for n = 1..6)
+MATRIX_SHA256 = {
+    "M_ASM": (
+        (
+            "4eea3101953cf4d32eca8910cc4d91c604656cb74730e8480c9dc303288b998c",
+            "0581be6b0e93afbb2ff5cde01d1468c033ba3bec708fadb910fd5f39b560828d",
+            "5c8fb657f1fb81a25e0323e862a36e755e967c2f3fb99771a31a6fdf11902409",
+            "a66e85e33690b4f941e0742a85d0e7cace3111dafce2ff0316a650b700a94475",
+            "495c2cacb6b85590055e09234543280c1b7689e007ec2b3c0bf5d38aa6c0466c",
+            "f01f8b34594d03ec091b69498ddb1faaac7a76511bc61b95aa94b90ef93a4b24",
+        ),
+        (
+            "8679d7cecfbb3cd917aa5b6ffbe1aa1e620d76857cc7e2c6a01b53b07e046c28",
+            "ef5b79115f29d4197b86fd9163df23bdad4ccef0794d98204eb741ee2ebdf5fc",
+            "9f2f8f92c714ee975b5e528bd5d9e0b7f1b15daf4e2cb924e2a2a5365f929987",
+            "1a7f91ea80b8e2d39367470cf8e693c56920ab7cb208861bfca9a4e609e6e045",
+            "b91f1f8b602fd735d21f02e93d991c96b5231e97b1404c9f4fa7f54031ea9da3",
+            "c452ddc2543684e36b7a91a0c74701ad4b4fc1e1a508713cbd087be0061e06a1",
+        ),
+    ),
+    "M_DPP": (
+        (
+            "46b2f7263628c373153fb849cea1956daa355d871eec5b1737b46205a8189042",
+            "7a0fde4b44aecd45aeb857a92aef5d6da71dc6fe5fb4256af2bd18a36fa8373c",
+            "beac43ac4f7a65603410abb46234e1a0a6451e63ba2b12e0adf90996fd2c3841",
+            "162d9ede81b4355cccc415fc1441049d2b15bf6f15f32e8dea216d1d7b72e291",
+            "802f908e8c4058bc2ef410d95e927fd14b8a272876d577e7b71b376e1cfddbf8",
+            "29c3ce916bb45d776ed7d6b07ce6c58186a214442661c31f5235d6c6f6f33d59",
+        ),
+        (
+            "ff0738ceadb122d5c23afd822a36252272312d9c6c3b9ac1ccecee3c49d4bf9e",
+            "8b3e43d1fee618cd08817d9933b282959637b5aa89784a5a9beb005bcf568de0",
+            "b6811886bf81446603043b3faf411abef8d06d6821faa5c650352b842f554ed1",
+            "2870b6a05269dd8a02646ce8848788af220bb5288056b174cab1745ba6afdd9d",
+            "9606c02c69933d38f0a77c043fdcc9589ffa3c4eeec33bb9a8c832d232b1fe5b",
+            "71cb7b8e523c1af8d47966ecb5f52962857c7e39965fd406bbe5867fe293c323",
+        ),
+    ),
+    "M_BAR": (
+        (
+            "25ae2a924d3dfa0b593c7f5775b3709b89b821887fe9d6404daec7fb286b11d0",
+            "ed71ee3c2d9ec87e3eb0f0f22ebcc44dacdc24b17d77b21074965a2bcfc7b6e4",
+            "06accd3d20584619a40d19c475864c8cdcc15c008a10d1489663ee9520ab9368",
+            "10744a9aed691ab3662bb1ff59ca4e236ce0600f1ae78efb9640993e82ea334c",
+            "aa299c0a9e784c692f2746ed4633bac8d4cb50fdeb136de7ed81937ed7dd48dc",
+            "2bf3b8ba11d5913fa29382d66342c462bc7433c1d5a46e6a9b0d52a0f8d4907c",
+        ),
+        (
+            "b25c6e7a1b09e4a948cb90763ecdfe229526acdfa8f7057e75292f5801dcb8bb",
+            "d3597895c3642466a5fdc7e1a12f40894abe776f84d261c9712041a6e36384eb",
+            "1883d0d077b48e1a598bd92311b75b4a7d33f30133f73f2b1abfb985195b7cb8",
+            "190b08b338d31b1f2c65e32c4f01898f1df58423d7dfc499736304b5e49417cc",
+            "e68981ef29450dfc5f2c176b4fc723fa6e603a5de7884e5ab76a16d6758a97d8",
+            "6177b015ba5b50e4e0c0fb8e128c4149806db4c43bc8951e9d0f0ed5f7d590ef",
+        ),
+    ),
+    "M_BAR_W": (
+        (
+            "35ba8b6a8e6f55827de00a7f0e9497a3ad52c0292951a052eca2608e9df33794",
+            "f88381c9e9a26b9d1bff4a2f2bbaf49854b360693871073c0a5618eafba348d6",
+            "5c5ca4e41dd0846414896e54347c69575be005c3eb6d7dbd54fdc5d4dbbe403b",
+            "a0ece62c3417f443402d56924899195783adf7533d9418fe41be641d32f52c3c",
+            "3970fdfb0b17ee73e18228bfb421641f7dab9f3337608d4b7e8748b3f5ef4569",
+            "d5d009b5ce52509f0419e27e494991166ac39b2e2c86c7bb0f32286f928c2c78",
+        ),
+        (
+            "78f926971eb4de70031257545f7b62f458dd688d551bf28dc1ff06db0f9f2220",
+            "2071bb4708822bfd984eb5f399d9db815f86ac44ff75139c1cf1f64e22086cce",
+            "be740e917beea6a8c7dbe63af5ede1842f40a0f455adceb117a8c267673ca55b",
+            "6f4a35c0573fc28526246ac56389f128cfbb7806948559011263961fc5c2e8b1",
+            "34dba7cb069037d9fb898bcb12e8d8125531332d697bd08b49051fb2e2b2c52d",
+            "7f59277efe0b857877fef2e41924370b2771c4d78fd99009c8b6e315504e3354",
+        ),
+    ),
+    "M_PRIME": (
+        (
+            "385e68c66d99ef1c80453eb89807c37c21f7e8ea2978911e63f7d626f50ffe88",
+            "b6d959678dd7bb22f854d91250d8d04a8a0f29c8f1951d9605ed74f831b1daaa",
+            "c82e316ca061508e4b84702f945af63563f0ba49d3b2f7030f5f32466ff38357",
+            "5d525cec981663b102e832f0a5ff46e851890b0fe506079ee6d3e5202f8ee4f9",
+            "4339795a1658373af5a408a34ec69bd3464c5bd3297ce94f1afe516206c93a0d",
+            "b1180d24757ce2c5e347c3c5ed5bdf269746d8e8b25c482a8e4c699a951bc6f5",
+        ),
+        (
+            "96b05b238fc673202c3c8e6b0416da82f0da7542acd47aad1ebf470a2bd1c115",
+            "57b881fc2e8558fb71202ca6895fd3409000f560601920edea8fdfbd5e5a8db3",
+            "d491c7c0fbc319eed6b35aba2b511bd2c488178c3f3b51402b2ecf4c930b72fc",
+            "ea23e8c48b460306a32c5fe733edbd393ad7c6300a1f595043e8e516019fb38f",
+            "49f06957bbd314c9665a15ceffe7363ec3493b9dc7153671411bd957d17650fc",
+            "9cf255892e0ffc210f36d7ee70bbaed17f85d772ba4185d3c97573d8b0bae72f",
+        ),
+    ),
+    "M_DPRIME": (
+        (
+            "44037453492199c569fd229cfab2050ce17735853df937347ca3135446238df8",
+            "c32df90f94517577eb1b015b580a5227e86fb94582c0863e5e7f6fe05cd62581",
+            "a2e25cc474d9f8aa9299d11f64ce4355023e29c2200d5209889307aeb9746991",
+            "175fafd40a1414c4e82a7258b23a9d997baa3f21906f2875af663e1ed3b2a62d",
+            "651e7e026273ced73878b27741d79cd4ba5ba57e26808fb0d83512583bbc7152",
+            "5d2daa2c54c9fb75bc4b20f9eede4c186b901b302ce150e2d4b58e19d970a73e",
+        ),
+        (
+            "39e3ddc5fe36e0a8fca3dad7e50eb925a6708d4da908b9e0331e3e28d14b7218",
+            "82669e021e63e272688d69df5261fa3be7b95b4960b235998281c7bb7861e591",
+            "ddcf3d7ccb64c8c1ed8f7c1eb1b5f7c9fd591a6b821207c1b4279519fc7784b9",
+            "d828c38ed7bb01b69d7d0f5622924990688c2a2bfc2e82fbc58747a7916a6ba9",
+            "c7d372c4bf3cf2580d4c8e8e3716cded6001739240fbb73e62dcd394ebaa8c59",
+            "28605e3c144ce1d1a4d93ce754c9239fdbfe45b1c58d6c241e42df8350f2d6fc",
+        ),
+    ),
+    "S": (
+        (
+            "2c35eeb0a2a0bd26179677ab2a172d42dbf50069f0a84785197a0823d9bb4229",
+            "f8de181652aeca6f77835221957b40d0afea71d8e17c1669ce614396f4e1d3cb",
+            "4c85371f8c363d6fb5a37e649c63a8b243ce915c3105709d0529e0b21a7465bd",
+            "111785c42f4a71b266f101391385fa1d25b21842cfd62cc108cb0cb4671ce01d",
+            "2ba39e94e3d22514e5b7293b1a81e518445799f68583002a8d2b1f1b9cbb90f7",
+            "210d4def57f0a9171ab65169fdef0c7ea88e9da77e58e411de73434f65e4b076",
+        ),
+        (
+            "844488edb8a0cb2c7e1a57f66a994c9a49b7d09d3c533b7f64ae3c045afc09b8",
+            "bc9d0fb41f367c2b1e31eb1ff0ae7bf5f45690e65d3768837c9df71c51d16299",
+            "fa5be30730eca1fa0d79f763ba0bd28593f599e41cf468af4c7b9d2486fffa59",
+            "e141bc4369c25557e70f6d6c71b218f5c16fb004f962964b4bd4bb1d27a42999",
+            "a1ad46c50a31d9eda5d06d60a1ccb4669146d93856608f135e4bcbd6d0ee0934",
+            "514c92f6c523ca5a2501293d5a1fb1d818972172974343fb6e52fa9598befc41",
+        ),
+    ),
+    "B": (
+        (
+            "90c4e202e5504bc497eda3601a11f9141caca7566f726a01ff0e9bd39eab26fb",
+            "999d27c3818848236e262c1f3e3dae508865c9951e3e49082a4d867b047aa451",
+            "11aba7a91dcf7d00c5657c5a903d76a08f143ee1bb92b0c7be61115e60ce9b84",
+            "173b14a3470f4595851cd8a8923fdb83cf4d52455118e3ceb3ec24eed36bfe86",
+            "cb5ba864124795a2da8599b7c120634daadfdbb7cf64c5738372375c4a66b40d",
+            "57dcb07b7fd39668cc30802a9c16cf84d0a82fe5074059f6e37ba9f1fa0ec703",
+        ),
+        (
+            "c5b7eeb53ab01465bcbccf2ab4f0eabedefc5ff31d6127be411a008f5504cb47",
+            "d09ef0d2bf407b7636b11c3380cfc00575f157652bcb7ee09d7f12f1bc1fe5b4",
+            "dc0b0d75192d36e54850587c2d09c26a70589c60f7b028753dc528ffe50065c6",
+            "6fdf6a8d60875eb3b8f015f730a530cdb2ba99096727fa539998ae5eb8ee45da",
+            "c238e4aa1f404048d1d7447c1f3d22f0741b33b356cbbcb2ed13a71691e93ff7",
+            "6bc58ac02868a3d8827b3da1b2a4b37a295bc3025eba04aca0c44c6b0d878ae7",
+        ),
+    ),
+    "L": (
+        (
+            "422a852a73ff197f0acb3d64825bf419d3dd8d7167c1c5e89be2fcd618efeace",
+            "e3a9a7e5cbf015703c5907e6e6f30086a267454f516f0cc3515816b13ff1cc44",
+            "01ab7883f12bf18fd9d8e9c89569cd13ceaa248e980351b9d8794a591688b7cd",
+            "c2dac5f474dd91f6758d1b73a3d57b81c69374a2c174554d493e3006e13b1685",
+            "80f69a305b3066a9e955bbb25685070eff2d9df632cddb4c341943699dbc8801",
+            "bbd677ec544d188e19b85a3ca8283536947eb9e63d82fde0a932b63e0a55e32c",
+        ),
+        (
+            "cdbe033338fed7b051a16c7e2579899bbb8f43037343863421d6a682ef2a9a45",
+            "38f52f393468e810dba325a8b96f03d871d3bef31e243efac77345593a54ce81",
+            "5c7a69f710c0145d6042fc596250a186ef98600616df269a1f31967e747ad470",
+            "b0e26ccd3c71926d7d2a0ead21bea17278f937a3cf77e36ed7e40e8932137e37",
+            "d31bb16181496b4e1c78ea9b9ab4d7fcd14f1baff9ce673c1907cac65658e005",
+            "84388c6ebfa0959d6aba0219327082eafb12ac03f12f1f1bf0da59570bbfd1d6",
+        ),
+    ),
+}
+
+TABLE_SHA256 = (
+    "1f0cbe4c3dfcc6aa36829d4e87a8afbebbc7b0abba68372e6cf1c4e7dac10c2f",
+    "acdf1cb5204de7e05cbd162101a8802fc5b3f64b1922c2db1956433a97bcf200",
+    "71380cc3e34d89b8c2cd8456299687fa9d98051d441383dc99aeeab4318d242a",
+    "6a09cb2ada4ea632f9c14c137d3a9faf40357c3341db9b9292e58c43982e2033",
+    "d2b1a653f70a72185f8020ea52a9e72b4bba32f8fc0b66a403a320dcb7ad5f58",
+    "8e75644e1c94d8364cb14768637f221b2c327c2d94edfc82b3ece24166ee3c9c",
+)
+
+
+def _digest(capsys, *argv):
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_every_family_is_pinned():
+    assert set(MATRIX_SHA256) == set(FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_matrix_output_is_unchanged(capsys, name):
+    refined, unrefined = MATRIX_SHA256[name]
+    for n in ORDERS:
+        assert _digest(capsys, "matrix", "--name", name, "--n", str(n)) == refined[n - 1], n
+        assert (
+            _digest(capsys, "matrix", "--name", name, "--n", str(n), "--unrefined")
+            == unrefined[n - 1]
+        ), n
+
+
+def test_table_output_is_unchanged(capsys):
+    for n in ORDERS:
+        assert _digest(capsys, "table", "--n", str(n)) == TABLE_SHA256[n - 1], n

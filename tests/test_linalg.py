@@ -76,24 +76,6 @@ def test_det_of_mbar_evaluated_matches_det_rat():
     )
 
 
-def test_bareiss_agrees_with_minors():
-    rng = Random(5)
-    for n in (2, 3, 4):
-        m = PolyMatrix.from_rows(poly_matrix(n, rng))
-        assert det_poly(m, "minors") == det_poly(m, "bareiss")
-    for name in ("M_BAR", "M_PRIME", "M_DPRIME"):
-        m = build(name, 4)
-        assert det_poly(m, "minors") == det_poly(m, "bareiss")
-
-
-def test_bareiss_handles_zero_pivot():
-    z = MultiPoly.zero(ARITY)
-    m = PolyMatrix.from_rows([[z, ONE], [ONE, z]])
-    assert det_poly(m, "bareiss") == -ONE
-    singular = PolyMatrix.from_rows([[z, z], [ONE, ONE]])
-    assert det_poly(singular, "bareiss") == z
-
-
 @settings(max_examples=60)
 @given(small_polys, small_polys)
 def test_divide_exact_inverts_multiplication(a, b):
