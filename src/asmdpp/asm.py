@@ -78,7 +78,7 @@ class AsmStats:
         return self.nu + self.mu
 
 
-def enumerate_asms(n: int, first_one_column: int | None = None) -> Iterator[Asm]:
+def enumerate_asms(n: int) -> Iterator[Asm]:
     """Yield every order-n alternating sign matrix exactly once.
 
     Deterministic order: ascending lexicographic in the concatenated rows
@@ -86,15 +86,9 @@ def enumerate_asms(n: int, first_one_column: int | None = None) -> Iterator[Asm]
     row by row over the vector of column partial sums, which stays in
     {0,1}^n; that vector also encodes the last nonzero sign seen in each
     column, so sign alternation needs no extra state.
-
-    ``first_one_column`` (0-based) restricts to matrices whose first-row 1
-    sits in that column; the n restrictions partition the full set, so
-    callers may fan the subtrees out to workers.
     """
     if n < 1:
         raise ValidationError("order must be at least 1")
-    if first_one_column is not None and not 0 <= first_one_column < n:
-        raise ValidationError("first_one_column out of range")
 
     col = [0] * n
     rows: list[tuple[int, ...]] = []
@@ -126,8 +120,6 @@ def enumerate_asms(n: int, first_one_column: int | None = None) -> Iterator[Asm]
             yield Asm(tuple(rows))
             return
         for cand in row_candidates():
-            if i == 0 and first_one_column is not None and cand[first_one_column] != 1:
-                continue
             rows.append(cand)
             for j, v in enumerate(cand):
                 col[j] += v
@@ -209,6 +201,16 @@ def count_asm_no_isolated(n: int, m: int) -> int:
         if asm_stats(a).mu == m and isolated_ones_count(a) == 0:
             total += 1
     return total
+
+
+def count_rotation_invariant(n: int) -> tuple[int, int]:
+    """Numbers of order-n matrices invariant under the half turn and under
+    the quarter turn."""
+    half = quarter = 0
+    for a in enumerate_asms(n):
+        half += rotation_invariance(a, "half")
+        quarter += rotation_invariance(a, "quarter")
+    return half, quarter
 
 
 def z_asm_brute(n: int) -> MultiPoly:

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  The
 environment variable ASMDPP_MAX_N caps the order accepted by every
 command that takes --n (a larger order exits with 2) and lowers verify's
 --max-n.  enumerate --cache DIR writes a cache file only after a
-complete enumeration, so a run stopped early by --limit leaves none.
+complete enumeration, so a run stopped early by --limit leaves none, and
+serves one only if it holds every record of the family.
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (text) or under --timings (json).
 """
@@ -32,6 +33,7 @@ from . import verify as verify_mod
 from .asm import asm_from_json, asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
 from .dpp import dpp_from_json, dpp_to_json, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
+from .formulas import asm_total
 from .limits import MAX_N_ENV_VAR
 from .linalg import det_poly
 from .matrices import FAMILY_NAMES, build, matrix_to_json
@@ -85,17 +87,20 @@ def _text_of(kind: str, obj: object) -> str:
     raise AsmDppError(f"unknown kind {kind!r}")
 
 
+def _records(path: Path) -> Iterator[str]:
+    with path.open() as fh:
+        yield from (line for line in fh if line.strip())
+
+
 def _cached_json_lines(kind: str, n: int, cache_dir: str) -> Iterator[object]:
-    """Serve the cache file if present; otherwise enumerate, writing a
-    temporary file that is renamed into place only once the enumeration
-    is exhausted, so an early stop (--limit, a closed pipe) leaves no
-    partial cache behind."""
+    """Serve the cache file if it holds all asm_total(n) records (every
+    kind is in bijection with the order-n matrices); otherwise enumerate,
+    writing a temporary file that is renamed into place only once the
+    enumeration is exhausted, so an early stop (--limit, a closed pipe)
+    leaves no partial cache behind and a stale partial file is replaced."""
     path = Path(cache_dir) / f"{kind}_n{n}.ndjson"
-    if path.exists():
-        with path.open() as fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+    if path.exists() and sum(1 for _ in _records(path)) == asm_total(n):
+        yield from (json.loads(line) for line in _records(path))
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
-from .polynomial import NVARS, MultiPoly
+from .polynomial import NVARS, Q_IDX, W_IDX, X_IDX, Y_IDX, Z_IDX, MultiPoly
 
 
 @dataclass(frozen=True)
@@ -166,30 +166,38 @@ def _check_brute_limit(n: int) -> None:
         )
 
 
-def z_dpp_brute(n: int) -> MultiPoly:
-    """Sum of x^nu * y^mu * z^rho over DPP(n)."""
-    return z_dpp_brute_w(n).substitute(3, 1)
+def z_dpp_brute_wq(n: int) -> MultiPoly:
+    """Sum of x^nu * y^mu * z^rho * w^(rows+1) * q^(sum of parts) over
+    DPP(n).  This is the one pass that counts DPP statistics; the other
+    DPP generating functions are substitutions of it."""
+    _check_brute_limit(n)
+    counts: Counter[tuple[int, int, int, int, int]] = Counter()
+    for d in enumerate_dpps(n):
+        s = dpp_stats(d, n)
+        counts[(s.nu, s.mu, s.rho, s.row_count + 1, s.parts_sum)] += 1
+    return MultiPoly(NVARS, counts)
 
 
 def z_dpp_brute_w(n: int) -> MultiPoly:
     """Sum of w^(rows+1) * x^nu * y^mu * z^rho over DPP(n)."""
-    _check_brute_limit(n)
-    counts: Counter[tuple[int, int, int, int]] = Counter()
-    for d in enumerate_dpps(n):
-        s = dpp_stats(d, n)
-        counts[(s.nu, s.mu, s.rho, s.row_count + 1)] += 1
-    return MultiPoly(
-        NVARS, {(p, m, k, f, 0): c for (p, m, k, f), c in counts.items()}
-    )
+    return z_dpp_brute_wq(n).substitute(Q_IDX, 1)
+
+
+def z_dpp_brute(n: int) -> MultiPoly:
+    """Sum of x^nu * y^mu * z^rho over DPP(n)."""
+    return z_dpp_brute_w(n).substitute(W_IDX, 1)
+
+
+def q_marginal(z: MultiPoly) -> MultiPoly:
+    """The q part of a five-variable sum: x, y, z and w set to 1."""
+    for index in (X_IDX, Y_IDX, Z_IDX, W_IDX):
+        z = z.substitute(index, 1)
+    return z
 
 
 def q_sum_of_parts(n: int) -> MultiPoly:
     """Sum of q^(sum of parts) over DPP(n)."""
-    _check_brute_limit(n)
-    counts: Counter[int] = Counter()
-    for d in enumerate_dpps(n):
-        counts[d.parts_sum()] += 1
-    return MultiPoly(NVARS, {(0, 0, 0, 0, s): c for s, c in counts.items()})
+    return q_marginal(z_dpp_brute_wq(n))
 
 
 def dpp_to_json(d: Dpp) -> list[list[int]]:

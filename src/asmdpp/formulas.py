@@ -11,17 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .asm import (
-    Asm,
-    asm_stats,
-    count_asm_no_isolated,
-    enumerate_asms,
-    rotation_invariance,
-)
-from .dpp import Dpp, dpp_stats, enumerate_dpps
+from .asm import Asm, asm_stats, count_asm_no_isolated, count_rotation_invariant, z_asm_brute
+from .dpp import Dpp, dpp_stats, q_sum_of_parts
 from .errors import InvariantError, ValidationError
 from .linalg import divide_exact
-from .polynomial import NVARS, MultiPoly
+from .polynomial import NVARS, Q_IDX, Y_IDX, MultiPoly
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -163,25 +157,12 @@ def stanton_parity(n: int) -> tuple[int, int, int, int]:
 
     The part-sum parity gaps over the arrays equal the rotation-invariant
     matrix counts; both equalities are asserted before returning."""
-    even = odd = mod0 = mod2 = 0
-    for d in enumerate_dpps(n):
-        s = d.parts_sum()
-        if s % 2 == 0:
-            even += 1
-        else:
-            odd += 1
-        if s % 4 == 0:
-            mod0 += 1
-        elif s % 4 == 2:
-            mod2 += 1
-    half = quarter = 0
-    for a in enumerate_asms(n):
-        if rotation_invariance(a, "half"):
-            half += 1
-        if rotation_invariance(a, "quarter"):
-            quarter += 1
-    even_minus_odd = even - odd
-    mod4_gap = mod0 - mod2
+    by_mod4 = [0] * 4
+    for exp, count in q_sum_of_parts(n).items():
+        by_mod4[exp[Q_IDX] % 4] += count
+    half, quarter = count_rotation_invariant(n)
+    even_minus_odd = by_mod4[0] + by_mod4[2] - by_mod4[1] - by_mod4[3]
+    mod4_gap = by_mod4[0] - by_mod4[2]
     if even_minus_odd != half:
         raise InvariantError(
             f"parity gap {even_minus_odd} != half-turn count {half} at order {n}"
@@ -201,7 +182,7 @@ def cdlg_identity(n: int, m: int) -> tuple[int, int]:
     C(i, m) counting order-i matrices with m entries -1 and no isolated 1.
     The sum runs over 0 <= i <= min(3m, n); the i = 0 term (C(0,0) = 1)
     carries the whole m = 0 case.  Returns (enumerated count, sum)."""
-    lhs = sum(1 for a in enumerate_asms(n) if asm_stats(a).mu == m)
+    lhs = sum(c for exp, c in z_asm_brute(n).items() if exp[Y_IDX] == m)
     rhs = Fraction(0)
     for i in range(0, min(3 * m, n) + 1):
         c_im = count_asm_no_isolated(i, m)

@@ -37,7 +37,8 @@ from fractions import Fraction
 from random import Random
 
 from .asm import z_asm_brute
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+from .limits import MATRIX_BUILD_MAX_N
 from .linalg import PolyMatrix, det_poly, det_rat, lift_to_omega
 from .paths import lgv_matrix, path_weight_sum
 from .polynomial import (
@@ -203,6 +204,8 @@ def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     """
     if n < 1:
         raise ValidationError("order must be at least 1")
+    if n > MATRIX_BUILD_MAX_N:
+        raise ResourceLimitError(f"matrix construction capped at order {MATRIX_BUILD_MAX_N}")
     if name == "M_BAR":
         return lgv_matrix(n, refined)
     if name == "M_BAR_W":

@@ -71,10 +71,13 @@ class LatticePath:
         return out
 
 
-def _check_disjoint(paths: Sequence[LatticePath]) -> None:
+def _check_family(paths: Sequence[LatticePath], columns: range, rows: range) -> None:
+    # every vertex inside the grid, no vertex shared by two paths
     seen: set[tuple[int, int]] = set()
     for p in paths:
         for v in p.vertices():
+            if v[0] not in columns or v[1] not in rows:
+                raise ValidationError("path leaves the grid")
             if v in seen:
                 raise ValidationError(f"paths share vertex {v}")
             seen.add(v)
@@ -102,25 +105,25 @@ class NilpSet:
                 raise ValidationError(f"path {i + 1} starts at {p.start}")
             if p.end != (lengths[i], 0):
                 raise ValidationError(f"path {i + 1} ends at {p.end}")
-            for c, r in p.vertices():
-                if not (0 <= c < n and 0 <= r < n):
-                    raise ValidationError("path leaves the grid")
-        _check_disjoint(self.paths)
+        _check_family(self.paths, range(n), range(n))
 
 
-def _heights_to_path(start_row: int, heights: Sequence[int]) -> LatticePath:
-    # monotone path from (0, start_row) whose k-th rightward step is at
-    # the given height, ending at height 0
+def _heights_to_path(
+    start: tuple[int, int], heights: Sequence[int], end: tuple[int, int]
+) -> LatticePath:
+    # monotone path from start whose k-th rightward step is at the given
+    # height; it then drops to the end row and runs right to the end column
     steps: list[str] = []
-    row = start_row
+    column, row = start
     for h in heights:
         if h > row:
             raise ValidationError("step heights must decrease weakly")
         steps.extend("D" * (row - h))
         steps.append("R")
-        row = h
-    steps.extend("D" * row)
-    return LatticePath((0, start_row), tuple(steps))
+        column, row = column + 1, h
+    steps.extend("D" * (row - end[1]))
+    steps.extend("R" * (end[0] - column))
+    return LatticePath(start, tuple(steps))
 
 
 def dpp_to_nilp(d: Dpp, n: int) -> NilpSet:
@@ -130,10 +133,11 @@ def dpp_to_nilp(d: Dpp, n: int) -> NilpSet:
         raise ValidationError("parts exceed the ambient order")
     lengths = [len(row) for row in d.rows]
     profile = [n] + lengths + [0]
-    paths = []
-    for i, row in enumerate(d.rows):
-        paths.append(_heights_to_path(profile[i] - 1, [p - 1 for p in row]))
-    paths.append(_heights_to_path(profile[-2] - 1, []))
+    paths = [
+        _heights_to_path((0, profile[i] - 1), [p - 1 for p in row], (len(row), 0))
+        for i, row in enumerate(d.rows)
+    ]
+    paths.append(_heights_to_path((0, profile[-2] - 1), [], (0, 0)))
     return NilpSet(n, tuple(paths))
 
 
@@ -144,19 +148,25 @@ def nilp_to_dpp(p: NilpSet) -> Dpp:
     return Dpp(tuple(rows))
 
 
-def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
-    """(steps above the diagonal line, steps below it, steps in the top
-    row); equals (nu, mu, rho) of the matching partition."""
+def _step_counts(paths: Sequence[LatticePath], top_row: int) -> tuple[int, int, int]:
+    # rightward steps above the diagonal line (c <= h), below it at a
+    # nonnegative height, and in the top row
     above = below = top = 0
-    for path in p.paths:
+    for path in paths:
         for c, h in path.right_steps():
             if c <= h:
                 above += 1
-            else:
+            elif h >= 0:
                 below += 1
-            if h == p.n - 1:
+            if h == top_row:
                 top += 1
     return (above, below, top)
+
+
+def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
+    """(steps above the diagonal line, steps below it, steps in the top
+    row); equals (nu, mu, rho) of the matching partition."""
+    return _step_counts(p.paths, p.n - 1)
 
 
 def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
@@ -220,6 +230,49 @@ def _profiles(n: int) -> Iterator[tuple[int, ...]]:
             yield combo
 
 
+def _disjoint_families(
+    endpoints: Sequence[tuple[tuple[int, int], tuple[int, int]]]
+) -> Iterator[tuple[LatticePath, ...]]:
+    """Every tuple of vertex-disjoint paths joining each (start, end) pair.
+
+    Depth-first, path by path, trying a downward step before a rightward
+    one; no path goes below its end row or past its end column."""
+    used: set[tuple[int, int]] = set()
+    chosen: list[LatticePath] = []
+
+    def place(idx: int) -> Iterator[tuple[LatticePath, ...]]:
+        if idx == len(endpoints):
+            yield tuple(chosen)
+            return
+        start, (end_c, end_r) = endpoints[idx]
+        steps: list[str] = []
+
+        def walk(c: int, h: int) -> Iterator[tuple[LatticePath, ...]]:
+            if (c, h) in used:
+                return
+            if c == end_c and h == end_r:
+                path = LatticePath(start, tuple(steps))
+                verts = set(path.vertices())
+                used.update(verts)
+                chosen.append(path)
+                yield from place(idx + 1)
+                chosen.pop()
+                used.difference_update(verts)
+                return
+            if h > end_r:
+                steps.append("D")
+                yield from walk(c, h - 1)
+                steps.pop()
+            if c < end_c:
+                steps.append("R")
+                yield from walk(c + 1, h)
+                steps.pop()
+
+        yield from walk(*start)
+
+    yield from place(0)
+
+
 def enumerate_nilp_families(n: int) -> Iterator[NilpSet]:
     """Every nonintersecting family directly, without the bijection.
 
@@ -229,59 +282,18 @@ def enumerate_nilp_families(n: int) -> Iterator[NilpSet]:
     if n < 1:
         raise ValidationError("order must be at least 1")
     for profile in _profiles(n):
-        ends = list(profile) + [0]
-        starts = [n] + list(profile)
-        used: set[tuple[int, int]] = set()
-        chosen: list[LatticePath] = []
-
-        def build(idx: int) -> Iterator[NilpSet]:
-            if idx == len(ends):
-                yield NilpSet(n, tuple(chosen))
-                return
-            target = ends[idx]
-            start = (0, starts[idx] - 1)
-            steps: list[str] = []
-
-            def walk(c: int, h: int) -> Iterator[NilpSet]:
-                if (c, h) in used:
-                    return
-                if c == target and h == 0:
-                    used_here = set()
-                    path = LatticePath(start, tuple(steps))
-                    for v in path.vertices():
-                        used.add(v)
-                        used_here.add(v)
-                    chosen.append(path)
-                    yield from build(idx + 1)
-                    chosen.pop()
-                    used.difference_update(used_here)
-                    return
-                if h > 0:
-                    steps.append("D")
-                    yield from walk(c, h - 1)
-                    steps.pop()
-                if c < target:
-                    steps.append("R")
-                    yield from walk(c + 1, h)
-                    steps.pop()
-
-            yield from walk(start[0], start[1])
-
-        yield from build(0)
+        starts = (n,) + profile
+        ends = profile + (0,)
+        endpoints = [((0, s - 1), (e, 0)) for s, e in zip(starts, ends)]
+        for paths in _disjoint_families(endpoints):
+            yield NilpSet(n, paths)
 
 
 def family_weight(p: NilpSet, refined: bool = False) -> MultiPoly:
-    ex = ey = ez = 0
-    for path in p.paths:
-        for c, h in path.right_steps():
-            if refined and h == p.n - 1:
-                ex += 1
-                ez += 1
-            elif c <= h:
-                ex += 1
-            else:
-                ey += 1
-    return monomial(1, x=ex, y=ey, z=ez)
+    """x^above y^below, times z^top when refined: every top-row step lies
+    above the diagonal line, so refining only adds the z factor."""
+    above, below, top = nilp_statistics(p)
+    return monomial(1, x=above, y=below, z=top if refined else 0)
 
 
 def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMatrix:
@@ -343,12 +355,9 @@ class NilpPrimeSet:
             if p.end != (delta, -1):
                 raise ValidationError(f"path {i + 1} must end at ({delta}, -1)")
             deltas.append(delta)
-            for c, r in p.vertices():
-                if not (1 <= c <= n - 1 and -1 <= r <= n - 1):
-                    raise ValidationError("path leaves the grid")
         if any(deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)):
             raise ValidationError("start heights must decrease strictly")
-        _check_disjoint(self.paths)
+        _check_family(self.paths, range(1, n), range(-1, n))
 
 
 def dpp_to_nilp_prime(d: Dpp, n: int) -> NilpPrimeSet:
@@ -357,20 +366,10 @@ def dpp_to_nilp_prime(d: Dpp, n: int) -> NilpPrimeSet:
     part k+1 of the row, extra steps at height -1 pad the length."""
     if d.rows and d.max_part > n:
         raise ValidationError("parts exceed the ambient order")
-    paths = []
-    for row in d.rows:
-        delta = row[0] - 1
-        heights = [p - 1 for p in row[1:]]
-        steps: list[str] = []
-        h = delta
-        for target in heights:
-            steps.extend("D" * (h - target))
-            steps.append("R")
-            h = target
-        steps.extend("D" * (h + 1))
-        pad = delta - 1 - len(heights)
-        steps.extend("R" * pad)
-        paths.append(LatticePath((1, delta), tuple(steps)))
+    paths = [
+        _heights_to_path((1, row[0] - 1), [p - 1 for p in row[1:]], (row[0] - 1, -1))
+        for row in d.rows
+    ]
     return NilpPrimeSet(n, tuple(paths))
 
 
@@ -386,60 +385,18 @@ def nilp_prime_to_dpp(p: NilpPrimeSet) -> Dpp:
 def nilp_prime_statistics(p: NilpPrimeSet) -> tuple[int, int]:
     """(number of paths plus steps above the diagonal line, steps below it
     at nonnegative height); equals (nu, mu) of the matching partition."""
-    nu = len(p.paths)
-    mu = 0
-    for path in p.paths:
-        for c, h in path.right_steps():
-            if c <= h:
-                nu += 1
-            elif h >= 0:
-                mu += 1
-    return (nu, mu)
+    above, below, _ = _step_counts(p.paths, p.n - 1)
+    return (len(p.paths) + above, below)
 
 
 def enumerate_nilp_prime_families(n: int) -> Iterator[NilpPrimeSet]:
-    """Every family of the alternative class, found by direct search."""
-    from itertools import combinations
-
+    """Every family of the alternative class, found by direct search in
+    the order of enumerate_nilp_families."""
     if n < 1:
         raise ValidationError("order must be at least 1")
-    for t in range(n):
-        for deltas in combinations(range(n - 1, 0, -1), t):
-            used: set[tuple[int, int]] = set()
-            chosen: list[LatticePath] = []
-
-            def build(idx: int) -> Iterator[NilpPrimeSet]:
-                if idx == len(deltas):
-                    yield NilpPrimeSet(n, tuple(chosen))
-                    return
-                delta = deltas[idx]
-                start = (1, delta)
-                steps: list[str] = []
-
-                def walk(c: int, h: int) -> Iterator[NilpPrimeSet]:
-                    if (c, h) in used:
-                        return
-                    if c == delta and h == -1:
-                        path = LatticePath(start, tuple(steps))
-                        verts = set(path.vertices())
-                        used.update(verts)
-                        chosen.append(path)
-                        yield from build(idx + 1)
-                        chosen.pop()
-                        used.difference_update(verts)
-                        return
-                    if h > -1:
-                        steps.append("D")
-                        yield from walk(c, h - 1)
-                        steps.pop()
-                    if c < delta:
-                        steps.append("R")
-                        yield from walk(c + 1, h)
-                        steps.pop()
-
-                yield from walk(start[0], start[1])
-
-            yield from build(0)
+    for deltas in _profiles(n):
+        for paths in _disjoint_families([((1, d), (d, -1)) for d in deltas]):
+            yield NilpPrimeSet(n, paths)
 
 
 def nilp_to_json(p: NilpSet) -> dict:

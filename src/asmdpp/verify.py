@@ -23,9 +23,9 @@ from .asm import (
     enumerate_asms,
     z_asm_brute,
 )
-from .dpp import dpp_stats, enumerate_dpps, q_sum_of_parts, z_dpp_brute, z_dpp_brute_w
+from .dpp import dpp_stats, enumerate_dpps, q_marginal, z_dpp_brute_wq
 from .linalg import det_poly
-from .polynomial import MultiPoly, poly_str
+from .polynomial import Q_IDX, W_IDX, MultiPoly, poly_str
 
 Z3_STRING = "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
 
@@ -87,8 +87,18 @@ def _z_asm(n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=8)
+def _z_dpp_wq(n: int) -> MultiPoly:
+    # the one DPP enumeration per order; every DPP check substitutes it
+    return z_dpp_brute_wq(n)
+
+
+def _z_dpp_w(n: int) -> MultiPoly:
+    return _z_dpp_wq(n).substitute(Q_IDX, 1)
+
+
+@lru_cache(maxsize=8)
 def _z_dpp(n: int) -> MultiPoly:
-    return z_dpp_brute(n)
+    return _z_dpp_w(n).substitute(W_IDX, 1)
 
 
 def _marginal(z: MultiPoly, var: int, value: int) -> int:
@@ -275,7 +285,7 @@ def _suite_aux(max_n: int, seed: int) -> Iterator[CheckResult]:
             lambda n=n: matrices.check_aux_relations(n), "products_and_dets", {"n": n}
         )
         yield _timed(
-            lambda n=n: det_poly(matrices.build("M_BAR_W", n)) == z_dpp_brute_w(n),
+            lambda n=n: det_poly(matrices.build("M_BAR_W", n)) == _z_dpp_w(n),
             "w_refined_det",
             {"n": n},
         )
@@ -435,15 +445,14 @@ def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
         )
         yield _timed(
             lambda n=n: all(
-                formulas.cdlg_identity(n, m)[0] == formulas.cdlg_identity(n, m)[1]
-                for m in range(3)
+                lhs == rhs for lhs, rhs in (formulas.cdlg_identity(n, m) for m in range(3))
             ),
             "isolated_one_identity",
             {"n": n, "max_m": 2},
         )
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: q_sum_of_parts(n) == formulas.q_factorial_product(n),
+            lambda n=n: q_marginal(_z_dpp_wq(n)) == formulas.q_factorial_product(n),
             "q_enumeration",
             {"n": n},
         )

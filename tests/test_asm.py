@@ -61,14 +61,6 @@ def test_enumeration_is_sorted_lexicographically():
         assert len(set(seq)) == len(seq)
 
 
-def test_enumeration_partitions_by_first_row():
-    full = [a.rows for a in enumerate_asms(4)]
-    parts = []
-    for col in range(4):
-        parts.extend(a.rows for a in enumerate_asms(4, first_one_column=col))
-    assert sorted(parts) == sorted(full)
-
-
 def test_stats_of_worked_example():
     s = asm_stats(ASMEX)
     assert (s.nu, s.mu, s.rho) == (5, 3, 3)

@@ -112,6 +112,18 @@ def test_cache_not_written_by_partial_enumeration(capsys, tmp_path):
     assert cached == full
 
 
+def test_stale_partial_cache_is_regenerated(capsys, tmp_path):
+    # a 4-record file, as an interrupted run of older code could leave
+    stale = tmp_path / "asm_n4.ndjson"
+    code, head, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--limit", "4")
+    assert code == 0
+    stale.write_text(head)
+    code, out, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--cache", str(tmp_path))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 42
+    assert stale.read_text() == out
+
+
 def test_genfunc_det_string(capsys):
     code, out, _ = run_cli(capsys, "genfunc", "--n", "3", "--method", "det")
     assert code == 0
@@ -210,6 +222,13 @@ def test_matrix_honours_env_cap(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "ASMDPP_MAX_N" in err
+
+
+def test_matrix_past_build_limit_is_refused(capsys):
+    code, out, err = run_cli(capsys, "matrix", "--name", "M_ASM", "--n", "240")
+    assert code == 2
+    assert out == ""
+    assert "capped at order 32" in err
 
 
 def test_table_past_brute_force_limit_is_refused(capsys):

@@ -1,13 +1,20 @@
 """sha256 of the stdout of `matrix` and `table`, pinned from the
 outputs before the M_BAR builders, the cell counters and the
-determinant were merged; any change to these bytes must be deliberate."""
+determinant were merged; and of the path families of both classes and
+the q- and w-refined DPP sums, pinned before the two path searches and
+the DPP statistics counters were merged.  Any change to these bytes
+must be deliberate."""
 
 import hashlib
+import json
 
 import pytest
 
 from asmdpp.cli import main
+from asmdpp.dpp import q_sum_of_parts, z_dpp_brute_w
 from asmdpp.matrices import FAMILY_NAMES
+from asmdpp.paths import enumerate_nilp_prime_families
+from asmdpp.polynomial import poly_str
 
 ORDERS = range(1, 7)
 
@@ -186,10 +193,54 @@ TABLE_SHA256 = (
     "8e75644e1c94d8364cb14768637f221b2c327c2d94edfc82b3ece24166ee3c9c",
 )
 
+# stdout of `enumerate --kind nilp --n k`, k = 1..6
+NILP_SHA256 = (
+    "a2992b5fd7771e125e0ff178de3c4513eb262960915cc52176a969c1b1d94c09",
+    "95ebc0247617826eac2ad6908ac55a786c9bd35dd7f0b27f98c75e70bec17590",
+    "47175be0dc4c7a462011a4cdc4d2fb4e1ade1f708059c6018a71a8d36ff4e042",
+    "3d9e911946678f649736768c2554502438a0922cc5679cff58a528d95de452c7",
+    "212fdfbe1b30683c57122ca37ea31bf7ecf051686db7ad0fa738f2ee4504ac12",
+    "5dc642ca8decadfe288068c97d28debe589f4b333a45e65e3589480a85964cff",
+)
+
+# JSON list of the step words of enumerate_nilp_prime_families(k), k = 1..6
+NILP_PRIME_SHA256 = (
+    "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    "bc34f33290158397c42b8cca829a486e90a8f54f72ab6b7852340e7948812a9e",
+    "c69948a606f8421291d48b534653533aeb3fc176a9b4cf44619b1ee2873d1e92",
+    "99d6db1ac086dbe1e9b5022cf595bba7a5a779af89d3792d86c1b6638028c2c7",
+    "405e9d1f62a36a4cedb109d5c751671f476b5616bfc78be55b02c19eb28b4f13",
+    "f11ca2606f0fce3ca9b67764903b1326c6bd69cd50258a97e0be80dddbf7020a",
+)
+
+# poly_str(q_sum_of_parts(k)), k = 1..6
+Q_SUM_SHA256 = (
+    "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    "004e5f10aa7630226cab3899d1b05d9c6b2a1fd6674f6130c6cd86c4d88b534f",
+    "2d60d70f47e1f5fc8fcd86023257c0dbd8129e0ee02fad5ecc97cf61151114c1",
+    "bd821e3a5653c8f9ecf9e60b561ec2a260ccb52d21eac4ac58dd646d6aa49cc4",
+    "611a72a2027cf137c953bf66930c0b2ef671f699868ad948f10cb68f7ee9b7c7",
+    "9714b25aa8e6ad4a32e217fd8ff0c8df1a999e278f6f63e7d3e376fb8ab65cf3",
+)
+
+# poly_str(z_dpp_brute_w(k)), k = 1..6
+Z_DPP_W_SHA256 = (
+    "50e721e49c013f00c62cf59f2163542a9d8df02464efeb615d31051b0fddc326",
+    "80ab2317d469dd368cddce2dc4ab861542aeaf78f751e350150d2d9c0618d125",
+    "a6f9262c73941bd85a18f2b409d30ed97b55e86abb2fcbd0b11f0d6b8a852ea5",
+    "3065858a7c33745abb40b93604ba0a91c37ac64753e14841552700182fca3f6e",
+    "af91a1fccdb727d10c43754b8627663279c56871a2c467b2c25fe1f815fc79bf",
+    "e6c89521a09dadefa174680a9319b1e383297e5f78adb833007c625e5bcd4df0",
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def _digest(capsys, *argv):
     assert main(list(argv)) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return _sha256(capsys.readouterr().out)
 
 
 def test_every_family_is_pinned():
@@ -210,3 +261,20 @@ def test_matrix_output_is_unchanged(capsys, name):
 def test_table_output_is_unchanged(capsys):
     for n in ORDERS:
         assert _digest(capsys, "table", "--n", str(n)) == TABLE_SHA256[n - 1], n
+
+
+def test_nilp_enumeration_is_unchanged(capsys):
+    for n in ORDERS:
+        assert _digest(capsys, "enumerate", "--kind", "nilp", "--n", str(n)) == NILP_SHA256[n - 1], n
+
+
+def test_nilp_prime_enumeration_is_unchanged():
+    for n in ORDERS:
+        words = [["".join(p.steps) for p in f.paths] for f in enumerate_nilp_prime_families(n)]
+        assert _sha256(json.dumps(words)) == NILP_PRIME_SHA256[n - 1], n
+
+
+def test_dpp_q_and_w_sums_are_unchanged():
+    for n in ORDERS:
+        assert _sha256(poly_str(q_sum_of_parts(n))) == Q_SUM_SHA256[n - 1], n
+        assert _sha256(poly_str(z_dpp_brute_w(n))) == Z_DPP_W_SHA256[n - 1], n
