@@ -192,15 +192,17 @@ def isolated_ones_count(a: Asm) -> int:
     return count
 
 
+def count_asm_no_isolated_by_mu(n: int) -> Counter[int]:
+    """mu -> number of order-n matrices with that many entries -1 and no
+    isolated 1, from one pass over the family."""
+    if n == 0:
+        return Counter({0: 1})
+    return Counter(asm_stats(a).mu for a in enumerate_asms(n) if isolated_ones_count(a) == 0)
+
+
 def count_asm_no_isolated(n: int, m: int) -> int:
     """Number of order-n matrices with m entries -1 and no isolated 1."""
-    if n == 0:
-        return 1 if m == 0 else 0
-    total = 0
-    for a in enumerate_asms(n):
-        if asm_stats(a).mu == m and isolated_ones_count(a) == 0:
-            total += 1
-    return total
+    return count_asm_no_isolated_by_mu(n)[m]
 
 
 def count_rotation_invariant(n: int) -> tuple[int, int]:

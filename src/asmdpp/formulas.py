@@ -8,10 +8,17 @@ transcription bug, not a rounding problem).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from .asm import Asm, asm_stats, count_asm_no_isolated, count_rotation_invariant, z_asm_brute
+from .asm import (
+    Asm,
+    asm_stats,
+    count_asm_no_isolated_by_mu,
+    count_rotation_invariant,
+    z_asm_brute,
+)
 from .dpp import Dpp, dpp_stats, q_sum_of_parts
 from .errors import InvariantError, ValidationError
 from .linalg import divide_exact
@@ -182,12 +189,24 @@ def cdlg_identity(n: int, m: int) -> tuple[int, int]:
     C(i, m) counting order-i matrices with m entries -1 and no isolated 1.
     The sum runs over 0 <= i <= min(3m, n); the i = 0 term (C(0,0) = 1)
     carries the whole m = 0 case.  Returns (enumerated count, sum)."""
-    lhs = sum(c for exp, c in z_asm_brute(n).items() if exp[Y_IDX] == m)
-    rhs = Fraction(0)
-    for i in range(0, min(3 * m, n) + 1):
-        c_im = count_asm_no_isolated(i, m)
-        if c_im:
-            rhs += Fraction(
-                factorial(n) ** 2, factorial(i) ** 2 * factorial(n - i)
-            ) * c_im
-    return lhs, _exact_int(rhs, "isolated-1 sum")
+    return cdlg_identities(n, m)[m]
+
+
+def cdlg_identities(n: int, max_m: int) -> list[tuple[int, int]]:
+    """``cdlg_identity(n, m)`` for m = 0..max_m, from one ``z_asm_brute(n)``
+    and one pass over each family of order i <= min(3 max_m, n)."""
+    by_mu: Counter[int] = Counter()
+    for exp, c in z_asm_brute(n).items():
+        by_mu[exp[Y_IDX]] += c
+    no_isolated = [count_asm_no_isolated_by_mu(i) for i in range(min(3 * max_m, n) + 1)]
+    sides = []
+    for m in range(max_m + 1):
+        rhs = Fraction(0)
+        for i in range(0, min(3 * m, n) + 1):
+            c_im = no_isolated[i][m]
+            if c_im:
+                rhs += Fraction(
+                    factorial(n) ** 2, factorial(i) ** 2 * factorial(n - i)
+                ) * c_im
+        sides.append((by_mu[m], _exact_int(rhs, "isolated-1 sum")))
+    return sides

@@ -3,7 +3,8 @@
 ``PolyMatrix`` holds MultiPoly or OmegaPoly entries (homogeneous per
 matrix).  The determinant is division-free expansion by minors, memoized
 over column subsets (2^n subproblems), which is safe over any
-commutative ring.  ``divide_exact`` is exact polynomial division that
+commutative ring; each minor is one fused sum of products over the entry
+type.  ``divide_exact`` is exact polynomial division that
 raises unless the divisor divides.
 
 Rational matrices are plain nested lists of ``Fraction``; ``det_rat``
@@ -18,7 +19,13 @@ from typing import Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import DET_POLY_MAX_N
-from .polynomial import MultiPoly, OmegaPoly
+from .polynomial import NVARS, MultiPoly, OmegaPoly, _guard
+
+
+def _arity(sample) -> int:
+    if isinstance(sample, OmegaPoly):
+        return sample.coeffs[0].arity if sample.coeffs else NVARS
+    return sample.arity
 
 
 def _zero_like(sample):
@@ -28,10 +35,8 @@ def _zero_like(sample):
 
 
 def _one_like(sample):
-    if isinstance(sample, OmegaPoly):
-        arity = sample.coeffs[0].arity if sample.coeffs else 5
-        return OmegaPoly.from_poly(MultiPoly.const(1, arity))
-    return MultiPoly.const(1, sample.arity)
+    one = MultiPoly.const(1, _arity(sample))
+    return OmegaPoly.from_poly(one) if isinstance(sample, OmegaPoly) else one
 
 
 @dataclass(frozen=True)
@@ -141,28 +146,30 @@ def lift_to_omega(m: PolyMatrix) -> PolyMatrix:
 
 
 def _det_minors(entries) -> object:
+    # Layer `size` holds the minors on the first `size` rows, keyed by
+    # column mask; each is one sum of products over the entry type, and
+    # layer `size - 1` is dropped once layer `size` is built.
     n = len(entries)
-    one = _one_like(entries[0][0])
-    memo = {0: one}
+    sample = entries[0][0]
+    ring = type(sample)
+    arity = _arity(sample)
     masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1, 1 << n):
         masks_by_size[mask.bit_count()].append(mask)
+    prev = {0: _one_like(sample)}
     for size in range(1, n + 1):
         row = entries[size - 1]
+        layer = {}
         for mask in masks_by_size[size]:
-            acc = None
-            pos = 0
+            products = []
             for j in range(n):
-                if not mask & (1 << j):
-                    continue
-                sub = memo[mask ^ (1 << j)]
-                term = row[j] * sub
-                if (size - 1 + pos) & 1:
-                    term = -term
-                acc = term if acc is None else acc + term
-                pos += 1
-            memo[mask] = acc
-    return memo[(1 << n) - 1]
+                bit = 1 << j
+                if mask & bit:
+                    sign = -1 if (size - 1 + len(products)) & 1 else 1
+                    products.append((sign, row[j], prev[mask ^ bit]))
+            layer[mask] = ring._sum_of_products(arity, products)
+        prev = layer
+    return prev[(1 << n) - 1]
 
 
 def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -171,27 +178,34 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         raise ValueError("arity mismatch in division")
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    remainder = dict(p.terms)
-    q_terms = dict(q.terms)
+    # Leading terms are the largest packed keys (lexicographic order).  A
+    # remainder key with a guard bit set has an exponent no term of p has,
+    # so the division cannot be exact.  Subtracting q_lead from r_lead with
+    # every guard bit set leaves a guard bit clear exactly where a field
+    # would go negative.
+    guard = _guard(p.arity)
+    remainder = dict(p._terms)
+    q_terms = q._terms
     q_lead = max(q_terms)
     q_lead_coeff = q_terms[q_lead]
-    quotient: dict[tuple, int] = {}
+    quotient: dict[int, int] = {}
     while remainder:
         r_lead = max(remainder)
         r_coeff = remainder[r_lead]
-        exp = tuple(a - b for a, b in zip(r_lead, q_lead))
-        if any(e < 0 for e in exp) or r_coeff % q_lead_coeff:
+        diff = (r_lead | guard) - q_lead
+        if r_lead & guard or diff & guard != guard or r_coeff % q_lead_coeff:
             raise ValidationError("polynomial division is not exact")
+        exp = diff ^ guard
         c = r_coeff // q_lead_coeff
-        quotient[exp] = quotient.get(exp, 0) + c
+        quotient[exp] = c
         for qe, qc in q_terms.items():
-            key = tuple(a + b for a, b in zip(exp, qe))
+            key = exp + qe
             new = remainder.get(key, 0) - c * qc
             if new:
                 remainder[key] = new
             elif key in remainder:
                 del remainder[key]
-    return MultiPoly(p.arity, quotient)
+    return MultiPoly._raw(p.arity, quotient)
 
 
 def det_poly(m: PolyMatrix):

@@ -1,10 +1,14 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
-A polynomial is a mapping from exponent tuples to nonzero integer
+A polynomial is a mapping from exponent vectors to nonzero integer
 coefficients:
 
     x^2*y + 3  ->  {(2, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0): 3}
 
+Internally each exponent vector is packed into one int, a fixed-width
+field per variable, so multiplying two monomials is one int addition;
+``terms``, ``items`` and the printing and evaluation methods unpack to
+tuples.  An exponent past ``MAX_EXPONENT`` raises ``ResourceLimitError``.
 The representation is canonical (zero coefficients are never stored), so
 ``==`` is exact identity of polynomials.  Coefficients are Python ints,
 which are arbitrary precision; evaluation returns ``Fraction``.
@@ -26,9 +30,14 @@ and ``omega_congruent_zero`` tests divisibility by it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import comb
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .errors import ResourceLimitError
+from .limits import EXPONENT_FIELD_BITS as FIELD_BITS
 
 NVARS = 5
 VAR_NAMES = ("x", "y", "z", "w", "q")
@@ -48,15 +57,62 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
+# Packed exponent vectors (Monagan & Pearce, CASC 2007): the exponent of
+# variable i of an arity-a polynomial is the FIELD_BITS-wide field at bit
+# FIELD_BITS * (a - 1 - i) of one int key.  The top bit of each field is a
+# guard bit that is always clear in a stored key, so adding two keys adds
+# the exponent vectors without a carry between fields, and a set guard bit
+# in a sum marks an exponent past MAX_EXPONENT.  Variable 0 sits in the
+# highest field, so the int order of keys is the lexicographic order of
+# the exponent tuples, a monomial order.
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+
+
+@lru_cache(maxsize=None)
+def _shifts(arity: int) -> tuple[int, ...]:
+    return tuple(FIELD_BITS * (arity - 1 - i) for i in range(arity))
+
+
+@lru_cache(maxsize=None)
+def _guard(arity: int) -> int:
+    """Mask of the guard bits of every field of an arity-``arity`` key."""
+    return sum((MAX_EXPONENT + 1) << s for s in _shifts(arity))
+
+
+def _pack(exp: tuple) -> int:
+    key = 0
+    for e in exp:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int, arity: int) -> tuple:
+    return tuple((key >> s) & FIELD_MASK for s in _shifts(arity))
+
+
+def _check_fields(terms: dict[int, int], arity: int) -> None:
+    """Raise if a key of ``terms`` has an exponent past MAX_EXPONENT."""
+    if reduce(or_, terms, 0) & _guard(arity):
+        raise ResourceLimitError(
+            f"an exponent exceeds the packed-field limit {MAX_EXPONENT}"
+        )
+
+
 class MultiPoly:
-    """Immutable sparse polynomial with integer coefficients."""
+    """Immutable sparse polynomial with integer coefficients.
+
+    ``_terms`` maps packed exponent keys to coefficients; ``terms``,
+    ``items`` and the printing and evaluation methods unpack them to
+    exponent tuples.
+    """
 
     __slots__ = ("arity", "_terms")
 
     def __init__(self, arity: int, terms: Mapping[tuple, int] | None = None):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        clean: dict[tuple, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
@@ -66,16 +122,21 @@ class MultiPoly:
                     raise ValueError(f"exponents must be nonnegative ints, got {exp}")
                 if not isinstance(coeff, int):
                     raise ValueError("coefficients must be ints")
+                if max(exp, default=0) > MAX_EXPONENT:
+                    raise ResourceLimitError(
+                        f"exponent {exp} exceeds the packed-field limit {MAX_EXPONENT}"
+                    )
                 if coeff:
-                    clean[exp] = clean.get(exp, 0) + coeff
-                    if not clean[exp]:
-                        del clean[exp]
+                    key = _pack(exp)
+                    clean[key] = clean.get(key, 0) + coeff
+                    if not clean[key]:
+                        del clean[key]
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _raw(cls, arity: int, terms: dict[tuple, int]) -> "MultiPoly":
-        # internal constructor: terms must already be canonical
+    def _raw(cls, arity: int, terms: dict[int, int]) -> "MultiPoly":
+        # internal constructor: terms must already be packed and canonical
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", terms)
@@ -89,25 +150,24 @@ class MultiPoly:
     def const(cls, value: int, arity: int = NVARS) -> "MultiPoly":
         if value == 0:
             return cls._raw(arity, {})
-        return cls._raw(arity, {(0,) * arity: value})
+        return cls._raw(arity, {0: value})
 
     @classmethod
     def variable(cls, index: int, arity: int = NVARS) -> "MultiPoly":
         if not 0 <= index < arity:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
-        exp = [0] * arity
-        exp[index] = 1
-        return cls._raw(arity, {tuple(exp): 1})
+        return cls._raw(arity, {1 << _shifts(arity)[index]: 1})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
 
     @property
     def terms(self) -> Mapping[tuple, int]:
-        return MappingProxyType(self._terms)
+        return MappingProxyType(dict(self.items()))
 
     def items(self) -> Iterator[tuple[tuple, int]]:
-        return iter(self._terms.items())
+        arity = self.arity
+        return ((_unpack(k, arity), c) for k, c in self._terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -145,6 +205,32 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
+    @classmethod
+    def _sum_of_products(cls, arity: int, products: Iterable) -> "MultiPoly":
+        """Sum of ``sign * a * b`` over the ``(sign, a, b)`` triples.
+
+        Every product accumulates into one dict; zero coefficients are
+        dropped and the exponent fields checked once, at the end.
+        """
+        out: dict[int, int] = {}
+        get = out.get
+        for sign, a, b in products:
+            if a.arity != arity or b.arity != arity:
+                raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
+            a, b = a._terms, b._terms
+            if len(a) > len(b):
+                a, b = b, a
+            b = b.items()
+            for ea, ca in a.items():
+                ca *= sign
+                for eb, cb in b:
+                    key = ea + eb
+                    out[key] = get(key, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        _check_fields(out, arity)
+        return cls._raw(arity, out)
+
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
@@ -154,17 +240,7 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_arity(other)
-        out: dict[tuple, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(map(sum, zip(ea, eb)))
-                new = out.get(exp, 0) + ca * cb
-                if new:
-                    out[exp] = new
-                elif exp in out:
-                    del out[exp]
-        return MultiPoly._raw(self.arity, out)
+        return MultiPoly._sum_of_products(self.arity, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -186,7 +262,7 @@ class MultiPoly:
             raise ValueError(f"point length {len(point)} does not match arity {self.arity}")
         vals = [Fraction(p) for p in point]
         total = Fraction(0)
-        for exp, coeff in self._terms.items():
+        for exp, coeff in self.items():
             term = Fraction(coeff)
             for v, e in zip(vals, exp):
                 if e:
@@ -198,35 +274,38 @@ class MultiPoly:
         """Set one variable to an integer constant; arity is preserved."""
         if not 0 <= index < self.arity:
             raise ValueError("variable index out of range")
-        out: dict[tuple, int] = {}
-        for exp, coeff in self._terms.items():
-            c = coeff * value ** exp[index]
+        shift = _shifts(self.arity)[index]
+        out: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            e = (key >> shift) & FIELD_MASK
+            c = coeff * value**e
             if not c:
                 continue
-            new_exp = exp[:index] + (0,) + exp[index + 1 :]
-            tot = out.get(new_exp, 0) + c
+            new_key = key - (e << shift)
+            tot = out.get(new_key, 0) + c
             if tot:
-                out[new_exp] = tot
-            elif new_exp in out:
-                del out[new_exp]
+                out[new_key] = tot
+            elif new_key in out:
+                del out[new_key]
         return MultiPoly._raw(self.arity, out)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e, _ in self.items())
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in the canonical print order.
 
         Graded order: ascending total degree, ties broken by descending
-        lexicographic comparison of the exponent vectors.
+        lexicographic comparison of the exponent vectors (the order of
+        the packed keys).
         """
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
-        )
+        arity = self.arity
+        terms = [(_unpack(k, arity), k, c) for k, c in self._terms.items()]
+        terms.sort(key=lambda t: (sum(t[0]), -t[1]))
+        return [(exp, c) for exp, _, c in terms]
 
     def to_term_list(self) -> list[list]:
         """JSON-friendly canonical form: [[exponents, coefficient], ...]."""
@@ -293,9 +372,7 @@ def const(value: int) -> MultiPoly:
 
 def monomial(coeff: int, x: int = 0, y: int = 0, z: int = 0, w: int = 0, q: int = 0) -> MultiPoly:
     """One term of the shared five-variable ring."""
-    if coeff == 0:
-        return ZERO
-    return MultiPoly._raw(NVARS, {(x, y, z, w, q): coeff})
+    return MultiPoly(NVARS, {(x, y, z, w, q): coeff})
 
 
 MAX_OMEGA_DEGREE = 2
@@ -390,20 +467,21 @@ class OmegaPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return OmegaPoly(())
-        deg = self.degree + other.degree
-        if deg > MAX_OMEGA_DEGREE:
-            # only raise if the product is genuinely of that degree
-            top = self.coeffs[-1] * other.coeffs[-1]
-            if top:
-                raise ValueError(f"omega degree {deg} exceeds cap {MAX_OMEGA_DEGREE}")
-        arity = self.coeffs[0].arity
-        out = [MultiPoly.zero(arity) for _ in range(deg + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return OmegaPoly(out)
+        return OmegaPoly._sum_of_products(self.coeffs[0].arity, ((1, self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _sum_of_products(cls, arity: int, products: Iterable) -> "OmegaPoly":
+        """Sum of ``sign * a * b`` over the ``(sign, a, b)`` triples: one
+        ``MultiPoly._sum_of_products`` per power of omega."""
+        by_degree: list[list] = [[] for _ in range(2 * MAX_OMEGA_DEGREE + 1)]
+        for sign, a, b in products:
+            for i, ai in enumerate(a.coeffs):
+                for j, bj in enumerate(b.coeffs):
+                    by_degree[i + j].append((sign, ai, bj))
+        # the constructor raises if a power past the cap survives
+        return cls([MultiPoly._sum_of_products(arity, p) for p in by_degree])
 
     def evaluate(self, point: Sequence, omega: Fraction) -> Fraction:
         omega = Fraction(omega)

@@ -444,9 +444,7 @@ def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
             lambda n=n: bool(formulas.stanton_parity(n)), "stanton", {"n": n}
         )
         yield _timed(
-            lambda n=n: all(
-                lhs == rhs for lhs, rhs in (formulas.cdlg_identity(n, m) for m in range(3))
-            ),
+            lambda n=n: all(lhs == rhs for lhs, rhs in formulas.cdlg_identities(n, 2)),
             "isolated_one_identity",
             {"n": n, "max_m": 2},
         )

@@ -1,9 +1,12 @@
-"""Shared cached enumerations so the suite never rebuilds a family twice."""
+"""Shared cached enumerations so the suite never rebuilds a family twice,
+and the reference polynomial kernel of the differential tests."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
 from asmdpp.dpp import dpp_stats, enumerate_dpps
+from asmdpp.errors import ValidationError
 
 
 @lru_cache(maxsize=None)
@@ -45,3 +48,227 @@ ASMEX = Asm(
         (0, 0, 0, 1, 0, 0),
     )
 )
+
+
+# --- Reference polynomial kernel -------------------------------------------
+# The tuple-keyed MultiPoly arithmetic, OmegaPoly product and minors
+# determinant that the packed-exponent kernel replaced, kept verbatim as the
+# oracle of the differential tests.  Nothing under src/ uses them.
+
+
+class TuplePoly:
+    """Sparse polynomial keyed by exponent tuples."""
+
+    __slots__ = ("arity", "_terms")
+
+    def __init__(self, arity, terms):
+        self.arity = arity
+        self._terms = {tuple(e): c for e, c in terms.items() if c}
+
+    @classmethod
+    def _raw(cls, arity, terms):
+        self = object.__new__(cls)
+        self.arity = arity
+        self._terms = terms
+        return self
+
+    @classmethod
+    def of(cls, p):
+        """The reference copy of a MultiPoly."""
+        return cls(p.arity, dict(p.terms))
+
+    @classmethod
+    def zero(cls, arity):
+        return cls._raw(arity, {})
+
+    @classmethod
+    def const(cls, value, arity):
+        if value == 0:
+            return cls._raw(arity, {})
+        return cls._raw(arity, {(0,) * arity: value})
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        return self.arity == other.arity and self._terms == other._terms
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for exp, coeff in other._terms.items():
+            new = out.get(exp, 0) + coeff
+            if new:
+                out[exp] = new
+            elif exp in out:
+                del out[exp]
+        return TuplePoly._raw(self.arity, out)
+
+    def __neg__(self):
+        return TuplePoly._raw(self.arity, {e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self._terms.items():
+            for eb, cb in other._terms.items():
+                exp = tuple(map(sum, zip(ea, eb)))
+                new = out.get(exp, 0) + ca * cb
+                if new:
+                    out[exp] = new
+                elif exp in out:
+                    del out[exp]
+        return TuplePoly._raw(self.arity, out)
+
+    def __pow__(self, n):
+        result = TuplePoly.const(1, self.arity)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def evaluate(self, point):
+        vals = [Fraction(p) for p in point]
+        total = Fraction(0)
+        for exp, coeff in self._terms.items():
+            term = Fraction(coeff)
+            for v, e in zip(vals, exp):
+                if e:
+                    term *= v**e
+            total += term
+        return total
+
+    def substitute(self, index, value):
+        out = {}
+        for exp, coeff in self._terms.items():
+            c = coeff * value ** exp[index]
+            if not c:
+                continue
+            new_exp = exp[:index] + (0,) + exp[index + 1 :]
+            tot = out.get(new_exp, 0) + c
+            if tot:
+                out[new_exp] = tot
+            elif new_exp in out:
+                del out[new_exp]
+        return TuplePoly._raw(self.arity, out)
+
+    def sorted_terms(self):
+        return sorted(
+            self._terms.items(),
+            key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
+        )
+
+
+def tuple_divide_exact(p, q):
+    """Exact division of TuplePolys; raises ValidationError unless q divides p."""
+    remainder = dict(p._terms)
+    q_terms = dict(q._terms)
+    q_lead = max(q_terms)
+    q_lead_coeff = q_terms[q_lead]
+    quotient = {}
+    while remainder:
+        r_lead = max(remainder)
+        r_coeff = remainder[r_lead]
+        exp = tuple(a - b for a, b in zip(r_lead, q_lead))
+        if any(e < 0 for e in exp) or r_coeff % q_lead_coeff:
+            raise ValidationError("polynomial division is not exact")
+        c = r_coeff // q_lead_coeff
+        quotient[exp] = quotient.get(exp, 0) + c
+        for qe, qc in q_terms.items():
+            key = tuple(a + b for a, b in zip(exp, qe))
+            new = remainder.get(key, 0) - c * qc
+            if new:
+                remainder[key] = new
+            elif key in remainder:
+                del remainder[key]
+    return TuplePoly(p.arity, quotient)
+
+
+class TupleOmega:
+    """OmegaPoly over TuplePoly coefficients (sum, negation and product)."""
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def of(cls, e):
+        """The reference copy of an OmegaPoly."""
+        return cls([TuplePoly.of(c) for c in e.coeffs])
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def coeff(self, d, arity):
+        if d < len(self.coeffs):
+            return self.coeffs[d]
+        return TuplePoly.zero(arity)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        if n == 0:
+            return self
+        arity = (self.coeffs or other.coeffs)[0].arity
+        return TupleOmega([self.coeff(d, arity) + other.coeff(d, arity) for d in range(n)])
+
+    def __neg__(self):
+        return TupleOmega([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return TupleOmega(())
+        deg = self.degree + other.degree
+        if deg > 2:
+            # only raise if the product is genuinely of that degree
+            top = self.coeffs[-1] * other.coeffs[-1]
+            if top:
+                raise ValueError(f"omega degree {deg} exceeds cap 2")
+        arity = self.coeffs[0].arity
+        out = [TuplePoly.zero(arity) for _ in range(deg + 1)]
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return TupleOmega(out)
+
+
+def _tuple_one_like(sample):
+    if isinstance(sample, TupleOmega):
+        arity = sample.coeffs[0].arity if sample.coeffs else 5
+        return TupleOmega([TuplePoly.const(1, arity)])
+    return TuplePoly.const(1, sample.arity)
+
+
+def tuple_det_minors(entries):
+    """Determinant by memoized expansion by minors over reference entries."""
+    n = len(entries)
+    one = _tuple_one_like(entries[0][0])
+    memo = {0: one}
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, 1 << n):
+        masks_by_size[mask.bit_count()].append(mask)
+    for size in range(1, n + 1):
+        row = entries[size - 1]
+        for mask in masks_by_size[size]:
+            acc = None
+            pos = 0
+            for j in range(n):
+                if not mask & (1 << j):
+                    continue
+                sub = memo[mask ^ (1 << j)]
+                term = row[j] * sub
+                if (size - 1 + pos) & 1:
+                    term = -term
+                acc = term if acc is None else acc + term
+                pos += 1
+            memo[mask] = acc
+    return memo[(1 << n) - 1]

@@ -2,8 +2,9 @@
 outputs before the M_BAR builders, the cell counters and the
 determinant were merged; and of the path families of both classes and
 the q- and w-refined DPP sums, pinned before the two path searches and
-the DPP statistics counters were merged.  Any change to these bytes
-must be deliberate."""
+the DPP statistics counters were merged; and of the determinant
+generating functions, pinned before the polynomial kernel was packed.
+Any change to these bytes must be deliberate."""
 
 import hashlib
 import json
@@ -233,6 +234,35 @@ Z_DPP_W_SHA256 = (
     "e6c89521a09dadefa174680a9319b1e383297e5f78adb833007c625e5bcd4df0",
 )
 
+# `genfunc --method det --n k` and `genfunc --method det-w --n k`, k = 1..10,
+# pinned before the packed-exponent kernel replaced the tuple-keyed one
+GENFUNC_SHA256 = {
+    "det": (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "3298522b816123da9c79ada98d2c0121efb13adfc0067e1be974707318c8e11d",
+        "f4be28fa9a0f7b88d98f0fe150a56e7e7de81e9152c2da5b9bbe472b7ee25d97",
+        "bdcc50ae883f34fa21831553bcdad24b95201a6a0e9544f1419bce84abdd4bd9",
+        "da86c4ffc7608f60c38ac5d6b68df05b84b021ebae14430d54bfd96b448eff3a",
+        "272559abf6541fb3de9146425aedc669f2f8c0837ea36e634601d68106a251a0",
+        "dea14c1a3a3bb06e255d157746c7cba1f81b73ab7c5f27bf3c05a82b676538f5",
+        "6302908233fbd26c3cfcd74270958d0d09726479e28a8c9cab1cf2dccfef7c07",
+        "1c4bd646638d96223679af93b109ab11b764d0cc69e5600c95becfcfed6b3993",
+        "7dc001a0aed80b999d5027acd44d6b4bea0e647e83e6e14d24c054e074f04f83",
+    ),
+    "det-w": (
+        "cf945b5236e101dbe0471d5200f28b1ae64f21c1f35bf55fcf40cd0fe42cd8e7",
+        "1f619ac938f7364f326dab1fa472545fe4277c3147287ce2ad49ed033f03e8c4",
+        "88169fc97710375a81a182c2cc47c4d3e20180e51fb0559009d3b39927790694",
+        "385ddfa8dc89466efdeb2910ba372b857b88936d0f4515ebed7f141cfc59b2cb",
+        "c7a016e9642f048baa93417cf7cec5a83e092644d1207467ce6abdec42e58ac8",
+        "dd74f5afc2ad6f1e3b734b6373079ac5b4cf9dc5e768e5b321cbc35795d540ee",
+        "579ef855368e55fa908c75376d87406cef4ca66badbe4606219952c74bdaece9",
+        "fa37bd15ecef8f4a3213e71bf99d473b0fee5e2277d2e9ae2a19c60e5e0b01d9",
+        "fec8ed33e5728e97f9aa7665523168f47191374ed1620e74673d3f5a02ac39bd",
+        "fcce4ac3a8b387961d3ee049ae253868c71c4aca1bc23e2795ba9b2b40a24e57",
+    ),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -278,3 +308,9 @@ def test_dpp_q_and_w_sums_are_unchanged():
     for n in ORDERS:
         assert _sha256(poly_str(q_sum_of_parts(n))) == Q_SUM_SHA256[n - 1], n
         assert _sha256(poly_str(z_dpp_brute_w(n))) == Z_DPP_W_SHA256[n - 1], n
+
+
+@pytest.mark.parametrize("method", sorted(GENFUNC_SHA256))
+def test_genfunc_det_output_is_unchanged(capsys, method):
+    for n, pinned in enumerate(GENFUNC_SHA256[method], start=1):
+        assert _digest(capsys, "genfunc", "--method", method, "--n", str(n)) == pinned, n

@@ -14,8 +14,10 @@ from asmdpp.linalg import (
     divide_exact,
     rat_matmul,
 )
-from asmdpp.matrices import build, l_matrix_rat, shift_matrix
-from asmdpp.polynomial import MultiPoly, ONE, X, Y
+from asmdpp.matrices import FAMILY_NAMES, build, l_matrix_rat, shift_matrix
+from asmdpp.polynomial import MultiPoly, OmegaPoly, ONE, X, Y
+
+from helpers import TupleOmega, TuplePoly, tuple_det_minors
 
 ARITY = 5
 
@@ -132,7 +134,35 @@ def test_l_matrix_determinant_and_composition():
 
 
 def test_matrix_requires_homogeneous_entries():
-    from asmdpp.polynomial import OmegaPoly
-
     with pytest.raises(ValidationError):
         PolyMatrix.from_rows([[ONE, OmegaPoly.from_poly(ONE)]])
+
+
+def _reference(e):
+    return TupleOmega.of(e) if isinstance(e, OmegaPoly) else TuplePoly.of(e)
+
+
+def _outcome(det):
+    """The determinant, or the message of the omega-degree cap it hit."""
+    try:
+        return det()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_det_matches_the_tuple_kernel(name):
+    for refined in (True, False):
+        for n in range(1, 8):
+            m = build(name, n, refined)
+            ref = [[_reference(e) for e in row] for row in m.entries]
+            got = _outcome(lambda: _reference(det_poly(m)))
+            assert got == _outcome(lambda: tuple_det_minors(ref)), (n, refined)
+
+
+def test_det_of_random_matrices_matches_the_tuple_kernel():
+    rng = Random(5)
+    for n in (1, 2, 3, 4, 5):
+        m = poly_matrix(n, rng)
+        ref = tuple_det_minors([[TuplePoly.of(e) for e in row] for row in m])
+        assert TuplePoly.of(det_poly(PolyMatrix.from_rows(m))) == ref

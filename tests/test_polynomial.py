@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmdpp.errors import ResourceLimitError, ValidationError
+from asmdpp.linalg import divide_exact
 from asmdpp.polynomial import (
+    MAX_EXPONENT,
+    NVARS,
     MultiPoly,
     OmegaPoly,
     ONE,
@@ -17,6 +21,8 @@ from asmdpp.polynomial import (
     omega_congruent_zero,
     poly_str,
 )
+
+from helpers import TuplePoly, tuple_divide_exact
 
 ARITY = 3
 
@@ -144,3 +150,68 @@ def test_omega_evaluate():
     p = OmegaPoly((ONE, X))  # 1 + x*omega
     val = p.evaluate((Fraction(2), 0, 0, 0, 0), Fraction(3))
     assert val == 1 + 2 * 3
+
+
+def _packed_and_tuple(arity):
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * arity), st.integers(-6, 6), max_size=6
+    )
+    return terms.map(lambda d: (MultiPoly(arity, d), TuplePoly(arity, d)))
+
+
+def _divide(divide, p, q):
+    try:
+        return divide(p, q)
+    except ValidationError:
+        return "not exact"
+
+
+def _same(packed, ref) -> bool:
+    if isinstance(ref, str):
+        return packed == ref
+    return dict(packed.terms) == ref._terms and packed.sorted_terms() == ref.sorted_terms()
+
+
+@pytest.mark.parametrize("arity", [5, 2])
+def test_packed_kernel_matches_the_tuple_kernel(arity):
+    pairs = _packed_and_tuple(arity)
+    point = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * arity)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs, pairs, st.integers(0, 3), st.integers(0, arity - 1), st.integers(-2, 2), point)
+    def check(a, b, power, index, value, pt):
+        (pa, ta), (pb, tb) = a, b
+        assert _same(pa, ta)
+        assert _same(pa + pb, ta + tb)
+        assert _same(pa - pb, ta - tb)
+        assert _same(pa * pb, ta * tb)
+        assert _same(pa**power, ta**power)
+        assert _same(pa.substitute(index, value), ta.substitute(index, value))
+        assert pa.evaluate(pt) == ta.evaluate(pt)
+        if pb:
+            assert _same(_divide(divide_exact, pa * pb, pb), _divide(tuple_divide_exact, ta * tb, tb))
+            assert _same(_divide(divide_exact, pa, pb), _divide(tuple_divide_exact, ta, tb))
+
+    check()
+
+
+def test_exponent_at_the_field_limit():
+    assert MultiPoly(NVARS, {(MAX_EXPONENT, 0, 0, 0, 1): 1}).to_term_list() == [
+        [[MAX_EXPONENT, 0, 0, 0, 1], 1]
+    ]
+    with pytest.raises(ResourceLimitError):
+        MultiPoly(NVARS, {(0, MAX_EXPONENT + 1, 0, 0, 0): 1})
+    with pytest.raises(ResourceLimitError):
+        monomial(1, q=MAX_EXPONENT + 1)
+
+
+def test_product_past_the_field_limit_raises():
+    top = monomial(1, x=MAX_EXPONENT, y=1)
+    assert monomial(1, x=MAX_EXPONENT - 1, y=1) * X == top
+    # x^MAX_EXPONENT * x sets the guard bit of the x field; the doubled
+    # exponent is one step short of carrying into the next field
+    for other in (X, top, X + Y):
+        with pytest.raises(ResourceLimitError):
+            top * other
+    with pytest.raises(ResourceLimitError):
+        X ** (MAX_EXPONENT + 1)
