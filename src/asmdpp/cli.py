@@ -13,7 +13,10 @@ environment variable ASMDPP_MAX_N caps the order accepted by every
 command that takes --n (a larger order exits with 2) and lowers verify's
 --max-n.  enumerate --cache DIR writes a cache file only after a
 complete enumeration, so a run stopped early by --limit leaves none, and
-serves one only if it holds every record of the family.
+serves one only if it holds every record of the family.  --output FILE
+replaces a regular FILE only when the command returns, so a refused
+command (exit 2) leaves an existing FILE as it was; a device or a pipe
+is written through.
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (text) or under --timings (json).
 """
@@ -25,9 +28,9 @@ import json
 import os
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from . import verify as verify_mod
 from .asm import asm_from_json, asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
@@ -87,6 +90,21 @@ def _text_of(kind: str, obj: object) -> str:
     raise AsmDppError(f"unknown kind {kind!r}")
 
 
+@contextmanager
+def _replaced_on_success(path: Path) -> Iterator[TextIO]:
+    """Write to <path>.<pid>.tmp and rename it onto path only if the
+    block completes; on any exception, including an early close of a
+    generator that writes in the block, delete it and leave path as it
+    was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _records(path: Path) -> Iterator[str]:
     with path.open() as fh:
         yield from (line for line in fh if line.strip())
@@ -94,24 +112,19 @@ def _records(path: Path) -> Iterator[str]:
 
 def _cached_json_lines(kind: str, n: int, cache_dir: str) -> Iterator[object]:
     """Serve the cache file if it holds all asm_total(n) records (every
-    kind is in bijection with the order-n matrices); otherwise enumerate,
-    writing a temporary file that is renamed into place only once the
-    enumeration is exhausted, so an early stop (--limit, a closed pipe)
-    leaves no partial cache behind and a stale partial file is replaced."""
+    kind is in bijection with the order-n matrices); otherwise enumerate
+    into a replacement that takes effect only once the enumeration is
+    exhausted, so an early stop (--limit, a closed pipe) leaves no partial
+    cache behind and a stale partial file is replaced."""
     path = Path(cache_dir) / f"{kind}_n{n}.ndjson"
     if path.exists() and sum(1 for _ in _records(path)) == asm_total(n):
         yield from (json.loads(line) for line in _records(path))
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w") as fh:
-            for obj in _json_objects(kind, n):
-                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-                yield obj
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _replaced_on_success(path) as fh:
+        for obj in _json_objects(kind, n):
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            yield obj
 
 
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
@@ -281,9 +294,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be at least 1")
+    if getattr(args, "limit", None) is not None and args.limit < 0:
+        parser.error("--limit must be at least 0")
     try:
         if args.output:
-            with open(args.output, "w") as out:
+            path = Path(args.output)
+            if path.exists() and not path.is_file():
+                # a device or a pipe cannot be replaced: write through it
+                with path.open("w") as out:
+                    return args.fn(args, out)
+            # a command that raises (exit 2) leaves an existing file intact
+            with _replaced_on_success(path.resolve()) as out:
                 return args.fn(args, out)
         return args.fn(args, sys.stdout)
     except AsmDppError as exc:

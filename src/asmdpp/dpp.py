@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
@@ -94,69 +95,62 @@ def dpp_stats(d: Dpp, n: int) -> DppStats:
     return DppStats(nu, mu, rho, d.parts_sum(), d.row_count)
 
 
-def _row_fillings(first: int, length: int, prev: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+def _row_fillings(first: int, length: int, low: int, prev: tuple[int, ...] | None) -> list[tuple[int, ...]]:
     # all weakly decreasing positive rows with the given first part and
-    # length, strictly below the previous row where columns overlap
+    # length, part at offset 1 at least low, strictly below the previous
+    # row where columns overlap; in ascending order
+    out: list[tuple[int, ...]] = []
     parts = [first]
 
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
+    def rec(k: int, lo: int) -> None:
         if k == length:
-            yield tuple(parts)
+            out.append(tuple(parts))
             return
         hi = parts[-1]
         if prev is not None:
             hi = min(hi, prev[k + 1] - 1)
-        for v in range(hi, 0, -1):
+        for v in range(lo, hi + 1):
             parts.append(v)
-            yield from rec(k + 1)
+            rec(k + 1, 1)
             parts.pop()
 
-    yield from rec(1)
-
-
-def _next_rows(n: int, prev: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
-    if prev is None:
-        first_hi = n
-    else:
-        if len(prev) < 2:
-            return
-        first_hi = min(n, len(prev), prev[1] - 1)
-    for first in range(2, first_hi + 1):
-        for length in range(1, first):
-            yield from _row_fillings(first, length, prev)
+    rec(1, low)
+    return out
 
 
 def enumerate_dpps(n: int) -> Iterator[Dpp]:
-    """Yield every element of DPP(n) exactly once.
+    """Yield every element of DPP(n) exactly once, in ascending order of
+    the key (row count, first parts, row lengths, full part tuples), the
+    order used by every fixture and by the command-line enumerator.
 
-    Rows are built top to bottom by choosing each row's first part and
-    length subject to the interlacing chain, then filling the remaining
-    parts.  The results are emitted sorted by the key (row count, first
-    parts, row lengths, full part tuples), which fixes the order used by
-    every fixture and by the command-line enumerator.
+    The family is generated in that order, one array at a time, with
+    nothing stored or sorted: for each row count t, the first parts
+    f_1 > ... > f_t >= 2 in ascending lexicographic order, then the row
+    lengths f_i > len_i >= f_(i+1) (f_(t+1) = 1) likewise, then the rows
+    top to bottom, each filled in ascending order.  A row's part at
+    offset 1 must exceed the next row's first part, which sits under it.
     """
     if n < 1:
         raise ValidationError("order must be at least 1")
-    found: list[Dpp] = []
+    rows: list[tuple[int, ...]] = []
 
-    def walk(rows: list[tuple[int, ...]]) -> None:
-        found.append(Dpp(tuple(rows)))
-        prev = rows[-1] if rows else None
-        for row in _next_rows(n, prev):
+    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[Dpp]:
+        i = len(rows)
+        if i == len(firsts):
+            yield Dpp(tuple(rows))
+            return
+        low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
+        for row in _row_fillings(firsts[i], lengths[i], low, rows[-1] if rows else None):
             rows.append(row)
-            walk(rows)
+            yield from fill(firsts, lengths)
             rows.pop()
 
-    walk([])
-    found.sort(
-        key=lambda d: (
-            d.row_count,
-            tuple(r[0] for r in d.rows),
-            tuple(len(r) for r in d.rows),
-            d.rows,
-        )
-    )
-    yield from found
+    for t in range(n):
+        # combinations of a descending range come in descending order
+        for firsts in reversed(list(combinations(range(n, 1, -1), t))):
+            below = firsts[1:] + (1,)
+            for lengths in product(*map(range, below, firsts)):
+                yield from fill(firsts, lengths)
 
 
 def _check_brute_limit(n: int) -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence
 
@@ -236,14 +237,17 @@ def config_weight(c: SixVertexConfig, pt: IkPoint) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=8)
+def _configs(n: int) -> tuple[SixVertexConfig, ...]:
+    # the explicit sum is taken at many points per order
+    return tuple(enumerate_configs(n))
+
+
 def partition_function_explicit(n: int, pt: IkPoint) -> Fraction:
     """Partition function as the explicit sum over all configurations."""
     if pt.n != n:
         raise ValidationError("point dimension does not match order")
-    total = Fraction(0)
-    for a in enumerate_asms(n):
-        total += config_weight(asm_to_sixvertex(a), pt)
-    return total
+    return sum((config_weight(c, pt) for c in _configs(n)), Fraction(0))
 
 
 def ik_determinant_rat(pt: IkPoint) -> Fraction:

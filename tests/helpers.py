@@ -1,11 +1,13 @@
 """Shared cached enumerations so the suite never rebuilds a family twice,
-and the reference polynomial kernel of the differential tests."""
+and the reference polynomial kernel and DPP enumerator of the
+differential tests."""
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
-from asmdpp.dpp import dpp_stats, enumerate_dpps
+from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
 from asmdpp.errors import ValidationError
 
 
@@ -272,3 +274,66 @@ def tuple_det_minors(entries):
                 pos += 1
             memo[mask] = acc
     return memo[(1 << n) - 1]
+
+
+# --- Reference DPP enumerator ----------------------------------------------
+# The walk-and-sort enumerator that the streaming one replaced, kept verbatim
+# (renamed to walk_and_sort_dpps) as the oracle of its differential test.
+# It holds all of DPP(n) before the first yield, so keep n small.
+
+
+def _row_fillings(first: int, length: int, prev: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+    # all weakly decreasing positive rows with the given first part and
+    # length, strictly below the previous row where columns overlap
+    parts = [first]
+
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
+        if k == length:
+            yield tuple(parts)
+            return
+        hi = parts[-1]
+        if prev is not None:
+            hi = min(hi, prev[k + 1] - 1)
+        for v in range(hi, 0, -1):
+            parts.append(v)
+            yield from rec(k + 1)
+            parts.pop()
+
+    yield from rec(1)
+
+
+def _next_rows(n: int, prev: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+    if prev is None:
+        first_hi = n
+    else:
+        if len(prev) < 2:
+            return
+        first_hi = min(n, len(prev), prev[1] - 1)
+    for first in range(2, first_hi + 1):
+        for length in range(1, first):
+            yield from _row_fillings(first, length, prev)
+
+
+def walk_and_sort_dpps(n: int) -> Iterator[Dpp]:
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    found: list[Dpp] = []
+
+    def walk(rows: list[tuple[int, ...]]) -> None:
+        found.append(Dpp(tuple(rows)))
+        prev = rows[-1] if rows else None
+        for row in _next_rows(n, prev):
+            rows.append(row)
+            walk(rows)
+            rows.pop()
+
+    walk([])
+    found.sort(
+        key=lambda d: (
+            d.row_count,
+            tuple(r[0] for r in d.rows),
+            tuple(len(r) for r in d.rows),
+            d.rows,
+        )
+    )
+    yield from found

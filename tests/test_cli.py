@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import pytest
 
@@ -70,6 +72,19 @@ def test_enumerate_bad_n_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--kind", "asm", "--n", "0"])
     assert exc.value.code == 2
+
+
+def test_enumerate_negative_limit_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--kind", "asm", "--n", "3", "--limit", "-2"])
+    assert exc.value.code == 2
+
+
+def test_enumerate_dpp_past_brute_force_limit_streams(capsys):
+    # the first DPP(8) record must not wait for the whole family
+    code, out, _ = run_cli(capsys, "enumerate", "--kind", "dpp", "--n", "8", "--limit", "1")
+    assert code == 0
+    assert out.splitlines() == ["[]"]
 
 
 def test_env_cap_enforced(capsys, monkeypatch):
@@ -243,3 +258,36 @@ def test_output_file(capsys, tmp_path):
     code = main(["genfunc", "--n", "3", "--output", str(target)])
     assert code == 0
     assert target.read_text().strip() == Z3
+
+
+def test_refused_command_keeps_the_output_file(capsys, tmp_path):
+    target = tmp_path / "f"
+    target.write_text("earlier output\n")
+    code, out, err = run_cli(capsys, "genfunc", "--n", "13", "--output", str(target))
+    assert code == 2
+    assert "exceeds limit 12" in err
+    assert target.read_text() == "earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def test_output_to_a_pipe_is_written_through(capsys, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = main(["genfunc", "--n", "3", "--output", str(fifo)])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0
+    assert got == [Z3 + "\n"]
+
+
+def test_output_through_a_symlink_updates_its_target(capsys, tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("earlier output\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["genfunc", "--n", "3", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == Z3 + "\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from asmdpp.dpp import (
@@ -13,7 +15,7 @@ from asmdpp.dpp import (
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.polynomial import poly_str
-from helpers import dpp_list
+from helpers import dpp_list, walk_and_sort_dpps
 
 DPPEX = Dpp(((6, 6, 6, 5, 2), (4, 4, 1), (3,)))
 
@@ -51,8 +53,8 @@ def test_enumeration_small_orders():
 
 
 def test_enumeration_order_is_documented_key():
-    for n in (3, 4):
-        seq = list(enumerate_dpps(n))
+    for n in range(1, 7):
+        seq = dpp_list(n)
         key = lambda d: (
             d.row_count,
             tuple(r[0] for r in d.rows),
@@ -60,6 +62,24 @@ def test_enumeration_order_is_documented_key():
             d.rows,
         )
         assert [key(d) for d in seq] == sorted(key(d) for d in seq)
+
+
+def test_enumeration_matches_the_walk_and_sort_reference():
+    for n in range(1, 7):
+        assert [d.rows for d in dpp_list(n)] == [d.rows for d in walk_and_sort_dpps(n)], n
+
+
+def test_enumeration_streams():
+    # the first record must not wait for the family: holding DPP(7)
+    # (218348 arrays) takes about 100 MB
+    tracemalloc.start()
+    try:
+        first = next(iter(enumerate_dpps(7)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == EMPTY_DPP
+    assert peak < 2 * 2**20, peak
 
 
 def test_stats_worked_example():

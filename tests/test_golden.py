@@ -2,8 +2,9 @@
 outputs before the M_BAR builders, the cell counters and the
 determinant were merged; and of the path families of both classes and
 the q- and w-refined DPP sums, pinned before the two path searches and
-the DPP statistics counters were merged; and of the determinant
-generating functions, pinned before the polynomial kernel was packed.
+the DPP statistics counters were merged; of the determinant generating
+functions, pinned before the polynomial kernel was packed; and of the
+DPP stream, pinned before the enumerator stopped sorting the family.
 Any change to these bytes must be deliberate."""
 
 import hashlib
@@ -234,6 +235,27 @@ Z_DPP_W_SHA256 = (
     "e6c89521a09dadefa174680a9319b1e383297e5f78adb833007c625e5bcd4df0",
 )
 
+# `enumerate --kind dpp --n k --format json|text`, k = 1..6, pinned while
+# the enumerator still built and sorted the whole family
+DPP_ENUM_SHA256 = {
+    "json": (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "8314ef875798521da01db04bf30235d55be06dcd4e3874aeda2f209d213d8bc2",
+        "e2caa323511fd994b402529d4749c2941029d0e205938acb41696801dc936b93",
+        "60d5795e7033ea4af457a6551a8e7358b8fc23ed92b37f71591d3191a0099b27",
+        "585f956d97c039e74e25c217b8f9196869b55950fc5f10ffc26cc3e4a2a859cc",
+        "89f961f58c3b366cb2f1313365a1809d8152a15348a59a6f2051b86f2bdbec11",
+    ),
+    "text": (
+        "45fd2f9df187bc411dc80df5c4c4844ac00f4dd69bc69453f1893a5d143433d6",
+        "7d72c80d5bea7eb557e91c4b33176ed769dc644c762c7e9298a40db867bae4c9",
+        "8308f882c0da0a3174ed387d141562d55d5d0951779e4d7fee4c710244ab86e1",
+        "847a820492dcba23c40dea3b9bb5759c04d2d3f9746601f016337389f640dd02",
+        "89fb469c839c7ed109b06b1be646db9f9924e2d819ae5b3f1bcceb918ee88535",
+        "39028fa74bef8f88dce96399be7605460eac534dec529e755ca2e7f0719d8d87",
+    ),
+}
+
 # `genfunc --method det --n k` and `genfunc --method det-w --n k`, k = 1..10,
 # pinned before the packed-exponent kernel replaced the tuple-keyed one
 GENFUNC_SHA256 = {
@@ -302,6 +324,15 @@ def test_nilp_prime_enumeration_is_unchanged():
     for n in ORDERS:
         words = [["".join(p.steps) for p in f.paths] for f in enumerate_nilp_prime_families(n)]
         assert _sha256(json.dumps(words)) == NILP_PRIME_SHA256[n - 1], n
+
+
+@pytest.mark.parametrize("fmt", sorted(DPP_ENUM_SHA256))
+def test_dpp_enumeration_is_unchanged(capsys, fmt):
+    for n in ORDERS:
+        assert (
+            _digest(capsys, "enumerate", "--kind", "dpp", "--n", str(n), "--format", fmt)
+            == DPP_ENUM_SHA256[fmt][n - 1]
+        ), n
 
 
 def test_dpp_q_and_w_sums_are_unchanged():
