@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
@@ -78,57 +79,57 @@ class AsmStats:
         return self.nu + self.mu
 
 
+@cache
+def _row_candidates(col: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every row that may follow rows whose column partial sums are col:
+    its own partial sums and each col[j] + row[j] stay in {0,1} and the
+    row sums to 1.  Ascending lexicographic with -1 < 0 < 1.  Cached for
+    the life of the process; an order-n walk reaches at most 2^n vectors."""
+    n = len(col)
+    out: list[tuple[int, ...]] = []
+    row = [0] * n
+
+    def rec(j: int, rowsum: int) -> None:
+        if j == n:
+            if rowsum == 1:
+                out.append(tuple(row))
+            return
+        if col[j] == 1 and rowsum == 1:
+            row[j] = -1
+            rec(j + 1, 0)
+            row[j] = 0
+        rec(j + 1, rowsum)
+        if col[j] == 0 and rowsum == 0:
+            row[j] = 1
+            rec(j + 1, 1)
+            row[j] = 0
+
+    rec(0, 0)
+    return tuple(out)
+
+
 def enumerate_asms(n: int) -> Iterator[Asm]:
-    """Yield every order-n alternating sign matrix exactly once.
+    """Yield every order-n alternating sign matrix exactly once, each one
+    a validated ``Asm``.
 
     Deterministic order: ascending lexicographic in the concatenated rows
-    with entries compared as integers (-1 < 0 < 1).  The search runs
-    row by row over the vector of column partial sums, which stays in
+    with entries compared as integers (-1 < 0 < 1).  The walk runs row
+    by row over the vector of column partial sums, which stays in
     {0,1}^n; that vector also encodes the last nonzero sign seen in each
-    column, so sign alternation needs no extra state.
+    column, so sign alternation needs no extra state.  The rows that may
+    follow a vector come from ``_row_candidates``, built once per vector.
     """
     if n < 1:
         raise ValidationError("order must be at least 1")
 
-    col = [0] * n
-    rows: list[tuple[int, ...]] = []
-
-    def row_candidates() -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        row = [0] * n
-
-        def rec(j: int, rowsum: int) -> None:
-            if j == n:
-                if rowsum == 1:
-                    out.append(tuple(row))
-                return
-            if col[j] == 1 and rowsum == 1:
-                row[j] = -1
-                rec(j + 1, 0)
-                row[j] = 0
-            rec(j + 1, rowsum)
-            if col[j] == 0 and rowsum == 0:
-                row[j] = 1
-                rec(j + 1, 1)
-                row[j] = 0
-
-        rec(0, 0)
-        return out
-
-    def build(i: int) -> Iterator[Asm]:
-        if i == n:
-            yield Asm(tuple(rows))
+    def walk(rows: tuple[tuple[int, ...], ...], col: tuple[int, ...]) -> Iterator[Asm]:
+        if len(rows) == n:
+            yield Asm(rows)
             return
-        for cand in row_candidates():
-            rows.append(cand)
-            for j, v in enumerate(cand):
-                col[j] += v
-            yield from build(i + 1)
-            for j, v in enumerate(cand):
-                col[j] -= v
-            rows.pop()
+        for cand in _row_candidates(col):
+            yield from walk(rows + (cand,), tuple(c + v for c, v in zip(col, cand)))
 
-    yield from build(0)
+    yield from walk((), (0,) * n)
 
 
 def asm_stats(a: Asm) -> AsmStats:
@@ -198,11 +199,6 @@ def count_asm_no_isolated_by_mu(n: int) -> Counter[int]:
     if n == 0:
         return Counter({0: 1})
     return Counter(asm_stats(a).mu for a in enumerate_asms(n) if isolated_ones_count(a) == 0)
-
-
-def count_asm_no_isolated(n: int, m: int) -> int:
-    """Number of order-n matrices with m entries -1 and no isolated 1."""
-    return count_asm_no_isolated_by_mu(n)[m]
 
 
 def count_rotation_invariant(n: int) -> tuple[int, int]:

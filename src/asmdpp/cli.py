@@ -18,7 +18,8 @@ replaces a regular FILE only when the command returns, so a refused
 command (exit 2) leaves an existing FILE as it was; a device or a pipe
 is written through.
 Outputs are byte-deterministic given the command line and seed; verify
-prints timing only to stderr (text) or under --timings (json).
+prints timing only to stderr (one line per suite: checks, failures and
+seconds) or under --timings (json).
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .dpp import dpp_from_json, dpp_to_json, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
 from .formulas import asm_total
 from .limits import MAX_N_ENV_VAR
-from .linalg import det_poly
-from .matrices import FAMILY_NAMES, build, matrix_to_json
+from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
 from .paths import enumerate_nilp_families, nilp_from_json, nilp_to_json
 from .polynomial import poly_str
 from .sixvertex import config_from_json, config_to_json, enumerate_configs
@@ -150,10 +150,8 @@ def cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 def cmd_genfunc(args: argparse.Namespace, out) -> int:
     _check_cap(args.n)
-    if args.method == "det":
-        poly = det_poly(build("M_BAR", args.n))
-    elif args.method == "det-w":
-        poly = det_poly(build("M_BAR_W", args.n))
+    if args.method in ("det", "det-w"):
+        poly = genfunc_det(args.n, w_refined=args.method == "det-w")
     elif args.method == "brute-asm":
         poly = z_asm_brute(args.n)
     else:
@@ -196,7 +194,17 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
             f"unknown suite {args.suite!r}; choose from {sorted(verify_mod.SUITES)} or 'all'"
         )
     started = time.perf_counter()
-    reports = [verify_mod.run_suite(name, max_n, args.seed) for name in names]
+    reports = []
+    for name in names:
+        suite_started = time.perf_counter()
+        report = verify_mod.run_suite(name, max_n, args.seed)
+        suite_failed = sum(1 for c in report.checks if not c.passed)
+        print(
+            f"{name}: {len(report.checks)} checks, {suite_failed} failed, "
+            f"{time.perf_counter() - suite_started:.2f}s",
+            file=sys.stderr,
+        )
+        reports.append(report)
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
         doc = {

@@ -181,20 +181,16 @@ def stanton_parity(n: int) -> tuple[int, int, int, int]:
     return (even_minus_odd, mod4_gap, half, quarter)
 
 
-def cdlg_identity(n: int, m: int) -> tuple[int, int]:
+def cdlg_identities(n: int, max_m: int) -> list[tuple[int, int]]:
     """Isolated-1 decomposition of the mu-level count:
 
         |{A : mu(A) = m}| = sum_i (n!)^2 / ((i!)^2 (n-i)!) * C(i, m),
 
     C(i, m) counting order-i matrices with m entries -1 and no isolated 1.
     The sum runs over 0 <= i <= min(3m, n); the i = 0 term (C(0,0) = 1)
-    carries the whole m = 0 case.  Returns (enumerated count, sum)."""
-    return cdlg_identities(n, m)[m]
-
-
-def cdlg_identities(n: int, max_m: int) -> list[tuple[int, int]]:
-    """``cdlg_identity(n, m)`` for m = 0..max_m, from one ``z_asm_brute(n)``
-    and one pass over each family of order i <= min(3 max_m, n)."""
+    carries the whole m = 0 case.  Returns (enumerated count, sum) for
+    m = 0..max_m, from one ``z_asm_brute(n)`` and one pass over each
+    family of order i <= min(3 max_m, n)."""
     by_mu: Counter[int] = Counter()
     for exp, c in z_asm_brute(n).items():
         by_mu[exp[Y_IDX]] += c

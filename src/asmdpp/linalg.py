@@ -220,13 +220,6 @@ def det_poly(m: PolyMatrix):
     return _det_minors(m.entries)
 
 
-def rat_matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    if len(a[0]) != len(b):
-        raise ValidationError("matrix dimensions do not match for product")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def det_rat(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix by Gaussian elimination."""
     n = len(m)

@@ -18,6 +18,7 @@ i.e. d precedes d' when |d| > |d'|, or |d| = |d'| and d < d'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -175,25 +176,28 @@ def double_factorial_odd(p: int) -> int:
     return out
 
 
+@lru_cache(maxsize=8)
+def _ascent_distributions(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # osc_counts is asked for many n at one p; enumerate the tableaux once
+    return (
+        tuple(ascent_distribution(enumerate_oscillating((), 2 * p)).items()),
+        tuple(delta_ascent_distribution(p).items()),
+    )
+
+
 def osc_counts(n: int, p: int) -> tuple[int, int]:
     """The two binomial sums counting order-n elements with nu = p:
 
         sum over tableaux of empty shape and length 2p of C(n + asc, 2p)
 
     and the same sum over all double-diagram shapes of strict partitions
-    of p."""
+    of p, each summed over the ascent distribution of its tableaux."""
     if p < 0:
         raise ValidationError("p must be nonnegative")
-    asm_side = sum(
-        comb(n + ascent_count(t), 2 * p) for t in enumerate_oscillating((), 2 * p)
+    asm_side, dpp_side = (
+        sum(count * comb(n + a, 2 * p) for a, count in dist)
+        for dist in _ascent_distributions(p)
     )
-    dpp_side = 0
-    for kappa in strict_partitions(p):
-        shape = delta_diagram(kappa)
-        dpp_side += sum(
-            comb(n + ascent_count(t), 2 * p)
-            for t in enumerate_oscillating(shape, 2 * p)
-        )
     return asm_side, dpp_side
 
 
@@ -203,3 +207,13 @@ def ascent_distribution(tableaux: Iterator[OscTab]) -> dict[int, int]:
         a = ascent_count(t)
         dist[a] = dist.get(a, 0) + 1
     return dist
+
+
+def delta_ascent_distribution(p: int) -> dict[int, int]:
+    """Ascent distribution over the tableaux of length 2p whose shape is
+    the double diagram of a strict partition of p."""
+    return ascent_distribution(
+        t
+        for kappa in strict_partitions(p)
+        for t in enumerate_oscillating(delta_diagram(kappa), 2 * p)
+    )

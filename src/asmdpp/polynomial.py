@@ -289,12 +289,6 @@ class MultiPoly:
                 del out[new_key]
         return MultiPoly._raw(self.arity, out)
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e, _ in self.items())
-
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in the canonical print order.
 

@@ -38,9 +38,8 @@ from .asm import Asm, enumerate_asms, z_asm_brute
 from .errors import DegenerateParameterError, ValidationError
 from .linalg import det_rat
 
-VERTEX_TYPES = ("a1", "a2", "b1", "b2", "c1", "c2")
-
-# (left, right, top, bottom) edge labels per type
+# (left, right, top, bottom) edge labels per type; the tables below are
+# derived from this one
 EDGE_LABELS = {
     "a1": (0, 0, 0, 0),
     "a2": (1, 1, 1, 1),
@@ -50,16 +49,14 @@ EDGE_LABELS = {
     "c2": (1, 0, 1, 0),
 }
 
-ENTRY_OF_TYPE = {"a1": 0, "a2": 0, "b1": 0, "b2": 0, "c1": 1, "c2": -1}
+VERTEX_TYPES = tuple(EDGE_LABELS)
+
+# the matrix entry is the step of the row partial sum across the vertex
+ENTRY_OF_TYPE = {t: right - left for t, (left, right, _, _) in EDGE_LABELS.items()}
 
 # (left label, top label, matrix entry) -> type
 _TYPE_FROM_STATE = {
-    (0, 0, 1): "c1",
-    (1, 1, -1): "c2",
-    (0, 0, 0): "a1",
-    (1, 1, 0): "a2",
-    (1, 0, 0): "b1",
-    (0, 1, 0): "b2",
+    (left, top, right - left): t for t, (left, right, top, _) in EDGE_LABELS.items()
 }
 
 

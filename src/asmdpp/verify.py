@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from random import Random
 from typing import Callable, Iterator
 
@@ -317,7 +318,7 @@ def _suite_osc(max_n: int, seed: int) -> Iterator[CheckResult]:
             lambda p=p: oscillating.ascent_distribution(
                 oscillating.enumerate_oscillating((), 2 * p)
             )
-            == _union_delta_distribution(p),
+            == oscillating.delta_ascent_distribution(p),
             "ascent_distribution",
             {"p": p},
         )
@@ -331,30 +332,14 @@ def _suite_osc(max_n: int, seed: int) -> Iterator[CheckResult]:
         lambda: all(
             oscillating.osc_counts(n, 2)
             == (
-                _comb(n, 4) + 2 * _comb(n + 1, 4),
-                _comb(n, 4) + 2 * _comb(n + 1, 4),
+                comb(n, 4) + 2 * comb(n + 1, 4),
+                comb(n, 4) + 2 * comb(n + 1, 4),
             )
             for n in range(1, 9)
         ),
         "p2_closed_form",
         {},
     )
-
-
-def _comb(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k) if n >= 0 else 0
-
-
-def _union_delta_distribution(p: int) -> dict:
-    dist: dict[int, int] = {}
-    for kappa in oscillating.strict_partitions(p):
-        shape = oscillating.delta_diagram(kappa)
-        for t in oscillating.enumerate_oscillating(shape, 2 * p):
-            a = oscillating.ascent_count(t)
-            dist[a] = dist.get(a, 0) + 1
-    return dist
 
 
 def _osc_vs_enumeration(n: int, p: int) -> bool:
@@ -491,7 +476,3 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyRepor
     report = VerifyReport(name)
     report.checks.extend(fn(bound, seed))
     return report
-
-
-def run_all(max_n: int | None = None, seed: int = 0) -> list[VerifyReport]:
-    return [run_suite(name, max_n, seed) for name in SUITES]

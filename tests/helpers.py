@@ -1,10 +1,10 @@
 """Shared cached enumerations so the suite never rebuilds a family twice,
-and the reference polynomial kernel and DPP enumerator of the
-differential tests."""
+the reference polynomial kernel and ASM and DPP enumerators of the
+differential tests, and a rational matrix product."""
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
 from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
@@ -337,3 +337,72 @@ def walk_and_sort_dpps(n: int) -> Iterator[Dpp]:
         )
     )
     yield from found
+
+
+# --- Reference ASM enumerator -----------------------------------------------
+# The enumerator that recomputed the admissible rows at every search node and
+# added and undid the column sums around each recursive call, kept verbatim
+# (renamed to per_node_asms) as the oracle of the row-table enumerator.
+
+
+def per_node_asms(n: int) -> Iterator[Asm]:
+    """Yield every order-n alternating sign matrix exactly once.
+
+    Deterministic order: ascending lexicographic in the concatenated rows
+    with entries compared as integers (-1 < 0 < 1).  The search runs
+    row by row over the vector of column partial sums, which stays in
+    {0,1}^n; that vector also encodes the last nonzero sign seen in each
+    column, so sign alternation needs no extra state.
+    """
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+
+    col = [0] * n
+    rows: list[tuple[int, ...]] = []
+
+    def row_candidates() -> list[tuple[int, ...]]:
+        out: list[tuple[int, ...]] = []
+        row = [0] * n
+
+        def rec(j: int, rowsum: int) -> None:
+            if j == n:
+                if rowsum == 1:
+                    out.append(tuple(row))
+                return
+            if col[j] == 1 and rowsum == 1:
+                row[j] = -1
+                rec(j + 1, 0)
+                row[j] = 0
+            rec(j + 1, rowsum)
+            if col[j] == 0 and rowsum == 0:
+                row[j] = 1
+                rec(j + 1, 1)
+                row[j] = 0
+
+        rec(0, 0)
+        return out
+
+    def build(i: int) -> Iterator[Asm]:
+        if i == n:
+            yield Asm(tuple(rows))
+            return
+        for cand in row_candidates():
+            rows.append(cand)
+            for j, v in enumerate(cand):
+                col[j] += v
+            yield from build(i + 1)
+            for j, v in enumerate(cand):
+                col[j] -= v
+            rows.pop()
+
+    yield from build(0)
+
+
+# --- Rational matrix product -----------------------------------------------
+
+
+def rat_matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+    if len(a[0]) != len(b):
+        raise ValidationError("matrix dimensions do not match for product")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

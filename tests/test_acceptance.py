@@ -229,7 +229,7 @@ def test_12_parity_and_isolated_ones():
         for n in range(1, 6):
             formulas.stanton_parity(n)  # raises on any mismatch
             for m in range(3):
-                lhs, rhs = formulas.cdlg_identity(n, m)
+                lhs, rhs = formulas.cdlg_identities(n, 2)[m]
                 assert lhs == rhs, (n, m)
         for n in range(1, 7):
             assert q_sum_of_parts(n) == formulas.q_factorial_product(n), n

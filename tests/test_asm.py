@@ -9,7 +9,7 @@ from asmdpp.asm import (
     asm_row_word,
     asm_stats,
     asm_to_json,
-    count_asm_no_isolated,
+    count_asm_no_isolated_by_mu,
     enumerate_asms,
     isolated_ones_count,
     rotation_invariance,
@@ -17,7 +17,7 @@ from asmdpp.asm import (
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.polynomial import poly_str
-from helpers import ASMEX, asm_list
+from helpers import ASMEX, asm_list, per_node_asms
 
 CENTER = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
 
@@ -47,6 +47,11 @@ def test_enumeration_small_orders():
     assert [a.rows for a in enumerate_asms(1)] == [((1,),)]
     assert {a.rows for a in enumerate_asms(3)} == ASM3_EXPECTED
     assert len(asm_list(5)) == 429
+
+
+def test_enumeration_matches_the_per_node_reference():
+    for n in range(1, 7):
+        assert [a.rows for a in asm_list(n)] == [a.rows for a in per_node_asms(n)], n
 
 
 def test_enumeration_rejects_zero():
@@ -114,9 +119,9 @@ def test_isolated_ones():
     ident = Asm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert isolated_ones_count(ident) == 3
     assert isolated_ones_count(CENTER) == 0
-    assert count_asm_no_isolated(3, 1) == 1
-    assert count_asm_no_isolated(3, 0) == 0
-    assert count_asm_no_isolated(0, 0) == 1
+    assert count_asm_no_isolated_by_mu(3)[1] == 1
+    assert count_asm_no_isolated_by_mu(3)[0] == 0
+    assert count_asm_no_isolated_by_mu(0)[0] == 1
 
 
 def test_z_brute_small():

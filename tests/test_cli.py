@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -85,6 +86,14 @@ def test_enumerate_dpp_past_brute_force_limit_streams(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--kind", "dpp", "--n", "8", "--limit", "1")
     assert code == 0
     assert out.splitlines() == ["[]"]
+
+
+def test_enumerate_asm_past_brute_force_limit_streams(capsys):
+    # the walk builds row tables only for the column states it visits
+    code, out, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "12", "--limit", "1")
+    assert code == 0
+    anti_identity = [[int(i + j == 11) for j in range(12)] for i in range(12)]
+    assert [json.loads(line) for line in out.splitlines()] == [anti_identity]
 
 
 def test_env_cap_enforced(capsys, monkeypatch):
@@ -195,6 +204,14 @@ def test_verify_single_suite(capsys):
     )
     assert code == 0
     assert "OK" in out.splitlines()[-1]
+
+
+def test_verify_reports_each_suite_on_stderr(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "boundary", "--max-n", "3")
+    assert code == 0
+    lines = err.splitlines()
+    assert re.fullmatch(r"boundary: 2 checks, 0 failed, \d+\.\d\ds", lines[0]), lines
+    assert lines[1].startswith("verify finished in ")
 
 
 def test_verify_deterministic_output(capsys):

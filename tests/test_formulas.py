@@ -5,7 +5,7 @@ from asmdpp.dpp import Dpp, dpp_stats, q_sum_of_parts, z_dpp_brute
 from asmdpp.errors import ValidationError
 from asmdpp.formulas import (
     asm_total,
-    cdlg_identity,
+    cdlg_identities,
     m0_asm_to_dpp,
     m0_dpp_to_asm,
     q_factorial_product,
@@ -104,7 +104,7 @@ def test_stanton_small_values():
 def test_cdlg_identity_small():
     for n in range(1, 5):
         for m in range(3):
-            lhs, rhs = cdlg_identity(n, m)
+            lhs, rhs = cdlg_identities(n, 2)[m]
             assert lhs == rhs
 
 

@@ -12,12 +12,11 @@ from asmdpp.linalg import (
     det_poly,
     det_rat,
     divide_exact,
-    rat_matmul,
 )
 from asmdpp.matrices import FAMILY_NAMES, build, l_matrix_rat, shift_matrix
 from asmdpp.polynomial import MultiPoly, OmegaPoly, ONE, X, Y
 
-from helpers import TupleOmega, TuplePoly, tuple_det_minors
+from helpers import TupleOmega, TuplePoly, rat_matmul, tuple_det_minors
 
 ARITY = 5
 

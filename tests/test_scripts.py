@@ -1,7 +1,6 @@
 """The entry points in scripts/ run against the current library."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,10 +28,3 @@ def test_statistics_report_runs():
     assert "   7 occupied (nu, mu, rho) cells, all equal" in lines
     assert "   refined counts by rho: [2, 3, 2] (formula [2, 3, 2])" in lines
 
-
-def test_full_verification_runs():
-    lines = _run_script("run_full_verification.py", "--max-n", "2")
-    suites = [line for line in lines if " checks " in line and ":" not in line]
-    assert len(suites) == 13
-    assert all(line.endswith("s  ok") for line in suites), suites
-    assert re.fullmatch(r"76 checks in \d+\.\ds: all passed", lines[-1])
