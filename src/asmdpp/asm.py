@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
-from .polynomial import NVARS, MultiPoly
+from .polynomial import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,10 @@ def count_rotation_invariant(n: int) -> tuple[int, int]:
     return half, quarter
 
 
+@cache
 def z_asm_brute(n: int) -> MultiPoly:
-    """Sum of x^nu * y^mu * z^rho over all order-n matrices."""
+    """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized (at
+    most BRUTE_FORCE_LIMIT entries)."""
     if n > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"brute-force generating function capped at order {BRUTE_FORCE_LIMIT}"
@@ -221,9 +223,7 @@ def z_asm_brute(n: int) -> MultiPoly:
     for a in enumerate_asms(n):
         s = asm_stats(a)
         counts[(s.nu, s.mu, s.rho)] += 1
-    return MultiPoly(
-        NVARS, {(p, m, k, 0, 0): c for (p, m, k), c in counts.items()}
-    )
+    return MultiPoly({(p, m, k, 0, 0): c for (p, m, k), c in counts.items()})
 
 
 def asm_to_json(a: Asm) -> list[list[int]]:

@@ -11,12 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
 environment variable ASMDPP_MAX_N caps the order accepted by every
 command that takes --n (a larger order exits with 2) and lowers verify's
---max-n.  enumerate --cache DIR writes a cache file only after a
-complete enumeration, so a run stopped early by --limit leaves none, and
-serves one only if it holds every record of the family.  --output FILE
-replaces a regular FILE only when the command returns, so a refused
-command (exit 2) leaves an existing FILE as it was; a device or a pipe
-is written through.
+--max-n.  --output FILE replaces a regular FILE only when the command
+returns, so a refused command (exit 2) leaves an existing FILE as it
+was; a device or a pipe is written through.
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (one line per suite: checks, failures and
 seconds) or under --timings (json).
@@ -29,7 +26,7 @@ import json
 import os
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -37,7 +34,6 @@ from . import verify as verify_mod
 from .asm import asm_from_json, asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
 from .dpp import dpp_from_json, dpp_to_json, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
-from .formulas import asm_total
 from .limits import MAX_N_ENV_VAR
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
 from .paths import enumerate_nilp_families, nilp_from_json, nilp_to_json
@@ -105,46 +101,17 @@ def _replaced_on_success(path: Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def _records(path: Path) -> Iterator[str]:
-    with path.open() as fh:
-        yield from (line for line in fh if line.strip())
-
-
-def _cached_json_lines(kind: str, n: int, cache_dir: str) -> Iterator[object]:
-    """Serve the cache file if it holds all asm_total(n) records (every
-    kind is in bijection with the order-n matrices); otherwise enumerate
-    into a replacement that takes effect only once the enumeration is
-    exhausted, so an early stop (--limit, a closed pipe) leaves no partial
-    cache behind and a stale partial file is replaced."""
-    path = Path(cache_dir) / f"{kind}_n{n}.ndjson"
-    if path.exists() and sum(1 for _ in _records(path)) == asm_total(n):
-        yield from (json.loads(line) for line in _records(path))
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with _replaced_on_success(path) as fh:
-        for obj in _json_objects(kind, n):
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            yield obj
-
-
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
     _check_cap(args.n)
-    objects = (
-        _cached_json_lines(args.kind, args.n, args.cache)
-        if args.cache
-        else _json_objects(args.kind, args.n)
-    )
     emitted = 0
-    # closing an unfinished cache writer discards its temporary file
-    with closing(objects):
-        for obj in objects:
-            if args.limit is not None and emitted >= args.limit:
-                break
-            if args.format == "json":
-                out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            else:
-                out.write(_text_of(args.kind, obj) + "\n")
-            emitted += 1
+    for obj in _json_objects(args.kind, args.n):
+        if args.limit is not None and emitted >= args.limit:
+            break
+        if args.format == "json":
+            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        else:
+            out.write(_text_of(args.kind, obj) + "\n")
+        emitted += 1
     return 0
 
 
@@ -263,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=("json", "text"), default="json")
     p_enum.add_argument("--limit", type=int, default=None)
     p_enum.add_argument("--output", default=None)
-    p_enum.add_argument("--cache", default=None, help="directory for ndjson caches")
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_gen = sub.add_parser("genfunc", help="print a generating function")

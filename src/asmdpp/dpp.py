@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
-from .polynomial import NVARS, Q_IDX, W_IDX, X_IDX, Y_IDX, Z_IDX, MultiPoly
+from .polynomial import Q_IDX, W_IDX, X_IDX, Y_IDX, Z_IDX, MultiPoly
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,18 @@ def _check_brute_limit(n: int) -> None:
         )
 
 
+@cache
 def z_dpp_brute_wq(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho * w^(rows+1) * q^(sum of parts) over
-    DPP(n).  This is the one pass that counts DPP statistics; the other
-    DPP generating functions are substitutions of it."""
+    DPP(n).  This is the one pass that counts DPP statistics, memoized (at
+    most BRUTE_FORCE_LIMIT entries); the other DPP generating functions
+    are substitutions of it."""
     _check_brute_limit(n)
     counts: Counter[tuple[int, int, int, int, int]] = Counter()
     for d in enumerate_dpps(n):
         s = dpp_stats(d, n)
         counts[(s.nu, s.mu, s.rho, s.row_count + 1, s.parts_sum)] += 1
-    return MultiPoly(NVARS, counts)
+    return MultiPoly(counts)
 
 
 def z_dpp_brute_w(n: int) -> MultiPoly:
@@ -177,8 +180,9 @@ def z_dpp_brute_w(n: int) -> MultiPoly:
     return z_dpp_brute_wq(n).substitute(Q_IDX, 1)
 
 
+@cache
 def z_dpp_brute(n: int) -> MultiPoly:
-    """Sum of x^nu * y^mu * z^rho over DPP(n)."""
+    """Sum of x^nu * y^mu * z^rho over DPP(n), memoized."""
     return z_dpp_brute_w(n).substitute(W_IDX, 1)
 
 

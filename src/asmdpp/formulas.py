@@ -22,7 +22,7 @@ from .asm import (
 from .dpp import Dpp, dpp_stats, q_sum_of_parts
 from .errors import InvariantError, ValidationError
 from .linalg import divide_exact
-from .polynomial import NVARS, Q_IDX, Y_IDX, MultiPoly
+from .polynomial import ONE, Q_IDX, Y_IDX, MultiPoly
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -72,11 +72,11 @@ def vsasm_total(n: int) -> int:
 
 def q_int(k: int) -> MultiPoly:
     """[k]_q = 1 + q + ... + q^(k-1)."""
-    return MultiPoly(NVARS, {(0, 0, 0, 0, e): 1 for e in range(k)})
+    return MultiPoly({(0, 0, 0, 0, e): 1 for e in range(k)})
 
 
 def q_factorial(k: int) -> MultiPoly:
-    out = MultiPoly.const(1, NVARS)
+    out = ONE
     for j in range(1, k + 1):
         out = out * q_int(j)
     return out
@@ -85,8 +85,8 @@ def q_factorial(k: int) -> MultiPoly:
 def q_factorial_product(n: int) -> MultiPoly:
     """prod_{i=0}^{n-1} [3i+1]_q! / [n+i]_q!, computed by exact polynomial
     division (the quotient is a genuine polynomial)."""
-    num = MultiPoly.const(1, NVARS)
-    den = MultiPoly.const(1, NVARS)
+    num = ONE
+    den = ONE
     for i in range(n):
         num = num * q_factorial(3 * i + 1)
         den = den * q_factorial(n + i)
@@ -95,7 +95,7 @@ def q_factorial_product(n: int) -> MultiPoly:
 
 def xz_int(k: int) -> MultiPoly:
     """[k]_{xz} = 1 + xz + ... + (xz)^(k-1)."""
-    return MultiPoly(NVARS, {(e, 0, e, 0, 0): 1 for e in range(k)})
+    return MultiPoly({(e, 0, e, 0, 0): 1 for e in range(k)})
 
 
 def z_mu_zero(n: int) -> MultiPoly:
@@ -105,7 +105,7 @@ def z_mu_zero(n: int) -> MultiPoly:
         raise ValidationError("order must be at least 1")
     out = xz_int(n)
     for k in range(1, n):
-        out = out * MultiPoly(NVARS, {(e, 0, 0, 0, 0): 1 for e in range(k)})
+        out = out * MultiPoly({(e, 0, 0, 0, 0): 1 for e in range(k)})
     return out
 
 

@@ -19,24 +19,7 @@ from typing import Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import DET_POLY_MAX_N
-from .polynomial import NVARS, MultiPoly, OmegaPoly, _guard
-
-
-def _arity(sample) -> int:
-    if isinstance(sample, OmegaPoly):
-        return sample.coeffs[0].arity if sample.coeffs else NVARS
-    return sample.arity
-
-
-def _zero_like(sample):
-    if isinstance(sample, OmegaPoly):
-        return OmegaPoly(())
-    return MultiPoly.zero(sample.arity)
-
-
-def _one_like(sample):
-    one = MultiPoly.const(1, _arity(sample))
-    return OmegaPoly.from_poly(one) if isinstance(sample, OmegaPoly) else one
+from .polynomial import _GUARD, ONE, ZERO, MultiPoly, OmegaPoly
 
 
 @dataclass(frozen=True)
@@ -56,27 +39,15 @@ class PolyMatrix:
             raise ValidationError(f"unsupported entry types: {kinds}")
         if len(kinds) != 1:
             raise ValidationError("matrix entries must be homogeneous in type")
-        arities = set()
-        for row in self.entries:
-            for e in row:
-                if isinstance(e, MultiPoly):
-                    arities.add(e.arity)
-                elif e.coeffs:
-                    arities.add(e.coeffs[0].arity)
-        if len(arities) > 1:
-            raise ValidationError(f"entry arities differ: {sorted(arities)}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "PolyMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
-    def identity(cls, n: int, one=None) -> "PolyMatrix":
-        if one is None:
-            one = MultiPoly.const(1)
-        zero = _zero_like(one)
+    def identity(cls, n: int) -> "PolyMatrix":
         return cls(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
         )
 
     @property
@@ -150,13 +121,11 @@ def _det_minors(entries) -> object:
     # column mask; each is one sum of products over the entry type, and
     # layer `size - 1` is dropped once layer `size` is built.
     n = len(entries)
-    sample = entries[0][0]
-    ring = type(sample)
-    arity = _arity(sample)
+    ring = type(entries[0][0])
     masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1, 1 << n):
         masks_by_size[mask.bit_count()].append(mask)
-    prev = {0: _one_like(sample)}
+    prev = {0: ONE if ring is MultiPoly else OmegaPoly.from_poly(ONE)}
     for size in range(1, n + 1):
         row = entries[size - 1]
         layer = {}
@@ -167,15 +136,13 @@ def _det_minors(entries) -> object:
                 if mask & bit:
                     sign = -1 if (size - 1 + len(products)) & 1 else 1
                     products.append((sign, row[j], prev[mask ^ bit]))
-            layer[mask] = ring._sum_of_products(arity, products)
+            layer[mask] = ring._sum_of_products(products)
         prev = layer
     return prev[(1 << n) - 1]
 
 
 def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact division in Z[x...]; raises if q does not divide p."""
-    if p.arity != q.arity:
-        raise ValueError("arity mismatch in division")
+    """Exact division in Z[x, y, z, w, q]; raises if q does not divide p."""
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     # Leading terms are the largest packed keys (lexicographic order).  A
@@ -183,7 +150,6 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     # so the division cannot be exact.  Subtracting q_lead from r_lead with
     # every guard bit set leaves a guard bit clear exactly where a field
     # would go negative.
-    guard = _guard(p.arity)
     remainder = dict(p._terms)
     q_terms = q._terms
     q_lead = max(q_terms)
@@ -192,10 +158,10 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     while remainder:
         r_lead = max(remainder)
         r_coeff = remainder[r_lead]
-        diff = (r_lead | guard) - q_lead
-        if r_lead & guard or diff & guard != guard or r_coeff % q_lead_coeff:
+        diff = (r_lead | _GUARD) - q_lead
+        if r_lead & _GUARD or diff & _GUARD != _GUARD or r_coeff % q_lead_coeff:
             raise ValidationError("polynomial division is not exact")
-        exp = diff ^ guard
+        exp = diff ^ _GUARD
         c = r_coeff // q_lead_coeff
         quotient[exp] = c
         for qe, qc in q_terms.items():
@@ -205,7 +171,7 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 remainder[key] = new
             elif key in remainder:
                 del remainder[key]
-    return MultiPoly._raw(p.arity, quotient)
+    return MultiPoly._raw(quotient)
 
 
 def det_poly(m: PolyMatrix):

@@ -42,7 +42,8 @@ from .limits import MATRIX_BUILD_MAX_N
 from .linalg import PolyMatrix, det_poly, det_rat, lift_to_omega
 from .paths import lgv_matrix, path_weight_sum
 from .polynomial import (
-    NVARS,
+    ONE,
+    ZERO,
     MultiPoly,
     OmegaPoly,
     binom,
@@ -63,9 +64,6 @@ FAMILY_NAMES = (
     "L",
 )
 
-_ZERO = MultiPoly.zero(NVARS)
-_ONE = MultiPoly.const(1, NVARS)
-
 
 def _masm_entry_poly(i: int, j: int, n: int, refined: bool) -> MultiPoly:
     terms: dict[tuple, int] = {}
@@ -81,7 +79,7 @@ def _masm_entry_poly(i: int, j: int, n: int, refined: bool) -> MultiPoly:
             c = binom(i, k) * binom(j, k)
             if c:
                 terms[(k, i - k, 0, 0, 0)] = c
-    return MultiPoly(NVARS, terms)
+    return MultiPoly(terms)
 
 
 def _masm(n: int, refined: bool) -> PolyMatrix:
@@ -90,7 +88,7 @@ def _masm(n: int, refined: bool) -> PolyMatrix:
         row = []
         for j in range(n):
             g = _masm_entry_poly(i, j, n, refined)
-            d0 = _ONE if i == j else _ZERO
+            d0 = ONE if i == j else ZERO
             row.append(OmegaPoly((d0, g - d0)))
         rows.append(tuple(row))
     return PolyMatrix(tuple(rows))
@@ -100,7 +98,7 @@ def _mdpp(n: int, refined: bool) -> PolyMatrix:
     mbar = lgv_matrix(n, refined)
     if not refined:
         return mbar
-    z_minus_1 = monomial(1, z=1) - _ONE
+    z_minus_1 = monomial(1, z=1) - ONE
     return PolyMatrix(
         tuple(
             tuple(OmegaPoly((e,)) for e in row[:-1])
@@ -131,9 +129,9 @@ def _mprime(n: int, refined: bool) -> PolyMatrix:
                         if c:
                             exp = (l + 1, k - l, 0, 0, 0)
                             terms[exp] = terms.get(exp, 0) + c
-            e = MultiPoly(NVARS, terms)
+            e = MultiPoly(terms)
             if i == j:
-                e = e + _ONE
+                e = e + ONE
             row.append(e)
         rows.append(tuple(row))
     return PolyMatrix(tuple(rows))
@@ -160,7 +158,7 @@ def _mdprime(n: int, refined: bool) -> PolyMatrix:
                     exp = (0, e, 0, 0, 0)
                     sign = -1 if e % 2 == 0 else 1
                     terms[exp] = terms.get(exp, 0) + sign * d
-            row.append(MultiPoly(NVARS, terms))
+            row.append(MultiPoly(terms))
         rows.append(tuple(row))
     return PolyMatrix(tuple(rows))
 
@@ -168,7 +166,7 @@ def _mdprime(n: int, refined: bool) -> PolyMatrix:
 def shift_matrix(n: int) -> PolyMatrix:
     return PolyMatrix(
         tuple(
-            tuple(_ONE if i == j + 1 else _ZERO for j in range(n)) for i in range(n)
+            tuple(ONE if i == j + 1 else ZERO for j in range(n)) for i in range(n)
         )
     )
 
@@ -179,7 +177,7 @@ def _bmat(n: int) -> PolyMatrix:
         row = []
         for j in range(n):
             c = binom(i - 1, i - j)
-            row.append(monomial(c, y=i - j) if c else _ZERO)
+            row.append(monomial(c, y=i - j) if c else ZERO)
         rows.append(tuple(row))
     return PolyMatrix(tuple(rows))
 
@@ -190,7 +188,7 @@ def _lmat(n: int) -> PolyMatrix:
         row = []
         for j in range(n):
             c = binom(i, j)
-            row.append(monomial(c, x=i, y=j) if c else _ZERO)
+            row.append(monomial(c, x=i, y=j) if c else ZERO)
         rows.append(tuple(row))
     return PolyMatrix(tuple(rows))
 
@@ -254,19 +252,19 @@ def check_omega_relation(
     mdpp = lift_to_omega(build("M_DPP", n, refined))
     if perturbation is not None:
         i, j = perturbation
-        bumped = masm.entries[i][j] + OmegaPoly((_ONE,))
+        bumped = masm.entries[i][j] + OmegaPoly((ONE,))
         rows = [list(r) for r in masm.entries]
         rows[i][j] = bumped
         masm = PolyMatrix(tuple(tuple(r) for r in rows))
     s = shift_matrix(n)
-    x_minus_1 = monomial(1, x=1) - _ONE
+    x_minus_1 = monomial(1, x=1) - ONE
     neg_y = monomial(-1, y=1)
     left = PolyMatrix(
         tuple(
             tuple(
                 OmegaPoly(
                     (
-                        (_ONE if i == j else _ZERO) + x_minus_1 * s.entries[i][j],
+                        (ONE if i == j else ZERO) + x_minus_1 * s.entries[i][j],
                         neg_y * s.entries[i][j],
                     )
                 )
@@ -281,7 +279,7 @@ def check_omega_relation(
             tuple(
                 OmegaPoly(
                     (
-                        (_ONE if i == j else _ZERO) - st.entries[i][j],
+                        (ONE if i == j else ZERO) - st.entries[i][j],
                         st.entries[i][j],
                     )
                 )
@@ -325,7 +323,7 @@ def dpp_det_omega_factor_holds(n: int) -> bool:
     factor sits in the last column alone)."""
     det_dpp = det_poly(build("M_DPP", n, refined=True))
     det_bar = det_poly(build("M_BAR", n, refined=True))
-    z_minus_1 = monomial(1, z=1) - _ONE
+    z_minus_1 = monomial(1, z=1) - ONE
     return det_dpp == OmegaPoly((det_bar, z_minus_1 * det_bar))
 
 
@@ -358,9 +356,7 @@ def _sample_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def asmdet_holds_at(
-    n: int, omega: Fraction, y: Fraction, z: Fraction, z_poly: MultiPoly | None = None
-) -> bool:
+def asmdet_holds_at(n: int, omega: Fraction, y: Fraction, z: Fraction) -> bool:
     """Check det M_ASM = (1 + omega (z-1)) Z at one admissible point."""
     omega, y, z = Fraction(omega), Fraction(y), Fraction(z)
     x = omega_parameterization(omega, y)
@@ -368,9 +364,7 @@ def asmdet_holds_at(
         raise ValidationError("parameterization failed to satisfy the quadratic")
     point = (x, y, z, Fraction(1), Fraction(1))
     rat = evaluate_matrix_rat(build("M_ASM", n, refined=True), point, omega)
-    if z_poly is None:
-        z_poly = z_asm_brute(n)
-    expected = (1 + omega * (z - 1)) * z_poly.evaluate(point)
+    expected = (1 + omega * (z - 1)) * z_asm_brute(n).evaluate(point)
     return det_rat(rat) == expected
 
 
@@ -380,7 +374,6 @@ def check_prop_asmdet_rational(n: int, trials: int, seed: int = 0) -> bool:
     Each trial samples omega not in {0, 1} and free y, z, then solves for
     the x that puts omega on the quadratic.  Degenerate draws resample."""
     rng = Random(seed)
-    z_poly = z_asm_brute(n)
     for _ in range(trials):
         while True:
             omega = _sample_fraction(rng)
@@ -389,7 +382,7 @@ def check_prop_asmdet_rational(n: int, trials: int, seed: int = 0) -> bool:
             y = _sample_fraction(rng)
             z = _sample_fraction(rng)
             break
-        if not asmdet_holds_at(n, omega, y, z, z_poly=z_poly):
+        if not asmdet_holds_at(n, omega, y, z):
             return False
     return True
 

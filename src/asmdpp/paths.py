@@ -28,7 +28,7 @@ from .dpp import Dpp
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
 from .linalg import PolyMatrix, det_poly
-from .polynomial import NVARS, MultiPoly, binom, monomial
+from .polynomial import ZERO, MultiPoly, binom, monomial
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
             if c:
                 exp = (k, i - k, 0, 0, 0)
                 terms[exp] = terms.get(exp, 0) + c
-    return MultiPoly(NVARS, terms)
+    return MultiPoly(terms)
 
 
 def direct_path_weight_oracle(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
@@ -199,7 +199,7 @@ def direct_path_weight_oracle(i: int, j: int, n: int, refined: bool = False) -> 
     from (0, j) to (i, 0) and sum the edge-weight products."""
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError("grid indices out of range")
-    total = MultiPoly.zero(NVARS)
+    total = ZERO
 
     def walk(c: int, h: int, ex: int, ey: int, ez: int) -> None:
         nonlocal total
@@ -316,23 +316,20 @@ def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMat
     return PolyMatrix(tuple(rows))
 
 
-def lgv_nilp_sum(n: int, refined: bool = False, check_direct: bool = True) -> MultiPoly:
+def lgv_nilp_sum(n: int, refined: bool = False) -> MultiPoly:
     """Family weight sum computed twice: direct enumeration and the
     determinant route.  Returns the determinant value after asserting the
-    two agree (skip the direct route with check_direct=False)."""
+    two agree."""
     if n > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"family enumeration capped at order {BRUTE_FORCE_LIMIT}"
         )
     det = det_poly(lgv_matrix(n, refined))
-    if check_direct:
-        direct = MultiPoly.zero(NVARS)
-        for fam in enumerate_nilp_families(n):
-            direct = direct + family_weight(fam, refined)
-        if direct != det:
-            raise InvariantError(
-                f"family sum and determinant disagree at order {n}"
-            )
+    direct = ZERO
+    for fam in enumerate_nilp_families(n):
+        direct = direct + family_weight(fam, refined)
+    if direct != det:
+        raise InvariantError(f"family sum and determinant disagree at order {n}")
     return det
 
 

@@ -13,11 +13,11 @@ The representation is canonical (zero coefficients are never stored), so
 ``==`` is exact identity of polynomials.  Coefficients are Python ints,
 which are arbitrary precision; evaluation returns ``Fraction``.
 
-The package-wide ring is Z[x, y, z, w, q] with the variable order fixed
-as (x, y, z, w, q).  Modules that only need a subset of the variables
-still build arity-5 polynomials (unused exponents stay 0), so equality
-tests work directly across modules.  ``MultiPoly`` itself supports any
-arity; operations between polynomials of different arity are rejected.
+The ring is Z[x, y, z, w, q], with the variable order fixed as
+(x, y, z, w, q): every polynomial has five exponents, and a module that
+only needs some of the variables leaves the others at 0, so equality
+tests work directly across modules.  An exponent tuple or an evaluation
+point that does not have five entries raises ``ValueError``.
 
 ``OmegaPoly`` adjoins a formal element omega of degree at most 2 over
 ``MultiPoly``; the only quadratic that matters here is
@@ -30,7 +30,7 @@ and ``omega_congruent_zero`` tests divisibility by it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb
 from operator import or_
 from types import MappingProxyType
@@ -58,26 +58,17 @@ def binom(a: int, b: int) -> int:
 
 
 # Packed exponent vectors (Monagan & Pearce, CASC 2007): the exponent of
-# variable i of an arity-a polynomial is the FIELD_BITS-wide field at bit
-# FIELD_BITS * (a - 1 - i) of one int key.  The top bit of each field is a
-# guard bit that is always clear in a stored key, so adding two keys adds
-# the exponent vectors without a carry between fields, and a set guard bit
-# in a sum marks an exponent past MAX_EXPONENT.  Variable 0 sits in the
-# highest field, so the int order of keys is the lexicographic order of
-# the exponent tuples, a monomial order.
+# variable i is the FIELD_BITS-wide field at bit _SHIFTS[i] of one int
+# key.  The top bit of each field is a guard bit (set in _GUARD) that is
+# always clear in a stored key, so adding two keys adds the exponent
+# vectors without a carry between fields, and a set guard bit in a sum
+# marks an exponent past MAX_EXPONENT.  Variable 0 sits in the highest
+# field, so the int order of keys is the lexicographic order of the
+# exponent tuples, a monomial order.
 FIELD_MASK = (1 << FIELD_BITS) - 1
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
-
-
-@lru_cache(maxsize=None)
-def _shifts(arity: int) -> tuple[int, ...]:
-    return tuple(FIELD_BITS * (arity - 1 - i) for i in range(arity))
-
-
-@lru_cache(maxsize=None)
-def _guard(arity: int) -> int:
-    """Mask of the guard bits of every field of an arity-``arity`` key."""
-    return sum((MAX_EXPONENT + 1) << s for s in _shifts(arity))
+_SHIFTS = tuple(FIELD_BITS * (NVARS - 1 - i) for i in range(NVARS))
+_GUARD = sum((MAX_EXPONENT + 1) << s for s in _SHIFTS)
 
 
 def _pack(exp: tuple) -> int:
@@ -87,13 +78,13 @@ def _pack(exp: tuple) -> int:
     return key
 
 
-def _unpack(key: int, arity: int) -> tuple:
-    return tuple((key >> s) & FIELD_MASK for s in _shifts(arity))
+def _unpack(key: int) -> tuple:
+    return tuple((key >> s) & FIELD_MASK for s in _SHIFTS)
 
 
-def _check_fields(terms: dict[int, int], arity: int) -> None:
+def _check_fields(terms: dict[int, int]) -> None:
     """Raise if a key of ``terms`` has an exponent past MAX_EXPONENT."""
-    if reduce(or_, terms, 0) & _guard(arity):
+    if reduce(or_, terms, 0) & _GUARD:
         raise ResourceLimitError(
             f"an exponent exceeds the packed-field limit {MAX_EXPONENT}"
         )
@@ -107,17 +98,15 @@ class MultiPoly:
     exponent tuples.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("_terms",)
 
-    def __init__(self, arity: int, terms: Mapping[tuple, int] | None = None):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+    def __init__(self, terms: Mapping[tuple, int] | None = None):
         clean: dict[int, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
-                if len(exp) != arity:
-                    raise ValueError(f"exponent {exp} does not match arity {arity}")
+                if len(exp) != NVARS:
+                    raise ValueError(f"exponent {exp} does not have {NVARS} entries")
                 if any(e < 0 or not isinstance(e, int) for e in exp):
                     raise ValueError(f"exponents must be nonnegative ints, got {exp}")
                 if not isinstance(coeff, int):
@@ -131,32 +120,30 @@ class MultiPoly:
                     clean[key] = clean.get(key, 0) + coeff
                     if not clean[key]:
                         del clean[key]
-        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _raw(cls, arity: int, terms: dict[int, int]) -> "MultiPoly":
+    def _raw(cls, terms: dict[int, int]) -> "MultiPoly":
         # internal constructor: terms must already be packed and canonical
         self = object.__new__(cls)
-        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", terms)
         return self
 
     @classmethod
-    def zero(cls, arity: int = NVARS) -> "MultiPoly":
-        return cls._raw(arity, {})
+    def zero(cls) -> "MultiPoly":
+        return cls._raw({})
 
     @classmethod
-    def const(cls, value: int, arity: int = NVARS) -> "MultiPoly":
+    def const(cls, value: int) -> "MultiPoly":
         if value == 0:
-            return cls._raw(arity, {})
-        return cls._raw(arity, {0: value})
+            return cls._raw({})
+        return cls._raw({0: value})
 
     @classmethod
-    def variable(cls, index: int, arity: int = NVARS) -> "MultiPoly":
-        if not 0 <= index < arity:
-            raise ValueError(f"variable index {index} out of range for arity {arity}")
-        return cls._raw(arity, {1 << _shifts(arity)[index]: 1})
+    def variable(cls, index: int) -> "MultiPoly":
+        if not 0 <= index < NVARS:
+            raise ValueError(f"variable index {index} out of range")
+        return cls._raw({1 << _SHIFTS[index]: 1})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
@@ -166,8 +153,7 @@ class MultiPoly:
         return MappingProxyType(dict(self.items()))
 
     def items(self) -> Iterator[tuple[tuple, int]]:
-        arity = self.arity
-        return ((_unpack(k, arity), c) for k, c in self._terms.items())
+        return ((_unpack(k), c) for k, c in self._terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -175,19 +161,14 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
-
-    def _check_arity(self, other: "MultiPoly") -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_arity(other)
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
             new = out.get(exp, 0) + coeff
@@ -195,10 +176,10 @@ class MultiPoly:
                 out[exp] = new
             elif exp in out:
                 del out[exp]
-        return MultiPoly._raw(self.arity, out)
+        return MultiPoly._raw(out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.arity, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -206,7 +187,7 @@ class MultiPoly:
         return self + (-other)
 
     @classmethod
-    def _sum_of_products(cls, arity: int, products: Iterable) -> "MultiPoly":
+    def _sum_of_products(cls, products: Iterable) -> "MultiPoly":
         """Sum of ``sign * a * b`` over the ``(sign, a, b)`` triples.
 
         Every product accumulates into one dict; zero coefficients are
@@ -215,8 +196,6 @@ class MultiPoly:
         out: dict[int, int] = {}
         get = out.get
         for sign, a, b in products:
-            if a.arity != arity or b.arity != arity:
-                raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
             a, b = a._terms, b._terms
             if len(a) > len(b):
                 a, b = b, a
@@ -228,26 +207,24 @@ class MultiPoly:
                     out[key] = get(key, 0) + ca * cb
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
-        _check_fields(out, arity)
-        return cls._raw(arity, out)
+        _check_fields(out)
+        return cls._raw(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return MultiPoly._raw(self.arity, {})
-            return MultiPoly._raw(
-                self.arity, {e: c * other for e, c in self._terms.items()}
-            )
+                return MultiPoly._raw({})
+            return MultiPoly._raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return MultiPoly._sum_of_products(self.arity, ((1, self, other),))
+        return MultiPoly._sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(1, self.arity)
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -258,8 +235,8 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Evaluate exactly at a point of rationals (or ints)."""
-        if len(point) != self.arity:
-            raise ValueError(f"point length {len(point)} does not match arity {self.arity}")
+        if len(point) != NVARS:
+            raise ValueError(f"point {tuple(point)} does not have {NVARS} coordinates")
         vals = [Fraction(p) for p in point]
         total = Fraction(0)
         for exp, coeff in self.items():
@@ -271,10 +248,10 @@ class MultiPoly:
         return total
 
     def substitute(self, index: int, value: int) -> "MultiPoly":
-        """Set one variable to an integer constant; arity is preserved."""
-        if not 0 <= index < self.arity:
+        """Set one variable to an integer constant; its exponent becomes 0."""
+        if not 0 <= index < NVARS:
             raise ValueError("variable index out of range")
-        shift = _shifts(self.arity)[index]
+        shift = _SHIFTS[index]
         out: dict[int, int] = {}
         for key, coeff in self._terms.items():
             e = (key >> shift) & FIELD_MASK
@@ -287,7 +264,7 @@ class MultiPoly:
                 out[new_key] = tot
             elif new_key in out:
                 del out[new_key]
-        return MultiPoly._raw(self.arity, out)
+        return MultiPoly._raw(out)
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in the canonical print order.
@@ -296,8 +273,7 @@ class MultiPoly:
         lexicographic comparison of the exponent vectors (the order of
         the packed keys).
         """
-        arity = self.arity
-        terms = [(_unpack(k, arity), k, c) for k, c in self._terms.items()]
+        terms = [(_unpack(k), k, c) for k, c in self._terms.items()]
         terms.sort(key=lambda t: (sum(t[0]), -t[1]))
         return [(exp, c) for exp, _, c in terms]
 
@@ -306,19 +282,19 @@ class MultiPoly:
         return [[list(exp), coeff] for exp, coeff in self.sorted_terms()]
 
     @classmethod
-    def from_term_list(cls, data: Iterable, arity: int = NVARS) -> "MultiPoly":
+    def from_term_list(cls, data: Iterable) -> "MultiPoly":
         terms: dict[tuple, int] = {}
         for exp, coeff in data:
             terms[tuple(exp)] = terms.get(tuple(exp), 0) + int(coeff)
-        return cls(arity, terms)
+        return cls(terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({poly_str(self)!r})"
 
 
-def _monomial_str(exp: tuple, names: Sequence[str]) -> str:
+def _monomial_str(exp: tuple) -> str:
     parts = []
-    for name, e in zip(names, exp):
+    for name, e in zip(VAR_NAMES, exp):
         if e == 1:
             parts.append(name)
         elif e:
@@ -326,16 +302,14 @@ def _monomial_str(exp: tuple, names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
+def poly_str(p: MultiPoly) -> str:
     """Canonical string form; fixtures compare these strings directly."""
-    if names is None:
-        names = VAR_NAMES if p.arity <= NVARS else tuple(f"x{i}" for i in range(p.arity))
     terms = p.sorted_terms()
     if not terms:
         return "0"
     pieces = []
     for pos, (exp, coeff) in enumerate(terms):
-        mono = _monomial_str(exp, names)
+        mono = _monomial_str(exp)
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -366,7 +340,7 @@ def const(value: int) -> MultiPoly:
 
 def monomial(coeff: int, x: int = 0, y: int = 0, z: int = 0, w: int = 0, q: int = 0) -> MultiPoly:
     """One term of the shared five-variable ring."""
-    return MultiPoly(NVARS, {(x, y, z, w, q): coeff})
+    return MultiPoly({(x, y, z, w, q): coeff})
 
 
 MAX_OMEGA_DEGREE = 2
@@ -384,10 +358,6 @@ class OmegaPoly:
 
     def __init__(self, coeffs: Sequence[MultiPoly]):
         coeffs = list(coeffs)
-        if coeffs:
-            arity = coeffs[0].arity
-            if any(c.arity != arity for c in coeffs):
-                raise ValueError("omega coefficients must share one arity")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         if len(coeffs) - 1 > MAX_OMEGA_DEGREE:
@@ -402,21 +372,21 @@ class OmegaPoly:
         return cls((p,))
 
     @classmethod
-    def zero(cls, arity: int = NVARS) -> "OmegaPoly":
+    def zero(cls) -> "OmegaPoly":
         return cls(())
 
     @classmethod
-    def omega(cls, arity: int = NVARS) -> "OmegaPoly":
-        return cls((MultiPoly.zero(arity), MultiPoly.const(1, arity)))
+    def omega(cls) -> "OmegaPoly":
+        return cls((ZERO, ONE))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, d: int, arity: int = NVARS) -> MultiPoly:
+    def coeff(self, d: int) -> MultiPoly:
         if d < len(self.coeffs):
             return self.coeffs[d]
-        return MultiPoly.zero(self.coeffs[0].arity if self.coeffs else arity)
+        return ZERO
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -437,10 +407,7 @@ class OmegaPoly:
         if not isinstance(other, OmegaPoly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        if n == 0:
-            return self
-        arity = (self.coeffs or other.coeffs)[0].arity
-        return OmegaPoly([self.coeff(d, arity) + other.coeff(d, arity) for d in range(n)])
+        return OmegaPoly([self.coeff(d) + other.coeff(d) for d in range(n)])
 
     def __neg__(self) -> "OmegaPoly":
         return OmegaPoly([-c for c in self.coeffs])
@@ -459,14 +426,12 @@ class OmegaPoly:
             return OmegaPoly([c * other for c in self.coeffs])
         if not isinstance(other, OmegaPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return OmegaPoly(())
-        return OmegaPoly._sum_of_products(self.coeffs[0].arity, ((1, self, other),))
+        return OmegaPoly._sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
     @classmethod
-    def _sum_of_products(cls, arity: int, products: Iterable) -> "OmegaPoly":
+    def _sum_of_products(cls, products: Iterable) -> "OmegaPoly":
         """Sum of ``sign * a * b`` over the ``(sign, a, b)`` triples: one
         ``MultiPoly._sum_of_products`` per power of omega."""
         by_degree: list[list] = [[] for _ in range(2 * MAX_OMEGA_DEGREE + 1)]
@@ -475,7 +440,7 @@ class OmegaPoly:
                 for j, bj in enumerate(b.coeffs):
                     by_degree[i + j].append((sign, ai, bj))
         # the constructor raises if a power past the cap survives
-        return cls([MultiPoly._sum_of_products(arity, p) for p in by_degree])
+        return cls([MultiPoly._sum_of_products(p) for p in by_degree])
 
     def evaluate(self, point: Sequence, omega: Fraction) -> Fraction:
         omega = Fraction(omega)
@@ -491,7 +456,7 @@ class OmegaPoly:
         return "OmegaPoly(" + " + ".join(parts) + ")"
 
 
-def omega_congruent_zero(d: OmegaPoly, x_index: int = X_IDX, y_index: int = Y_IDX) -> bool:
+def omega_congruent_zero(d: OmegaPoly) -> bool:
     """Test divisibility of d by y*omega^2 + (1 - x - y)*omega + x.
 
     Writing d = d2*omega^2 + d1*omega + d0, divisibility over the fraction
@@ -501,13 +466,5 @@ def omega_congruent_zero(d: OmegaPoly, x_index: int = X_IDX, y_index: int = Y_ID
     """
     if d.degree > 2:
         raise ValueError("omega degree above 2")
-    if not d.coeffs:
-        return True
-    arity = d.coeffs[0].arity
-    x = MultiPoly.variable(x_index, arity)
-    y = MultiPoly.variable(y_index, arity)
-    one = MultiPoly.const(1, arity)
-    d0 = d.coeff(0, arity)
-    d1 = d.coeff(1, arity)
-    d2 = d.coeff(2, arity)
-    return y * d0 == x * d2 and y * d1 == (one - x - y) * d2
+    d0, d1, d2 = d.coeff(0), d.coeff(1), d.coeff(2)
+    return Y * d0 == X * d2 and Y * d1 == (ONE - X - Y) * d2

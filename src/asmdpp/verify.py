@@ -24,9 +24,16 @@ from .asm import (
     enumerate_asms,
     z_asm_brute,
 )
-from .dpp import dpp_stats, enumerate_dpps, q_marginal, z_dpp_brute_wq
+from .dpp import (
+    dpp_stats,
+    enumerate_dpps,
+    q_marginal,
+    z_dpp_brute,
+    z_dpp_brute_w,
+    z_dpp_brute_wq,
+)
 from .linalg import det_poly
-from .polynomial import Q_IDX, W_IDX, MultiPoly, poly_str
+from .polynomial import MultiPoly, poly_str
 
 Z3_STRING = "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
 
@@ -82,26 +89,6 @@ def _dpps(n: int) -> tuple:
     return tuple(enumerate_dpps(n))
 
 
-@lru_cache(maxsize=8)
-def _z_asm(n: int) -> MultiPoly:
-    return z_asm_brute(n)
-
-
-@lru_cache(maxsize=8)
-def _z_dpp_wq(n: int) -> MultiPoly:
-    # the one DPP enumeration per order; every DPP check substitutes it
-    return z_dpp_brute_wq(n)
-
-
-def _z_dpp_w(n: int) -> MultiPoly:
-    return _z_dpp_wq(n).substitute(Q_IDX, 1)
-
-
-@lru_cache(maxsize=8)
-def _z_dpp(n: int) -> MultiPoly:
-    return _z_dpp_w(n).substitute(W_IDX, 1)
-
-
 def _marginal(z: MultiPoly, var: int, value: int) -> int:
     """Number of objects whose statistic number var (0 nu, 1 mu, 2 rho)
     equals value.  The brute-force generating functions are the cell
@@ -121,13 +108,13 @@ def _timed(run: Callable[[], bool], name: str, params: dict) -> CheckResult:
 def _suite_theorem1(max_n: int, seed: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: _z_asm(n) == _z_dpp(n) == matrices.genfunc_det(n),
+            lambda n=n: z_asm_brute(n) == z_dpp_brute(n) == matrices.genfunc_det(n),
             "genfunc_triple_equal",
             {"n": n},
         )
     if max_n >= 3:
         yield _timed(
-            lambda: poly_str(_z_asm(3)) == Z3_STRING,
+            lambda: poly_str(z_asm_brute(3)) == Z3_STRING,
             "canonical_string",
             {"n": 3},
         )
@@ -143,8 +130,8 @@ def _suite_counting(max_n: int, seed: int) -> Iterator[CheckResult]:
         yield _timed(
             lambda n=n: all(
                 formulas.refined_total(n, k)
-                == _marginal(_z_asm(n), 2, k)
-                == _marginal(_z_dpp(n), 2, k)
+                == _marginal(z_asm_brute(n), 2, k)
+                == _marginal(z_dpp_brute(n), 2, k)
                 for k in range(n)
             ),
             "refined_count",
@@ -155,14 +142,14 @@ def _suite_counting(max_n: int, seed: int) -> Iterator[CheckResult]:
 def _suite_table(max_n: int, seed: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: _z_asm(n) == _z_dpp(n),
+            lambda n=n: z_asm_brute(n) == z_dpp_brute(n),
             "cells_agree",
             {"n": n},
         )
     if max_n >= 5:
         yield _timed(
-            lambda: _z_asm(5).terms.get((3, 1, 2, 0, 0)) == 10
-            and _z_dpp(5).terms.get((3, 1, 2, 0, 0)) == 10,
+            lambda: z_asm_brute(5).terms.get((3, 1, 2, 0, 0)) == 10
+            and z_dpp_brute(5).terms.get((3, 1, 2, 0, 0)) == 10,
             "cell_5_312",
             {"n": 5},
         )
@@ -240,14 +227,13 @@ def _suite_lgv(max_n: int, seed: int) -> Iterator[CheckResult]:
             {"n": n},
         )
         yield _timed(
-            lambda n=n: bool(paths.lgv_nilp_sum(n, refined=True, check_direct=True)),
+            lambda n=n: bool(paths.lgv_nilp_sum(n, refined=True)),
             "family_sum_equals_det",
             {"n": n},
         )
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: paths.lgv_nilp_sum(n, refined=True, check_direct=False)
-            == _z_dpp(n),
+            lambda n=n: det_poly(paths.lgv_matrix(n, refined=True)) == z_dpp_brute(n),
             "det_equals_brute",
             {"n": n},
         )
@@ -286,7 +272,7 @@ def _suite_aux(max_n: int, seed: int) -> Iterator[CheckResult]:
             lambda n=n: matrices.check_aux_relations(n), "products_and_dets", {"n": n}
         )
         yield _timed(
-            lambda n=n: det_poly(matrices.build("M_BAR_W", n)) == _z_dpp_w(n),
+            lambda n=n: det_poly(matrices.build("M_BAR_W", n)) == z_dpp_brute_w(n),
             "w_refined_det",
             {"n": n},
         )
@@ -344,7 +330,10 @@ def _suite_osc(max_n: int, seed: int) -> Iterator[CheckResult]:
 
 def _osc_vs_enumeration(n: int, p: int) -> bool:
     asm_side, dpp_side = oscillating.osc_counts(n, p)
-    return asm_side == _marginal(_z_asm(n), 0, p) and dpp_side == _marginal(_z_dpp(n), 0, p)
+    return (
+        asm_side == _marginal(z_asm_brute(n), 0, p)
+        and dpp_side == _marginal(z_dpp_brute(n), 0, p)
+    )
 
 
 def _m0_roundtrip(n: int) -> bool:
@@ -371,8 +360,8 @@ def _suite_m0(max_n: int, seed: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         yield _timed(lambda n=n: _m0_roundtrip(n), "roundtrip_and_stats", {"n": n})
         yield _timed(
-            lambda n=n: _z_asm(n).substitute(1, 0) == formulas.z_mu_zero(n)
-            and _z_dpp(n).substitute(1, 0) == formulas.z_mu_zero(n),
+            lambda n=n: z_asm_brute(n).substitute(1, 0) == formulas.z_mu_zero(n)
+            and z_dpp_brute(n).substitute(1, 0) == formulas.z_mu_zero(n),
             "mu_zero_genfunc",
             {"n": n},
         )
@@ -392,9 +381,9 @@ def _symstat_holds(n: int) -> bool:
 
 def _dpp_multiset_symmetry(n: int) -> bool:
     half = n * (n - 1) // 2
-    z = _z_dpp(n)
+    z = z_dpp_brute(n)
     mapped = MultiPoly(
-        z.arity, {(half - p - m, m, n - 1 - k, w, q): c for (p, m, k, w, q), c in z.items()}
+        {(half - p - m, m, n - 1 - k, w, q): c for (p, m, k, w, q), c in z.items()}
     )
     return mapped == z
 
@@ -435,7 +424,7 @@ def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
         )
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: q_marginal(_z_dpp_wq(n)) == formulas.q_factorial_product(n),
+            lambda n=n: q_marginal(z_dpp_brute_wq(n)) == formulas.q_factorial_product(n),
             "q_enumeration",
             {"n": n},
         )
@@ -444,8 +433,8 @@ def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
 def _suite_boundary(max_n: int, seed: int) -> Iterator[CheckResult]:
     for n in range(2, max_n + 1):
         yield _timed(
-            lambda n=n: _z_asm(n).substitute(2, 0) == _z_asm(n - 1).substitute(2, 1)
-            and _z_dpp(n).substitute(2, 0) == _z_dpp(n - 1).substitute(2, 1),
+            lambda n=n: z_asm_brute(n).substitute(2, 0) == z_asm_brute(n - 1).substitute(2, 1)
+            and z_dpp_brute(n).substitute(2, 0) == z_dpp_brute(n - 1).substitute(2, 1),
             "z_at_zero_vs_one",
             {"n": n},
         )

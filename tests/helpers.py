@@ -9,6 +9,7 @@ from typing import Iterator, Sequence
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
 from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
 from asmdpp.errors import ValidationError
+from asmdpp.polynomial import NVARS
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +78,7 @@ class TuplePoly:
     @classmethod
     def of(cls, p):
         """The reference copy of a MultiPoly."""
-        return cls(p.arity, dict(p.terms))
+        return cls(NVARS, dict(p.terms))
 
     @classmethod
     def zero(cls, arity):

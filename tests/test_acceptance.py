@@ -9,7 +9,6 @@ per-criterion lines.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from random import Random
 
@@ -35,23 +34,13 @@ def criterion(number, label):
     print(f"ACCEPTANCE {number:02d} PASS  {label}  ({elapsed:.1f}s)")
 
 
-@lru_cache(maxsize=None)
-def _z_asm(n):
-    return z_asm_brute(n)
-
-
-@lru_cache(maxsize=None)
-def _z_dpp(n):
-    return z_dpp_brute(n)
-
-
 def test_01_generating_functions_agree():
     with criterion(1, "brute ASM == brute DPP == determinant, n <= 6"):
         for n in range(1, 7):
-            za, zd = _z_asm(n), _z_dpp(n)
+            za, zd = z_asm_brute(n), z_dpp_brute(n)
             assert za == zd, n
             assert matrices.genfunc_det(n) == za, n
-        assert poly_str(_z_asm(3)) == Z3_STRING
+        assert poly_str(z_asm_brute(3)) == Z3_STRING
 
 
 def test_02_counting_formulas():
@@ -129,10 +118,10 @@ def test_06_lgv():
                             j,
                             refined,
                         )
-            paths.lgv_nilp_sum(n, refined=True, check_direct=True)
-            paths.lgv_nilp_sum(n, refined=False, check_direct=True)
+            paths.lgv_nilp_sum(n, refined=True)
+            paths.lgv_nilp_sum(n, refined=False)
         for n in range(1, 7):
-            assert paths.lgv_nilp_sum(n, refined=True, check_direct=False) == _z_dpp(n)
+            assert det_poly(paths.lgv_matrix(n, refined=True)) == z_dpp_brute(n)
 
 
 def test_07_omega_machinery():
@@ -197,8 +186,8 @@ def test_10_m0_bijection():
                     continue
                 assert formulas.m0_asm_to_dpp(formulas.m0_dpp_to_asm(d, n)) == d
             expected = formulas.z_mu_zero(n)
-            assert _z_asm(n).substitute(1, 0) == expected
-            assert _z_dpp(n).substitute(1, 0) == expected
+            assert z_asm_brute(n).substitute(1, 0) == expected
+            assert z_dpp_brute(n).substitute(1, 0) == expected
 
 
 def test_11_symmetry():
@@ -238,5 +227,5 @@ def test_12_parity_and_isolated_ones():
 def test_13_boundary_relation():
     with criterion(13, "generating function at z=0 vs order n-1 at z=1"):
         for n in range(2, 7):
-            assert _z_asm(n).substitute(2, 0) == _z_asm(n - 1).substitute(2, 1), n
-            assert _z_dpp(n).substitute(2, 0) == _z_dpp(n - 1).substitute(2, 1), n
+            assert z_asm_brute(n).substitute(2, 0) == z_asm_brute(n - 1).substitute(2, 1), n
+            assert z_dpp_brute(n).substitute(2, 0) == z_dpp_brute(n - 1).substitute(2, 1), n

@@ -7,7 +7,6 @@ import pytest
 
 from asmdpp.asm import asm_from_json, asm_from_row_word
 from asmdpp.cli import main
-from asmdpp.dpp import dpp_from_json
 from asmdpp.paths import nilp_from_json
 from asmdpp.sixvertex import config_from_json
 
@@ -103,49 +102,11 @@ def test_env_cap_enforced(capsys, monkeypatch):
     assert "ASMDPP_MAX_N" in err
 
 
-def test_cache_roundtrip(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    code, first, _ = run_cli(
-        capsys, "enumerate", "--kind", "dpp", "--n", "3", "--cache", cache
-    )
-    assert code == 0
-    assert (tmp_path / "cache" / "dpp_n3.ndjson").exists()
-    code, second, _ = run_cli(
-        capsys, "enumerate", "--kind", "dpp", "--n", "3", "--cache", cache
-    )
-    assert code == 0
-    assert first == second
-    dpps = [dpp_from_json(json.loads(line)) for line in second.strip().splitlines()]
-    assert len(dpps) == 7
-
-
-def test_cache_not_written_by_partial_enumeration(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    code, out, _ = run_cli(
-        capsys, "enumerate", "--kind", "asm", "--n", "4", "--limit", "3", "--cache", str(cache)
-    )
-    assert code == 0
-    assert len(out.strip().splitlines()) == 3
-    assert list(cache.iterdir()) == []
-    code, full, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--cache", str(cache))
-    assert code == 0
-    assert len(full.strip().splitlines()) == 42
-    assert [p.name for p in cache.iterdir()] == ["asm_n4.ndjson"]
-    code, cached, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--cache", str(cache))
-    assert code == 0
-    assert cached == full
-
-
-def test_stale_partial_cache_is_regenerated(capsys, tmp_path):
-    # a 4-record file, as an interrupted run of older code could leave
-    stale = tmp_path / "asm_n4.ndjson"
-    code, head, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--limit", "4")
-    assert code == 0
-    stale.write_text(head)
-    code, out, _ = run_cli(capsys, "enumerate", "--kind", "asm", "--n", "4", "--cache", str(tmp_path))
-    assert code == 0
-    assert len(out.strip().splitlines()) == 42
-    assert stale.read_text() == out
+def test_cache_option_is_gone(capsys):
+    # enumerate has no record cache; every run enumerates the family
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--kind", "dpp", "--n", "1", "--cache", "records"])
+    assert exc.value.code == 2
 
 
 def test_genfunc_det_string(capsys):

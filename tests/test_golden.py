@@ -3,9 +3,11 @@ outputs before the M_BAR builders, the cell counters and the
 determinant were merged; and of the path families of both classes and
 the q- and w-refined DPP sums, pinned before the two path searches and
 the DPP statistics counters were merged; of the determinant generating
-functions, pinned before the polynomial kernel was packed; and of the
-DPP stream, pinned before the enumerator stopped sorting the family.
-Any change to these bytes must be deliberate."""
+functions, pinned before the polynomial kernel was packed; of the
+DPP stream, pinned before the enumerator stopped sorting the family; and
+of the `verify --suite all` report, pinned before the polynomial ring
+lost its arity parameter.  Any change to these bytes must be
+deliberate."""
 
 import hashlib
 import json
@@ -285,6 +287,10 @@ GENFUNC_SHA256 = {
     ),
 }
 
+# `verify --suite all` text output, the same for every seed while every
+# check passes
+VERIFY_ALL_SHA256 = "e35e70dfdbe5b0dc9129d7bcba08e13eedeab7b73a62ebe42958586317ac3e1c"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -345,3 +351,7 @@ def test_dpp_q_and_w_sums_are_unchanged():
 def test_genfunc_det_output_is_unchanged(capsys, method):
     for n, pinned in enumerate(GENFUNC_SHA256[method], start=1):
         assert _digest(capsys, "genfunc", "--method", method, "--n", str(n)) == pinned, n
+
+
+def test_verify_all_output_is_unchanged(capsys):
+    assert _digest(capsys, "verify", "--suite", "all") == VERIFY_ALL_SHA256

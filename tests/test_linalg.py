@@ -14,26 +14,24 @@ from asmdpp.linalg import (
     divide_exact,
 )
 from asmdpp.matrices import FAMILY_NAMES, build, l_matrix_rat, shift_matrix
-from asmdpp.polynomial import MultiPoly, OmegaPoly, ONE, X, Y
+from asmdpp.polynomial import NVARS, MultiPoly, OmegaPoly, ONE, X, Y
 
 from helpers import TupleOmega, TuplePoly, rat_matmul, tuple_det_minors
 
-ARITY = 5
-
 small_polys = st.dictionaries(
-    st.tuples(*[st.integers(0, 2)] * ARITY),
+    st.tuples(*[st.integers(0, 2)] * NVARS),
     st.integers(-4, 4).filter(bool),
     max_size=3,
-).map(lambda d: MultiPoly(ARITY, d))
+).map(MultiPoly)
 
 
 def poly_matrix(n, rng):
     def rand_poly():
         t = {}
         for _ in range(rng.randint(1, 3)):
-            e = tuple(rng.randint(0, 2) for _ in range(ARITY))
+            e = tuple(rng.randint(0, 2) for _ in range(NVARS))
             t[e] = t.get(e, 0) + rng.randint(-3, 3)
-        return MultiPoly(ARITY, t)
+        return MultiPoly(t)
 
     return [[rand_poly() for _ in range(n)] for _ in range(n)]
 
@@ -63,7 +61,7 @@ def test_det_commutes_with_evaluation():
     rng = Random(11)
     for n in (2, 3, 4, 5, 6):
         m = poly_matrix(n, rng)
-        point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ARITY))
+        point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(NVARS))
         sym = det_poly(PolyMatrix.from_rows(m)).evaluate(point)
         num = det_rat([[e.evaluate(point) for e in row] for row in m])
         assert sym == num
@@ -89,7 +87,7 @@ def test_divide_exact_rejects_inexact():
     with pytest.raises(ValidationError):
         divide_exact(X + ONE, Y)
     with pytest.raises(ValidationError):
-        divide_exact(X, MultiPoly(ARITY, {(0,) * ARITY: 2}))
+        divide_exact(X, MultiPoly.const(2))
 
 
 def test_det_decomposition_against_shift():
@@ -100,7 +98,7 @@ def test_det_decomposition_against_shift():
     for _ in range(4):
         a = poly_matrix(n, rng)
         lhs = det_poly(PolyMatrix.from_rows(a) - shift_matrix(n))
-        rhs = MultiPoly.zero(ARITY)
+        rhs = MultiPoly.zero()
         for size in range(n):
             for t_set in combinations(range(1, n), size):
                 rows = sorted({0} | set(t_set))

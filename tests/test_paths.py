@@ -81,7 +81,7 @@ def test_nilp_validation():
 
 def test_path_weight_sum_examples():
     for j in range(3):
-        assert path_weight_sum(0, j, 3) == MultiPoly.const(1, 5)
+        assert path_weight_sum(0, j, 3) == MultiPoly.const(1)
     assert poly_str(path_weight_sum(2, 1, 3)) == "x^2 + 2*x*y"
     assert path_weight_sum(1, 0, 3) == monomial(1, x=1)
     assert poly_str(path_weight_sum(1, 1, 2, refined=True)) == "x + x*z"
