@@ -13,7 +13,8 @@ environment variable ASMDPP_MAX_N caps the order accepted by every
 command that takes --n (a larger order exits with 2) and lowers verify's
 --max-n.  --output FILE replaces a regular FILE only when the command
 returns, so a refused command (exit 2) leaves an existing FILE as it
-was; a device or a pipe is written through.
+was; a device or a pipe is written through, and a FILE that cannot be
+opened for writing (a directory, a missing parent) exits with 2.
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (one line per suite: checks, failures and
 seconds) or under --timings (json).
@@ -86,15 +87,24 @@ def _text_of(kind: str, obj: object) -> str:
     raise AsmDppError(f"unknown kind {kind!r}")
 
 
+def _open_output(path: Path, shown: str) -> TextIO:
+    """Open path for writing; an OSError becomes a usage error that names
+    the FILE the user gave."""
+    try:
+        return path.open("w")
+    except OSError as exc:
+        raise AsmDppError(f"cannot write {shown}: {exc.strerror or exc}") from None
+
+
 @contextmanager
-def _replaced_on_success(path: Path) -> Iterator[TextIO]:
+def _replaced_on_success(path: Path, shown: str) -> Iterator[TextIO]:
     """Write to <path>.<pid>.tmp and rename it onto path only if the
     block completes; on any exception, including an early close of a
     generator that writes in the block, delete it and leave path as it
     was."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
+        with _open_output(tmp, shown) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -275,10 +285,10 @@ def main(argv: list[str] | None = None) -> int:
             path = Path(args.output)
             if path.exists() and not path.is_file():
                 # a device or a pipe cannot be replaced: write through it
-                with path.open("w") as out:
+                with _open_output(path, args.output) as out:
                     return args.fn(args, out)
             # a command that raises (exit 2) leaves an existing file intact
-            with _replaced_on_success(path.resolve()) as out:
+            with _replaced_on_success(path.resolve(), args.output) as out:
                 return args.fn(args, out)
         return args.fn(args, sys.stdout)
     except AsmDppError as exc:

@@ -10,9 +10,9 @@ minor per column subset, so cost grows like 2^n.  At the cap,
 machine (the tuple-keyed kernel before packed exponents took 46 s).
 
 MATRIX_BUILD_MAX_N caps the order of a named matrix (matrices.build);
-the slowest family, M_PRIME, builds in 0.5 s at order 32 and 1.3 s at
-order 40 on a 2-vCPU machine, and without a cap a large order runs out
-of memory.
+the slowest family, M_PRIME, builds in 1.0-1.3 s at order 32 and
+2.7-3.2 s at order 40 on a 2-vCPU machine with CPython 3.11, and without
+a cap a large order runs out of memory.
 
 EXPONENT_FIELD_BITS is the width of the bit field that holds one
 variable's exponent in a packed polynomial key; its top bit is a guard

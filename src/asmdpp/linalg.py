@@ -1,10 +1,11 @@
 """Exact matrix algebra over the polynomial ring and over the rationals.
 
 ``PolyMatrix`` holds MultiPoly or OmegaPoly entries (homogeneous per
-matrix).  The determinant is division-free expansion by minors, memoized
-over column subsets (2^n subproblems), which is safe over any
-commutative ring; each minor is one fused sum of products over the entry
-type.  ``divide_exact`` is exact polynomial division that
+matrix); ``PolyMatrix.square(n, entry)`` builds every square matrix
+from its entry rule.  The determinant is division-free expansion by
+minors, memoized over column subsets (2^n subproblems), which is safe
+over any commutative ring; each minor is one fused sum of products over
+the entry type.  ``divide_exact`` is exact polynomial division that
 raises unless the divisor divides.
 
 Rational matrices are plain nested lists of ``Fraction``; ``det_rat``
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import DET_POLY_MAX_N
@@ -45,10 +46,13 @@ class PolyMatrix:
         return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
+    def square(cls, n: int, entry: Callable[[int, int], object]) -> "PolyMatrix":
+        """The n x n matrix whose (i, j) entry is entry(i, j)."""
+        return cls(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+    @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        return cls(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-        )
+        return cls.square(n, lambda i, j: ONE if i == j else ZERO)
 
     @property
     def n_rows(self) -> int:

@@ -2,28 +2,35 @@
 exact relations between them.
 
 All matrices are n x n, indexed 0 <= i, j <= n-1, over Z[x, y, z, w, q]
-(with the omega extension where needed):
+(with the omega extension where needed), and each is one entry rule on
+PolyMatrix.square:
 
-  M_BAR      -delta(i,j+1) + sum_k C(i-1,i-k) C(j+1,k) x^k y^(i-k); in the
-             refined form the last column carries the z-refined sum
-             sum_{k,l} C(i-1,i-k) C(n-l-1,k-l) x^k y^(i-k) z^l.  Its
-             determinant is the full generating function of both families.
-             The entries are the path weight sums of paths.path_weight_sum,
-             assembled by paths.lgv_matrix.
+  M_BAR      -delta(i,j+1) + sum_k C(i-1,i-k) C(j+1,k) x^k y^(i-k), the
+             path weight sums of paths.path_weight_sum assembled by
+             paths.lgv_matrix.  Its determinant is the full generating
+             function of both families.
   M_BAR_W    M_BAR with the binomial sum (not the -delta term) multiplied
              by w; the determinant then also tracks the row count.
-  M_ASM      (1-omega) delta(i,j) + omega sum_k C(i,k) C(j,k) x^k y^(i-k),
-             last column z-refined with z^(l+1) and C(n-l-2, k-l).
-  M_DPP      M_BAR with the last column multiplied by 1 + omega (z-1).
-  M_PRIME    delta(i,j) + sum_{k<i} sum_l C(j,l) C(k,l) x^(l+1) y^(k-l),
-             last column z-refined.
-  M_DPRIME   C(j+1,i) x^i - C(i-1,i-j-1) (-y)^(i-j-1), last column
-             z-refined to sum_k C(n-k-1,i-k) x^i z^k.
+  M_ASM      (1-omega) delta(i,j) + omega sum_k C(i,k) C(j,k) x^k y^(i-k).
+  M_DPP      M_BAR, with the last column multiplied by 1 + omega (z-1)
+             when refined.
+  M_PRIME    delta(i,j) + sum_{k<i} sum_l C(j,l) C(k,l) x^(l+1) y^(k-l).
+  M_DPRIME   C(j+1,i) x^i - C(i-1,i-j-1) (-y)^(i-j-1).
   S          subdiagonal shift, delta(i,j+1).
   B          C(i-1,i-j) y^(i-j), lower triangular with unit diagonal.
   L          C(i,j) x^i y^j (the two-parameter triangular family, with
              the parameters played by x and y; rational instances are
              built by l_matrix_rat).
+
+The z-refinement (refined=True, the default) tracks the column of the
+first-row 1 on the ASM side and the number of parts equal to n on the
+DPP side.  It touches the last column alone, and there one rule,
+paths.split_binom, splits the binomial whose top index is the column:
+
+  C(top, k) = sum_l C(top-1-l, k-l),  part l weighted z^(l+n-top),
+
+with top = j+1 in M_BAR and M_DPRIME and top = j in M_ASM and M_PRIME.
+At z = 1 every refined matrix is the unrefined one.
 
 omega is a root of  y*omega^2 + (1 - x - y)*omega + x = 0.  Symbolic
 checks never pick a root: they test divisibility by the quadratic, which
@@ -34,13 +41,15 @@ rationally, so no square roots appear anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from random import Random
+from typing import Iterator
 
 from .asm import z_asm_brute
 from .errors import ResourceLimitError, ValidationError
 from .limits import MATRIX_BUILD_MAX_N
 from .linalg import PolyMatrix, det_poly, det_rat, lift_to_omega
-from .paths import lgv_matrix, path_weight_sum
+from .paths import lgv_matrix, path_weight_sum, split_binom
 from .polynomial import (
     ONE,
     ZERO,
@@ -65,33 +74,20 @@ FAMILY_NAMES = (
 )
 
 
-def _masm_entry_poly(i: int, j: int, n: int, refined: bool) -> MultiPoly:
-    terms: dict[tuple, int] = {}
-    if refined and j == n - 1:
-        for k in range(i + 1):
-            for l in range(k + 1):
-                c = binom(i, k) * binom(n - l - 2, k - l)
-                if c:
-                    exp = (k, i - k, l + 1, 0, 0)
-                    terms[exp] = terms.get(exp, 0) + c
-    else:
-        for k in range(min(i, j) + 1):
-            c = binom(i, k) * binom(j, k)
-            if c:
-                terms[(k, i - k, 0, 0, 0)] = c
-    return MultiPoly(terms)
+def _delta(i: int, j: int) -> MultiPoly:
+    return ONE if i == j else ZERO
 
 
 def _masm(n: int, refined: bool) -> PolyMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            g = _masm_entry_poly(i, j, n, refined)
-            d0 = ONE if i == j else ZERO
-            row.append(OmegaPoly((d0, g - d0)))
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    def entry(i: int, j: int) -> OmegaPoly:
+        g = MultiPoly.from_term_list(
+            ((k, i - k, l, 0, 0), binom(i, k) * c)
+            for k in range(i + 1)
+            for l, c in split_binom(j, k, j, n, refined)
+        )
+        return OmegaPoly((_delta(i, j), g - _delta(i, j)))
+
+    return PolyMatrix.square(n, entry)
 
 
 def _mdpp(n: int, refined: bool) -> PolyMatrix:
@@ -99,98 +95,47 @@ def _mdpp(n: int, refined: bool) -> PolyMatrix:
     if not refined:
         return mbar
     z_minus_1 = monomial(1, z=1) - ONE
-    return PolyMatrix(
-        tuple(
-            tuple(OmegaPoly((e,)) for e in row[:-1])
-            + (OmegaPoly((row[-1], z_minus_1 * row[-1])),)
-            for row in mbar.entries
-        )
+    return PolyMatrix.square(
+        n,
+        lambda i, j: OmegaPoly((mbar[i, j], z_minus_1 * mbar[i, j] if j == n - 1 else ZERO)),
     )
 
 
 def _mprime(n: int, refined: bool) -> PolyMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms: dict[tuple, int] = {}
-            if refined and j == n - 1:
-                for k in range(i):
-                    for l in range(k + 1):
-                        for m in range(l + 1):
-                            c = binom(n - m - 2, l - m) * binom(k, l)
-                            if c:
-                                exp = (l + 1, k - l, m + 1, 0, 0)
-                                terms[exp] = terms.get(exp, 0) + c
-            else:
-                for k in range(i):
-                    for l in range(min(j, k) + 1):
-                        c = binom(j, l) * binom(k, l)
-                        if c:
-                            exp = (l + 1, k - l, 0, 0, 0)
-                            terms[exp] = terms.get(exp, 0) + c
-            e = MultiPoly(terms)
-            if i == j:
-                e = e + ONE
-            row.append(e)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    def entry(i: int, j: int) -> MultiPoly:
+        return _delta(i, j) + MultiPoly.from_term_list(
+            ((l + 1, k - l, m, 0, 0), binom(k, l) * c)
+            for k in range(i)
+            for l in range(k + 1)
+            for m, c in split_binom(j, l, j, n, refined)
+        )
+
+    return PolyMatrix.square(n, entry)
 
 
 def _mdprime(n: int, refined: bool) -> PolyMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms: dict[tuple, int] = {}
-            if refined and j == n - 1:
-                for k in range(i + 1):
-                    c = binom(n - k - 1, i - k)
-                    if c:
-                        terms[(i, 0, k, 0, 0)] = c
-            else:
-                c = binom(j + 1, i)
-                if c:
-                    terms[(i, 0, 0, 0, 0)] = c
-                d = binom(i - 1, i - j - 1)
-                if d:
-                    e = i - j - 1
-                    exp = (0, e, 0, 0, 0)
-                    sign = -1 if e % 2 == 0 else 1
-                    terms[exp] = terms.get(exp, 0) + sign * d
-            row.append(MultiPoly(terms))
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    def entry(i: int, j: int) -> MultiPoly:
+        terms = [((i, 0, l, 0, 0), c) for l, c in split_binom(j + 1, i, j, n, refined)]
+        if i > j:
+            e = i - j - 1
+            terms.append(((0, e, 0, 0, 0), (-1) ** (e + 1) * binom(i - 1, e)))
+        return MultiPoly.from_term_list(terms)
+
+    return PolyMatrix.square(n, entry)
 
 
 def shift_matrix(n: int) -> PolyMatrix:
-    return PolyMatrix(
-        tuple(
-            tuple(ONE if i == j + 1 else ZERO for j in range(n)) for i in range(n)
-        )
-    )
+    return PolyMatrix.square(n, lambda i, j: _delta(i, j + 1))
 
 
 def _bmat(n: int) -> PolyMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = binom(i - 1, i - j)
-            row.append(monomial(c, y=i - j) if c else ZERO)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix.square(
+        n, lambda i, j: monomial(binom(i - 1, i - j), y=i - j) if i >= j else ZERO
+    )
 
 
 def _lmat(n: int) -> PolyMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = binom(i, j)
-            row.append(monomial(c, x=i, y=j) if c else ZERO)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix.square(n, lambda i, j: monomial(binom(i, j), x=i, y=j))
 
 
 def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
@@ -251,42 +196,19 @@ def check_omega_relation(
     masm = build("M_ASM", n, refined)
     mdpp = lift_to_omega(build("M_DPP", n, refined))
     if perturbation is not None:
-        i, j = perturbation
-        bumped = masm.entries[i][j] + OmegaPoly((ONE,))
-        rows = [list(r) for r in masm.entries]
-        rows[i][j] = bumped
-        masm = PolyMatrix(tuple(tuple(r) for r in rows))
-    s = shift_matrix(n)
+        masm = masm + PolyMatrix.square(
+            n, lambda i, j: ONE if (i, j) == perturbation else ZERO
+        )
     x_minus_1 = monomial(1, x=1) - ONE
     neg_y = monomial(-1, y=1)
-    left = PolyMatrix(
-        tuple(
-            tuple(
-                OmegaPoly(
-                    (
-                        (ONE if i == j else ZERO) + x_minus_1 * s.entries[i][j],
-                        neg_y * s.entries[i][j],
-                    )
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+    left = PolyMatrix.square(
+        n,
+        lambda i, j: OmegaPoly(
+            (_delta(i, j) + x_minus_1 * _delta(i, j + 1), neg_y * _delta(i, j + 1))
+        ),
     )
-    st = s.transpose()
-    right = PolyMatrix(
-        tuple(
-            tuple(
-                OmegaPoly(
-                    (
-                        (ONE if i == j else ZERO) - st.entries[i][j],
-                        st.entries[i][j],
-                    )
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+    right = PolyMatrix.square(
+        n, lambda i, j: OmegaPoly((_delta(i, j) - _delta(j, i + 1), _delta(j, i + 1)))
     )
     diff = (left @ masm) - (mdpp @ right)
     return all(omega_congruent_zero(e) for row in diff.entries for e in row)
@@ -356,6 +278,16 @@ def _sample_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
+def _omega_points(seed: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Endless random (omega, y, z) with omega not in {0, 1}; a degenerate
+    omega is redrawn before y and z are drawn."""
+    rng = Random(seed)
+    while True:
+        omega = _sample_fraction(rng)
+        if omega not in (0, 1):
+            yield omega, _sample_fraction(rng), _sample_fraction(rng)
+
+
 def asmdet_holds_at(n: int, omega: Fraction, y: Fraction, z: Fraction) -> bool:
     """Check det M_ASM = (1 + omega (z-1)) Z at one admissible point."""
     omega, y, z = Fraction(omega), Fraction(y), Fraction(z)
@@ -372,39 +304,21 @@ def check_prop_asmdet_rational(n: int, trials: int, seed: int = 0) -> bool:
     """Randomized rational verification of the omega determinant formula.
 
     Each trial samples omega not in {0, 1} and free y, z, then solves for
-    the x that puts omega on the quadratic.  Degenerate draws resample."""
-    rng = Random(seed)
-    for _ in range(trials):
-        while True:
-            omega = _sample_fraction(rng)
-            if omega in (0, 1):
-                continue
-            y = _sample_fraction(rng)
-            z = _sample_fraction(rng)
-            break
-        if not asmdet_holds_at(n, omega, y, z):
-            return False
-    return True
+    the x that puts omega on the quadratic."""
+    return all(asmdet_holds_at(n, *pt) for pt in islice(_omega_points(seed), trials))
 
 
 def check_omega_relation_rational(n: int, points: int, seed: int = 0) -> bool:
     """Spot-check that the intertwining forces equal determinants at
     rational points of the omega variety."""
-    rng = Random(seed)
-    done = 0
-    while done < points:
-        omega = _sample_fraction(rng)
-        if omega in (0, 1):
-            continue
-        y = _sample_fraction(rng)
-        z = _sample_fraction(rng)
-        x = omega_parameterization(omega, y)
-        point = (x, y, z, Fraction(1), Fraction(1))
-        da = det_rat(evaluate_matrix_rat(build("M_ASM", n, refined=True), point, omega))
-        dd = det_rat(evaluate_matrix_rat(build("M_DPP", n, refined=True), point, omega))
+    masm = build("M_ASM", n, refined=True)
+    mdpp = build("M_DPP", n, refined=True)
+    for omega, y, z in islice(_omega_points(seed), points):
+        point = (omega_parameterization(omega, y), y, z, Fraction(1), Fraction(1))
+        da = det_rat(evaluate_matrix_rat(masm, point, omega))
+        dd = det_rat(evaluate_matrix_rat(mdpp, point, omega))
         if da != dd:
             return False
-        done += 1
     return True
 
 

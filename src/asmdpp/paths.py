@@ -28,7 +28,7 @@ from .dpp import Dpp
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
 from .linalg import PolyMatrix, det_poly
-from .polynomial import ZERO, MultiPoly, binom, monomial
+from .polynomial import ONE, ZERO, MultiPoly, binom, monomial
 
 
 @dataclass(frozen=True)
@@ -169,29 +169,34 @@ def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
     return _step_counts(p.paths, p.n - 1)
 
 
-def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
-    """Closed-form weight sum over all paths from (0, j) to (i, 0).
+def split_binom(top: int, k: int, j: int, n: int, refined: bool) -> list[tuple[int, int]]:
+    """C(top, k) as (z exponent, coefficient) pairs, refined in the last
+    column alone.
 
-    Plain columns:   sum_k C(i-1, i-k) C(j+1, k) x^k y^(i-k)
-    Refined top row: sum_k sum_l C(i-1, i-k) C(n-l-1, k-l) x^k y^(i-k) z^l
+    In the refined last column (j = n-1) it is the hockey-stick split
+    C(top, k) = sum_l C(top-1-l, k-l), with part l weighted z^(l+n-top);
+    everywhere else it is the single pair (0, C(top, k)).  Every named
+    matrix that carries z takes its last-column refinement from here.
+    """
+    if refined and j == n - 1:
+        return [(l + n - top, binom(top - 1 - l, k - l)) for l in range(k + 1)]
+    return [(0, binom(top, k))]
+
+
+def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
+    """Closed-form weight sum over all paths from (0, j) to (i, 0):
+
+        sum_k C(i-1, i-k) C(j+1, k) x^k y^(i-k),
+
+    with C(j+1, k) split by split_binom (the top row is row j = n-1).
     """
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError("grid indices out of range")
-    terms: dict[tuple, int] = {}
-    if refined and j == n - 1:
-        for k in range(i + 1):
-            for l in range(k + 1):
-                c = binom(i - 1, i - k) * binom(n - l - 1, k - l)
-                if c:
-                    exp = (k, i - k, l, 0, 0)
-                    terms[exp] = terms.get(exp, 0) + c
-    else:
-        for k in range(min(i, j + 1) + 1):
-            c = binom(i - 1, i - k) * binom(j + 1, k)
-            if c:
-                exp = (k, i - k, 0, 0, 0)
-                terms[exp] = terms.get(exp, 0) + c
-    return MultiPoly(terms)
+    return MultiPoly.from_term_list(
+        ((k, i - k, l, 0, 0), binom(i - 1, i - k) * c)
+        for k in range(i + 1)
+        for l, c in split_binom(j + 1, k, j, n, refined)
+    )
 
 
 def direct_path_weight_oracle(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
@@ -300,20 +305,11 @@ def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMat
     """-delta(i, j+1) + path weight sum, the matrix whose determinant
     carries the full family sum (M_BAR).  With w_weight the path weight
     sum, not the -delta term, is multiplied by w (M_BAR_W)."""
-    neg_one = MultiPoly.const(-1)
-    w = monomial(1, w=1)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = path_weight_sum(i, j, n, refined)
-            if w_weight:
-                e = e * w
-            if i == j + 1:
-                e = e + neg_one
-            row.append(e)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    w = monomial(1, w=1) if w_weight else ONE
+    return PolyMatrix.square(
+        n,
+        lambda i, j: path_weight_sum(i, j, n, refined) * w - (ONE if i == j + 1 else ZERO),
+    )
 
 
 def lgv_nilp_sum(n: int, refined: bool = False) -> MultiPoly:

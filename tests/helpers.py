@@ -1,6 +1,6 @@
 """Shared cached enumerations so the suite never rebuilds a family twice,
-the reference polynomial kernel and ASM and DPP enumerators of the
-differential tests, and a rational matrix product."""
+the reference polynomial kernel, ASM and DPP enumerators and matrix
+builders of the differential tests, and a rational matrix product."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +9,8 @@ from typing import Iterator, Sequence
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
 from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
 from asmdpp.errors import ValidationError
-from asmdpp.polynomial import NVARS
+from asmdpp.linalg import PolyMatrix
+from asmdpp.polynomial import NVARS, ONE, ZERO, MultiPoly, OmegaPoly, binom, monomial
 
 
 @lru_cache(maxsize=None)
@@ -397,6 +398,200 @@ def per_node_asms(n: int) -> Iterator[Asm]:
             rows.pop()
 
     yield from build(0)
+
+
+# --- Reference matrix builders -----------------------------------------------
+# The per-family builders that wrote the last-column z-refinement once per
+# family and assembled their rows by hand, kept verbatim as the oracle of
+# the one-assembler builders.  reference_build dispatches like
+# matrices.build, without its order checks.
+
+
+def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
+    """Closed-form weight sum over all paths from (0, j) to (i, 0).
+
+    Plain columns:   sum_k C(i-1, i-k) C(j+1, k) x^k y^(i-k)
+    Refined top row: sum_k sum_l C(i-1, i-k) C(n-l-1, k-l) x^k y^(i-k) z^l
+    """
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValidationError("grid indices out of range")
+    terms: dict[tuple, int] = {}
+    if refined and j == n - 1:
+        for k in range(i + 1):
+            for l in range(k + 1):
+                c = binom(i - 1, i - k) * binom(n - l - 1, k - l)
+                if c:
+                    exp = (k, i - k, l, 0, 0)
+                    terms[exp] = terms.get(exp, 0) + c
+    else:
+        for k in range(min(i, j + 1) + 1):
+            c = binom(i - 1, i - k) * binom(j + 1, k)
+            if c:
+                exp = (k, i - k, 0, 0, 0)
+                terms[exp] = terms.get(exp, 0) + c
+    return MultiPoly(terms)
+
+
+def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMatrix:
+    """-delta(i, j+1) + path weight sum, the matrix whose determinant
+    carries the full family sum (M_BAR).  With w_weight the path weight
+    sum, not the -delta term, is multiplied by w (M_BAR_W)."""
+    neg_one = MultiPoly.const(-1)
+    w = monomial(1, w=1)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = path_weight_sum(i, j, n, refined)
+            if w_weight:
+                e = e * w
+            if i == j + 1:
+                e = e + neg_one
+            row.append(e)
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def _masm_entry_poly(i: int, j: int, n: int, refined: bool) -> MultiPoly:
+    terms: dict[tuple, int] = {}
+    if refined and j == n - 1:
+        for k in range(i + 1):
+            for l in range(k + 1):
+                c = binom(i, k) * binom(n - l - 2, k - l)
+                if c:
+                    exp = (k, i - k, l + 1, 0, 0)
+                    terms[exp] = terms.get(exp, 0) + c
+    else:
+        for k in range(min(i, j) + 1):
+            c = binom(i, k) * binom(j, k)
+            if c:
+                terms[(k, i - k, 0, 0, 0)] = c
+    return MultiPoly(terms)
+
+
+def _masm(n: int, refined: bool) -> PolyMatrix:
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            g = _masm_entry_poly(i, j, n, refined)
+            d0 = ONE if i == j else ZERO
+            row.append(OmegaPoly((d0, g - d0)))
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def _mdpp(n: int, refined: bool) -> PolyMatrix:
+    mbar = lgv_matrix(n, refined)
+    if not refined:
+        return mbar
+    z_minus_1 = monomial(1, z=1) - ONE
+    return PolyMatrix(
+        tuple(
+            tuple(OmegaPoly((e,)) for e in row[:-1])
+            + (OmegaPoly((row[-1], z_minus_1 * row[-1])),)
+            for row in mbar.entries
+        )
+    )
+
+
+def _mprime(n: int, refined: bool) -> PolyMatrix:
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms: dict[tuple, int] = {}
+            if refined and j == n - 1:
+                for k in range(i):
+                    for l in range(k + 1):
+                        for m in range(l + 1):
+                            c = binom(n - m - 2, l - m) * binom(k, l)
+                            if c:
+                                exp = (l + 1, k - l, m + 1, 0, 0)
+                                terms[exp] = terms.get(exp, 0) + c
+            else:
+                for k in range(i):
+                    for l in range(min(j, k) + 1):
+                        c = binom(j, l) * binom(k, l)
+                        if c:
+                            exp = (l + 1, k - l, 0, 0, 0)
+                            terms[exp] = terms.get(exp, 0) + c
+            e = MultiPoly(terms)
+            if i == j:
+                e = e + ONE
+            row.append(e)
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def _mdprime(n: int, refined: bool) -> PolyMatrix:
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms: dict[tuple, int] = {}
+            if refined and j == n - 1:
+                for k in range(i + 1):
+                    c = binom(n - k - 1, i - k)
+                    if c:
+                        terms[(i, 0, k, 0, 0)] = c
+            else:
+                c = binom(j + 1, i)
+                if c:
+                    terms[(i, 0, 0, 0, 0)] = c
+                d = binom(i - 1, i - j - 1)
+                if d:
+                    e = i - j - 1
+                    exp = (0, e, 0, 0, 0)
+                    sign = -1 if e % 2 == 0 else 1
+                    terms[exp] = terms.get(exp, 0) + sign * d
+            row.append(MultiPoly(terms))
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def shift_matrix(n: int) -> PolyMatrix:
+    return PolyMatrix(
+        tuple(
+            tuple(ONE if i == j + 1 else ZERO for j in range(n)) for i in range(n)
+        )
+    )
+
+
+def _bmat(n: int) -> PolyMatrix:
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c = binom(i - 1, i - j)
+            row.append(monomial(c, y=i - j) if c else ZERO)
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def _lmat(n: int) -> PolyMatrix:
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c = binom(i, j)
+            row.append(monomial(c, x=i, y=j) if c else ZERO)
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def reference_build(name: str, n: int, refined: bool = True) -> PolyMatrix:
+    return {
+        "M_BAR": lambda: lgv_matrix(n, refined),
+        "M_BAR_W": lambda: lgv_matrix(n, refined, w_weight=True),
+        "M_ASM": lambda: _masm(n, refined),
+        "M_DPP": lambda: _mdpp(n, refined),
+        "M_PRIME": lambda: _mprime(n, refined),
+        "M_DPRIME": lambda: _mdprime(n, refined),
+        "S": lambda: shift_matrix(n),
+        "B": lambda: _bmat(n),
+        "L": lambda: _lmat(n),
+    }[name]()
 
 
 # --- Rational matrix product -----------------------------------------------

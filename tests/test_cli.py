@@ -269,3 +269,22 @@ def test_output_through_a_symlink_updates_its_target(capsys, tmp_path):
     assert main(["genfunc", "--n", "3", "--output", str(link)]) == 0
     assert link.is_symlink()
     assert target.read_text() == Z3 + "\n"
+
+
+def test_output_to_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "genfunc", "--n", "2", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "f"
+    code, out, err = run_cli(capsys, "genfunc", "--n", "2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []

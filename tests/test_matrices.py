@@ -7,6 +7,7 @@ from asmdpp.dpp import z_dpp_brute, z_dpp_brute_w
 from asmdpp.errors import ValidationError
 from asmdpp.linalg import det_poly
 from asmdpp.matrices import (
+    FAMILY_NAMES,
     asmdet_holds_at,
     build,
     check_aux_relations,
@@ -20,7 +21,8 @@ from asmdpp.matrices import (
     omega_parameterization,
     shift_matrix,
 )
-from asmdpp.polynomial import ONE, binom, poly_str
+from asmdpp.polynomial import ONE, Z_IDX, OmegaPoly, binom, poly_str
+from helpers import reference_build
 
 
 def test_mbar_order_1():
@@ -168,3 +170,27 @@ def test_mdpp_omega_only_in_last_column():
             if j < 3:
                 assert m.entries[i][j].degree <= 0
     assert any(m.entries[i][3].degree == 1 for i in range(4))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_builders_match_the_reference_builders(name):
+    # matrix_to_json also tells an OmegaPoly entry from a MultiPoly one
+    for n in range(1, 13):
+        for refined in (False, True):
+            assert matrix_to_json(build(name, n, refined)) == matrix_to_json(
+                reference_build(name, n, refined)
+            ), (name, n, refined)
+
+
+def _at_z_one(e):
+    if isinstance(e, OmegaPoly):
+        return OmegaPoly([c.substitute(Z_IDX, 1) for c in e.coeffs])
+    return e.substitute(Z_IDX, 1)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_refined_at_z_one_is_unrefined(name):
+    for n in range(1, 10):
+        refined = build(name, n, refined=True)
+        plain = build(name, n, refined=False)
+        assert refined.map_entries(_at_z_one) == plain, (name, n)
