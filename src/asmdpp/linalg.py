@@ -5,8 +5,12 @@ matrix); ``PolyMatrix.square(n, entry)`` builds every square matrix
 from its entry rule.  The determinant is division-free expansion by
 minors, memoized over column subsets (2^n subproblems), which is safe
 over any commutative ring; each minor is one fused sum of products over
-the entry type.  ``divide_exact`` is exact polynomial division that
-raises unless the divisor divides.
+the entry type.  The expansion multiplies its last row into the top
+layer only, so ``det_poly`` expands the transpose when the last column
+has more terms than the last row (an OmegaPoly entry counts the terms of
+all its coefficients; a tie keeps the rows): a z-refined last column
+then never enters a smaller minor.  ``divide_exact`` is exact polynomial
+division that raises unless the divisor divides.
 
 Rational matrices are plain nested lists of ``Fraction``; ``det_rat``
 uses exact Gaussian elimination.
@@ -178,16 +182,33 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(quotient)
 
 
+def _term_count(e) -> int:
+    """Terms of an entry; an OmegaPoly counts those of all its coefficients."""
+    if isinstance(e, OmegaPoly):
+        return sum(len(c._terms) for c in e.coeffs)
+    return len(e._terms)
+
+
 def det_poly(m: PolyMatrix):
     """Exact determinant of a square polynomial matrix (MultiPoly or
-    OmegaPoly entries), by division-free expansion by minors."""
+    OmegaPoly entries), by division-free expansion by minors.
+
+    The expansion multiplies its last row into the top layer only, so it
+    runs along the heavier last line: if the last column has more terms
+    than the last row, it expands the transpose (det M = det M^t); on a
+    tie it keeps the rows."""
     if not m.is_square():
         raise ValidationError("determinant of a non-square matrix")
     if m.n_rows > DET_POLY_MAX_N:
         raise ResourceLimitError(
             f"determinant order {m.n_rows} exceeds limit {DET_POLY_MAX_N}"
         )
-    return _det_minors(m.entries)
+    entries = m.entries
+    last_row = sum(map(_term_count, entries[-1]))
+    last_col = sum(_term_count(row[-1]) for row in entries)
+    if last_col > last_row:
+        entries = m.transpose().entries
+    return _det_minors(entries)
 
 
 def det_rat(m: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -290,13 +290,17 @@ def _omega_points(seed: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
 
 def asmdet_holds_at(n: int, omega: Fraction, y: Fraction, z: Fraction) -> bool:
     """Check det M_ASM = (1 + omega (z-1)) Z at one admissible point."""
+    return _asmdet_holds(build("M_ASM", n, refined=True), omega, y, z)
+
+
+def _asmdet_holds(masm: PolyMatrix, omega: Fraction, y: Fraction, z: Fraction) -> bool:
     omega, y, z = Fraction(omega), Fraction(y), Fraction(z)
     x = omega_parameterization(omega, y)
     if y * omega**2 + (1 - x - y) * omega + x != 0:
         raise ValidationError("parameterization failed to satisfy the quadratic")
     point = (x, y, z, Fraction(1), Fraction(1))
-    rat = evaluate_matrix_rat(build("M_ASM", n, refined=True), point, omega)
-    expected = (1 + omega * (z - 1)) * z_asm_brute(n).evaluate(point)
+    rat = evaluate_matrix_rat(masm, point, omega)
+    expected = (1 + omega * (z - 1)) * z_asm_brute(masm.n_rows).evaluate(point)
     return det_rat(rat) == expected
 
 
@@ -304,8 +308,9 @@ def check_prop_asmdet_rational(n: int, trials: int, seed: int = 0) -> bool:
     """Randomized rational verification of the omega determinant formula.
 
     Each trial samples omega not in {0, 1} and free y, z, then solves for
-    the x that puts omega on the quadratic."""
-    return all(asmdet_holds_at(n, *pt) for pt in islice(_omega_points(seed), trials))
+    the x that puts omega on the quadratic; M_ASM is built once."""
+    masm = build("M_ASM", n, refined=True)
+    return all(_asmdet_holds(masm, *pt) for pt in islice(_omega_points(seed), trials))
 
 
 def check_omega_relation_rational(n: int, points: int, seed: int = 0) -> bool:

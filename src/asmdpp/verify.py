@@ -44,6 +44,8 @@ class CheckResult:
     params: dict
     passed: bool
     elapsed: float
+    # "<Type>: <message>" of the exception that failed the check, if one did
+    error: str | None = None
 
     def sort_key(self):
         return (self.name, sorted((k, str(v)) for k, v in self.params.items()))
@@ -67,12 +69,16 @@ class VerifyReport:
             status = "PASS" if c.passed else "FAIL"
             params = " ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
             lines.append(f"{status} {self.suite}.{c.name}" + (f" [{params}]" if params else ""))
+            if c.error:
+                lines.append(f"    error: {c.error}")
         return lines
 
     def to_json(self, timings: bool = False) -> dict:
         checks = []
         for c in self.sorted_checks():
             item = {"name": c.name, "params": c.params, "passed": c.passed}
+            if c.error:
+                item["error"] = c.error
             if timings:
                 item["elapsed_s"] = round(c.elapsed, 6)
             checks.append(item)
@@ -98,11 +104,13 @@ def _marginal(z: MultiPoly, var: int, value: int) -> int:
 
 def _timed(run: Callable[[], bool], name: str, params: dict) -> CheckResult:
     start = time.perf_counter()
+    error = None
     try:
         ok = bool(run())
-    except Exception:
+    except Exception as exc:
         ok = False
-    return CheckResult(name, params, ok, time.perf_counter() - start)
+        error = f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, params, ok, time.perf_counter() - start, error)
 
 
 def _suite_theorem1(max_n: int, seed: int) -> Iterator[CheckResult]:

@@ -192,6 +192,41 @@ def test_verify_json_format(capsys):
     assert doc["passed"] is True
     assert doc["suites"][0]["suite"] == "theorem1"
     assert all("elapsed_s" not in c for c in doc["suites"][0]["checks"])
+    assert all("error" not in c for c in doc["suites"][0]["checks"])
+
+
+def test_verify_failing_check_says_why(capsys, monkeypatch):
+    # a raising check carries "<Type>: <message>"; a false identity and a
+    # passing check carry no error
+    from asmdpp import matrices, verify
+
+    def broken_genfunc_det(n):
+        raise TypeError(f"no determinant at n={n}")
+
+    monkeypatch.setattr(matrices, "genfunc_det", broken_genfunc_det)
+    monkeypatch.setattr(verify, "Z3_STRING", "not the polynomial")
+    args = ("verify", "--suite", "theorem1", "--max-n", "3")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL theorem1.canonical_string [n=3]",
+        "FAIL theorem1.genfunc_triple_equal [n=1]",
+        "    error: TypeError: no determinant at n=1",
+        "FAIL theorem1.genfunc_triple_equal [n=2]",
+        "    error: TypeError: no determinant at n=2",
+        "FAIL theorem1.genfunc_triple_equal [n=3]",
+        "    error: TypeError: no determinant at n=3",
+        "FAIL: 0/4 checks passed",
+    ]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert [c.get("error") for c in checks] == [
+        None,
+        "TypeError: no determinant at n=1",
+        "TypeError: no determinant at n=2",
+        "TypeError: no determinant at n=3",
+    ]
 
 
 def test_verify_unknown_suite(capsys):

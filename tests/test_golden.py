@@ -272,6 +272,7 @@ GENFUNC_SHA256 = {
         "6302908233fbd26c3cfcd74270958d0d09726479e28a8c9cab1cf2dccfef7c07",
         "1c4bd646638d96223679af93b109ab11b764d0cc69e5600c95becfcfed6b3993",
         "7dc001a0aed80b999d5027acd44d6b4bea0e647e83e6e14d24c054e074f04f83",
+        "203d91100da14c525c5e73e163469982b0670a11e04ade957a7fb45a660be2de",
     ),
     "det-w": (
         "cf945b5236e101dbe0471d5200f28b1ae64f21c1f35bf55fcf40cd0fe42cd8e7",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmdpp import linalg
 from asmdpp.errors import ValidationError
 from asmdpp.linalg import (
     PolyMatrix,
@@ -157,9 +158,62 @@ def test_det_matches_the_tuple_kernel(name):
             assert got == _outcome(lambda: tuple_det_minors(ref)), (n, refined)
 
 
+def _term_counts(m):
+    # terms of the last row and of the last column
+    return sum(len(e.terms) for e in m.entries[-1]), sum(len(row[-1].terms) for row in m.entries)
+
+
+def _heavy_poly(rng):
+    exps = rng.sample([tuple(rng.randint(0, 2) for _ in range(NVARS)) for _ in range(40)], 8)
+    return MultiPoly({e: rng.choice((-2, -1, 1, 2)) for e in set(exps)})
+
+
 def test_det_of_random_matrices_matches_the_tuple_kernel():
     rng = Random(5)
     for n in (1, 2, 3, 4, 5):
         m = poly_matrix(n, rng)
         ref = tuple_det_minors([[TuplePoly.of(e) for e in row] for row in m])
         assert TuplePoly.of(det_poly(PolyMatrix.from_rows(m))) == ref
+    # a heavy last row is expanded as given, a heavy last column transposed
+    for heavy_row in (True, False):
+        for n in (2, 3, 4, 5):
+            m = poly_matrix(n, rng)
+            for i in range(n):
+                if heavy_row:
+                    m[-1][i] = _heavy_poly(rng)
+                else:
+                    m[i][-1] = _heavy_poly(rng)
+            pm = PolyMatrix.from_rows(m)
+            row, col = _term_counts(pm)
+            assert row > col if heavy_row else col > row
+            ref = tuple_det_minors([[TuplePoly.of(e) for e in r] for r in m])
+            assert TuplePoly.of(det_poly(pm)) == ref, (n, heavy_row)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_both_orientations_give_the_same_determinant(name):
+    for refined in (True, False):
+        for n in range(1, 9):
+            m = build(name, n, refined)
+            rows = _outcome(lambda: linalg._det_minors(m.entries))
+            cols = _outcome(lambda: linalg._det_minors(m.transpose().entries))
+            assert rows == cols == _outcome(lambda: det_poly(m)), (n, refined)
+            assert _outcome(lambda: det_poly(m.transpose())) == rows, (n, refined)
+
+
+def test_det_expands_along_the_heavier_last_line(monkeypatch):
+    seen = []
+    kernel = linalg._det_minors
+    monkeypatch.setattr(linalg, "_det_minors", lambda e: seen.append(e) or kernel(e))
+    refined, plain = build("M_BAR", 5, refined=True), build("M_BAR", 5, refined=False)
+    for m in (refined, plain):
+        assert m.entries != m.transpose().entries
+    # z sits in the refined last column only
+    row, col = _term_counts(refined)
+    assert col > row
+    det_poly(refined)
+    assert seen.pop() == refined.transpose().entries
+    row, col = _term_counts(plain)
+    assert col <= row
+    det_poly(plain)
+    assert seen.pop() == plain.entries
