@@ -28,18 +28,19 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from . import verify as verify_mod
-from .asm import asm_from_json, asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
-from .dpp import dpp_from_json, dpp_to_json, enumerate_dpps, z_dpp_brute
+from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
+from .dpp import dpp_to_json, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
 from .limits import MAX_N_ENV_VAR
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
-from .paths import enumerate_nilp_families, nilp_from_json, nilp_to_json
+from .paths import enumerate_nilp_families, nilp_to_json
 from .polynomial import poly_str
-from .sixvertex import config_from_json, config_to_json, enumerate_configs
+from .sixvertex import config_to_json, enumerate_configs
 
 KINDS = ("asm", "dpp", "sixvertex", "nilp")
 GENFUNC_METHODS = ("det", "brute-asm", "brute-dpp", "det-w")
@@ -73,17 +74,22 @@ def _json_objects(kind: str, n: int) -> Iterator[object]:
     raise AsmDppError(f"unknown kind {kind!r}")
 
 
-def _text_of(kind: str, obj: object) -> str:
+def _text_lines(kind: str, n: int) -> Iterator[str]:
+    # formatted straight from the enumerated (already validated) objects
     if kind == "asm":
-        return asm_row_word(asm_from_json(obj))
+        return map(asm_row_word, enumerate_asms(n))
     if kind == "dpp":
-        rows = dpp_from_json(obj).rows
-        return " / ".join(" ".join(str(p) for p in row) for row in rows) if rows else "empty"
+        return (
+            " / ".join(" ".join(str(p) for p in row) for row in d.rows) if d.rows else "empty"
+            for d in enumerate_dpps(n)
+        )
     if kind == "sixvertex":
-        return " / ".join(" ".join(row) for row in config_from_json(obj).types)
+        return (" / ".join(" ".join(row) for row in c.types) for c in enumerate_configs(n))
     if kind == "nilp":
-        fam = nilp_from_json(obj)
-        return " / ".join("".join(p.steps) or "-" for p in fam.paths)
+        return (
+            " / ".join("".join(p.steps) or "-" for p in fam.paths)
+            for fam in enumerate_nilp_families(n)
+        )
     raise AsmDppError(f"unknown kind {kind!r}")
 
 
@@ -113,14 +119,15 @@ def _replaced_on_success(path: Path, shown: str) -> Iterator[TextIO]:
 
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
     _check_cap(args.n)
+    if args.format == "text":
+        for line in islice(_text_lines(args.kind, args.n), args.limit):
+            out.write(line + "\n")
+        return 0
     emitted = 0
     for obj in _json_objects(args.kind, args.n):
         if args.limit is not None and emitted >= args.limit:
             break
-        if args.format == "json":
-            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        else:
-            out.write(_text_of(args.kind, obj) + "\n")
+        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
         emitted += 1
     return 0
 

@@ -6,10 +6,11 @@ largest size that enumerates in reasonable time in pure Python).
 
 DET_POLY_MAX_N caps symbolic determinants; minor expansion computes one
 minor per column subset, so cost grows like 2^n.  At the cap,
-``genfunc --n 12`` takes 4.0-4.3 s and 41 MB peak RSS on a 2-vCPU
-machine with CPython 3.11 (10.3-10.7 s and 73 MB when the z-refined last
-column was expanded into every minor; the tuple-keyed kernel before
-packed exponents took 46 s).
+``genfunc --n 12`` (which expands M_DPRIME) takes 0.8-1.1 s and 41 MB
+peak RSS on a 2-vCPU machine with CPython 3.11 (3.9-4.1 s and 41 MB when
+it expanded M_BAR; 10.3-10.7 s and 73 MB when the z-refined last column
+was expanded into every minor; the tuple-keyed kernel before packed
+exponents took 46 s).
 
 MATRIX_BUILD_MAX_N caps the order of a named matrix (matrices.build);
 the slowest family, M_PRIME, builds in 1.0-1.3 s at order 32 and

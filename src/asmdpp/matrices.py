@@ -15,7 +15,8 @@ PolyMatrix.square:
   M_DPP      M_BAR, with the last column multiplied by 1 + omega (z-1)
              when refined.
   M_PRIME    delta(i,j) + sum_{k<i} sum_l C(j,l) C(k,l) x^(l+1) y^(k-l).
-  M_DPRIME   C(j+1,i) x^i - C(i-1,i-j-1) (-y)^(i-j-1).
+  M_DPRIME   C(j+1,i) x^i - C(i-1,i-j-1) (-y)^(i-j-1), with B M_DPRIME =
+             M_BAR; with w on the binomial part, B M_DPRIME_w = M_BAR_W.
   S          subdiagonal shift, delta(i,j+1).
   B          C(i-1,i-j) y^(i-j), lower triangular with unit diagonal.
   L          C(i,j) x^i y^j (the two-parameter triangular family, with
@@ -31,6 +32,11 @@ paths.split_binom, splits the binomial whose top index is the column:
 
 with top = j+1 in M_BAR and M_DPRIME and top = j in M_ASM and M_PRIME.
 At z = 1 every refined matrix is the unrefined one.
+
+genfunc_det expands M_DPRIME (or its w form), not M_BAR: det B = 1, so
+the two determinants are equal, and an M_DPRIME entry has at most two
+terms outside the refined last column where an M_BAR entry in row i has
+up to i + 1.  M_BAR stays the matrix of the LGV, aux and omega checks.
 
 omega is a root of  y*omega^2 + (1 - x - y)*omega + x = 0.  Symbolic
 checks never pick a root: they test divisibility by the quadratic, which
@@ -113,9 +119,13 @@ def _mprime(n: int, refined: bool) -> PolyMatrix:
     return PolyMatrix.square(n, entry)
 
 
-def _mdprime(n: int, refined: bool) -> PolyMatrix:
+def _mdprime(n: int, refined: bool, w_weight: bool = False) -> PolyMatrix:
+    """M_DPRIME; with w_weight its binomial part, not the (-y) part, is
+    multiplied by w, so that B M_DPRIME = M_BAR_W."""
+    w = 1 if w_weight else 0
+
     def entry(i: int, j: int) -> MultiPoly:
-        terms = [((i, 0, l, 0, 0), c) for l, c in split_binom(j + 1, i, j, n, refined)]
+        terms = [((i, 0, l, w, 0), c) for l, c in split_binom(j + 1, i, j, n, refined)]
         if i > j:
             e = i - j - 1
             terms.append(((0, e, 0, 0, 0), (-1) ** (e + 1) * binom(i - 1, e)))
@@ -138,6 +148,13 @@ def _lmat(n: int) -> PolyMatrix:
     return PolyMatrix.square(n, lambda i, j: monomial(binom(i, j), x=i, y=j))
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    if n > MATRIX_BUILD_MAX_N:
+        raise ResourceLimitError(f"matrix construction capped at order {MATRIX_BUILD_MAX_N}")
+
+
 def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     """Construct one of the named matrices at order n.
 
@@ -145,10 +162,7 @@ def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     omega factor sits only in the last column).  Everything else is
     omega-free MultiPoly.
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    if n > MATRIX_BUILD_MAX_N:
-        raise ResourceLimitError(f"matrix construction capped at order {MATRIX_BUILD_MAX_N}")
+    _check_order(n)
     if name == "M_BAR":
         return lgv_matrix(n, refined)
     if name == "M_BAR_W":
@@ -179,9 +193,16 @@ def l_matrix_rat(n: int, alpha: Fraction, beta: Fraction) -> list[list[Fraction]
 
 
 def genfunc_det(n: int, w_refined: bool = False) -> MultiPoly:
-    """The determinant route to the generating function."""
-    name = "M_BAR_W" if w_refined else "M_BAR"
-    return det_poly(build(name, n, refined=True))
+    """The determinant route to the generating function: det M_BAR (det
+    M_BAR_W when w_refined), z-refined, computed as det M_DPRIME.
+
+    B M_DPRIME = M_BAR with B unit lower triangular, so det B = 1 and the
+    two determinants are equal at every order; the same holds for the
+    w-weighted pair.  An M_DPRIME entry has at most two terms outside
+    the refined last column, where an M_BAR entry in row i has up to
+    i + 1, so every product in the minor expansion is smaller."""
+    _check_order(n)
+    return det_poly(_mdprime(n, refined=True, w_weight=w_refined))
 
 
 def check_omega_relation(

@@ -4,9 +4,10 @@ determinant were merged; and of the path families of both classes and
 the q- and w-refined DPP sums, pinned before the two path searches and
 the DPP statistics counters were merged; of the determinant generating
 functions, pinned before the polynomial kernel was packed; of the
-DPP stream, pinned before the enumerator stopped sorting the family; and
-of the `verify --suite all` report, pinned before the polynomial ring
-lost its arity parameter.  Any change to these bytes must be
+DPP stream, pinned before the enumerator stopped sorting the family; of
+the `verify --suite all` report, pinned before the polynomial ring lost
+its arity parameter; and of the text form of the other enumerations,
+pinned before it stopped parsing each JSON record again.  Any change to these bytes must be
 deliberate."""
 
 import hashlib
@@ -258,8 +259,39 @@ DPP_ENUM_SHA256 = {
     ),
 }
 
-# `genfunc --method det --n k` and `genfunc --method det-w --n k`, k = 1..10,
-# pinned before the packed-exponent kernel replaced the tuple-keyed one
+# `enumerate --kind K --n k --format text`, k = 1..6, pinned while the text
+# form was still made from a second parse of each JSON record
+ENUM_TEXT_SHA256 = {
+    "asm": (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "4ca9be3bf73122996913e7c17e25e2c1290df446c7b76531918887e158e35612",
+        "52b45e4c8a0865c55be42ce63437d232d7591c8aacf861af071e1db3472e7865",
+        "e061c109a220e7efd506d9b0458312268f9120a94326fc1faa3859c93633dec8",
+        "a24eec3febf1de88d37180fb25c122bf1e638c282911156231232ebe64bf25cb",
+        "e807d50a38190a86f99f50bf7e32bb655ec89c28df315db96300c8dd0e5e1fe3",
+    ),
+    "sixvertex": (
+        "1b35060c33bd673408add98a1e47d4b5e7916e529207c38100b39af08358444f",
+        "bc3d5aa58c5a05b88ddfc5f823ffff65894e171ff7ec6ee8514d7e9b00e6d62d",
+        "a469cd748189d6808a59847662c328fa85129cc327f444258fb8e77a1d3f37ee",
+        "aa3ce729d68e5b652160cc19ac205594c4d570ab401cbbca90a09e1fb29e244a",
+        "0f77e1ad16cc670ebc5e45aa316fd2ffb7dee4abd63dba59beb5016592e573bf",
+        "ce03f2a8a58c801ada8c9f3ee6ffb0bd0df0188bcd6dc3ce0826921b91929aba",
+    ),
+    "nilp": (
+        "61d1954b9aba0c9aedb8d1338804e817c7262cfc36da94161dab8e3ed7a3a43a",
+        "b529ea1756ad8d49bb799cbbcf428e7f3139a13096cf20e53707896a7826f02d",
+        "1efd4bf900478689b696b27e16c0d13afefbfddcb50b337ad9ce5d7800519e36",
+        "f7d394d4ef22f6be2aba54369826b72ba2bf52192294aa7ebab22b1cefabc443",
+        "5f909630ffeb279c7a8ec4f5df24356ed26a8496c4667f46bec4a7fe922dd847",
+        "6df74f7ba27078255261fccd8a92f9952fbccb61208a5fc055492cf51a92fed7",
+    ),
+}
+
+# `genfunc --method det --n k`, k = 1..12, and `genfunc --method det-w --n k`,
+# k = 1..11; k <= 10 pinned before the packed-exponent kernel replaced the
+# tuple-keyed one, det k = 11, 12 and det-w k = 11 while the determinant
+# was still expanded from M_BAR rather than M_DPRIME
 GENFUNC_SHA256 = {
     "det": (
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
@@ -273,6 +305,7 @@ GENFUNC_SHA256 = {
         "1c4bd646638d96223679af93b109ab11b764d0cc69e5600c95becfcfed6b3993",
         "7dc001a0aed80b999d5027acd44d6b4bea0e647e83e6e14d24c054e074f04f83",
         "203d91100da14c525c5e73e163469982b0670a11e04ade957a7fb45a660be2de",
+        "c54f644d78848408c1df592d47303325d5f858467d8bc2346c14b319bd87d271",
     ),
     "det-w": (
         "cf945b5236e101dbe0471d5200f28b1ae64f21c1f35bf55fcf40cd0fe42cd8e7",
@@ -285,6 +318,7 @@ GENFUNC_SHA256 = {
         "fa37bd15ecef8f4a3213e71bf99d473b0fee5e2277d2e9ae2a19c60e5e0b01d9",
         "fec8ed33e5728e97f9aa7665523168f47191374ed1620e74673d3f5a02ac39bd",
         "fcce4ac3a8b387961d3ee049ae253868c71c4aca1bc23e2795ba9b2b40a24e57",
+        "0ffa237004d508a22928865fcb76a15e024ee06a544a345bce1563da39c92192",
     ),
 }
 
@@ -346,6 +380,15 @@ def test_dpp_q_and_w_sums_are_unchanged():
     for n in ORDERS:
         assert _sha256(poly_str(q_sum_of_parts(n))) == Q_SUM_SHA256[n - 1], n
         assert _sha256(poly_str(z_dpp_brute_w(n))) == Z_DPP_W_SHA256[n - 1], n
+
+
+@pytest.mark.parametrize("kind", sorted(ENUM_TEXT_SHA256))
+def test_enumeration_text_is_unchanged(capsys, kind):
+    for n in ORDERS:
+        assert (
+            _digest(capsys, "enumerate", "--kind", kind, "--n", str(n), "--format", "text")
+            == ENUM_TEXT_SHA256[kind][n - 1]
+        ), n
 
 
 @pytest.mark.parametrize("method", sorted(GENFUNC_SHA256))

@@ -4,10 +4,13 @@ import pytest
 
 from asmdpp.asm import z_asm_brute
 from asmdpp.dpp import z_dpp_brute, z_dpp_brute_w
-from asmdpp.errors import ValidationError
+from asmdpp.errors import ResourceLimitError, ValidationError
+from asmdpp.limits import DET_POLY_MAX_N
 from asmdpp.linalg import det_poly
 from asmdpp.matrices import (
     FAMILY_NAMES,
+    _bmat,
+    _mdprime,
     asmdet_holds_at,
     build,
     check_aux_relations,
@@ -21,7 +24,7 @@ from asmdpp.matrices import (
     omega_parameterization,
     shift_matrix,
 )
-from asmdpp.polynomial import ONE, Z_IDX, OmegaPoly, binom, poly_str
+from asmdpp.polynomial import ONE, Z_IDX, ZERO, OmegaPoly, binom, poly_str
 from helpers import reference_build
 
 
@@ -141,14 +144,44 @@ def test_l_builder_matches_rational_instance():
 
 
 def test_b_builder_is_unitriangular():
-    b = build("B", 4)
-    for i in range(4):
-        for j in range(4):
-            v = b.entries[i][j].evaluate((1, 1, 1, 1, 1))
-            if i == j:
-                assert v == 1
-            elif j > i:
-                assert v == 0
+    # so det B = 1, and B M_DPRIME = M_BAR makes det M_DPRIME = det M_BAR
+    for n in range(1, DET_POLY_MAX_N + 1):
+        b = build("B", n)
+        for i in range(n):
+            assert b.entries[i][i] == ONE, (n, i)
+            assert all(b.entries[i][j] == ZERO for j in range(i + 1, n)), (n, i)
+
+
+@pytest.mark.parametrize("w_weight", [False, True])
+@pytest.mark.parametrize("refined", [False, True])
+def test_b_times_mdprime_is_mbar(refined, w_weight):
+    target = "M_BAR_W" if w_weight else "M_BAR"
+    for n in range(1, DET_POLY_MAX_N + 1):
+        assert _bmat(n) @ _mdprime(n, refined, w_weight) == build(target, n, refined), n
+
+
+def test_mdprime_entries_have_at_most_two_terms_off_the_refined_column():
+    for n in range(1, DET_POLY_MAX_N + 1):
+        for refined in (False, True):
+            m = _mdprime(n, refined, w_weight=True)
+            last = n - 1 if refined else n
+            assert all(len(row[j].terms) <= 2 for row in m.entries for j in range(last)), n
+
+
+def test_genfunc_det_refuses_an_order_before_building_the_matrix():
+    with pytest.raises(ValidationError):
+        genfunc_det(0)
+    with pytest.raises(ResourceLimitError, match="capped at order 32"):
+        genfunc_det(10**6, w_refined=True)
+    with pytest.raises(ResourceLimitError, match="exceeds limit 12"):
+        genfunc_det(DET_POLY_MAX_N + 1)
+
+
+@pytest.mark.parametrize("w_refined", [False, True])
+def test_genfunc_det_equals_det_of_mbar(w_refined):
+    name = "M_BAR_W" if w_refined else "M_BAR"
+    for n in range(1, 10):
+        assert genfunc_det(n, w_refined) == det_poly(build(name, n)), n
 
 
 def test_matrix_json_shapes():
