@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
@@ -230,10 +230,6 @@ def asm_to_json(a: Asm) -> list[list[int]]:
     return [list(row) for row in a.rows]
 
 
-def asm_from_json(obj: Sequence[Sequence[int]]) -> Asm:
-    return Asm(tuple(tuple(int(v) for v in row) for row in obj))
-
-
 def asm_row_word(a: Asm) -> str:
     """Compact text form: per row, the 1-based columns of the nonzero
     entries joined by '.', rows joined by '/'.  Signs are implied by the
@@ -242,19 +238,3 @@ def asm_row_word(a: Asm) -> str:
         ".".join(str(j + 1) for j, v in enumerate(row) if v) for row in a.rows
     )
 
-
-def asm_from_row_word(word: str) -> Asm:
-    encoded_rows = word.split("/")
-    n = len(encoded_rows)
-    rows = []
-    for encoded in encoded_rows:
-        row = [0] * n
-        sign = 1
-        for tok in encoded.split("."):
-            j = int(tok) - 1
-            if not 0 <= j < n:
-                raise ValidationError(f"column {tok} out of range")
-            row[j] = sign
-            sign = -sign
-        rows.append(tuple(row))
-    return Asm(tuple(rows))

@@ -34,15 +34,14 @@ from typing import Iterator, TextIO
 
 from . import verify as verify_mod
 from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
-from .dpp import dpp_to_json, enumerate_dpps, z_dpp_brute
+from .dpp import Dpp, dpp_to_json, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
 from .limits import MAX_N_ENV_VAR
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
-from .paths import enumerate_nilp_families, nilp_to_json
+from .paths import NilpSet, enumerate_nilp_families, nilp_to_json
 from .polynomial import poly_str
-from .sixvertex import config_to_json, enumerate_configs
+from .sixvertex import SixVertexConfig, config_to_json, enumerate_configs
 
-KINDS = ("asm", "dpp", "sixvertex", "nilp")
 GENFUNC_METHODS = ("det", "brute-asm", "brute-dpp", "det-w")
 
 
@@ -62,35 +61,28 @@ def _check_cap(n: int) -> None:
         raise AsmDppError(f"order {n} exceeds {MAX_N_ENV_VAR}={cap}")
 
 
-def _json_objects(kind: str, n: int) -> Iterator[object]:
-    if kind == "asm":
-        return (asm_to_json(a) for a in enumerate_asms(n))
-    if kind == "dpp":
-        return (dpp_to_json(d) for d in enumerate_dpps(n))
-    if kind == "sixvertex":
-        return (config_to_json(c) for c in enumerate_configs(n))
-    if kind == "nilp":
-        return (nilp_to_json(p) for p in enumerate_nilp_families(n))
-    raise AsmDppError(f"unknown kind {kind!r}")
+def _dpp_text(d: Dpp) -> str:
+    return " / ".join(" ".join(str(p) for p in row) for row in d.rows) if d.rows else "empty"
 
 
-def _text_lines(kind: str, n: int) -> Iterator[str]:
-    # formatted straight from the enumerated (already validated) objects
-    if kind == "asm":
-        return map(asm_row_word, enumerate_asms(n))
-    if kind == "dpp":
-        return (
-            " / ".join(" ".join(str(p) for p in row) for row in d.rows) if d.rows else "empty"
-            for d in enumerate_dpps(n)
-        )
-    if kind == "sixvertex":
-        return (" / ".join(" ".join(row) for row in c.types) for c in enumerate_configs(n))
-    if kind == "nilp":
-        return (
-            " / ".join("".join(p.steps) or "-" for p in fam.paths)
-            for fam in enumerate_nilp_families(n)
-        )
-    raise AsmDppError(f"unknown kind {kind!r}")
+def _config_text(c: SixVertexConfig) -> str:
+    return " / ".join(" ".join(row) for row in c.types)
+
+
+def _nilp_text(fam: NilpSet) -> str:
+    return " / ".join("".join(p.steps) or "-" for p in fam.paths)
+
+
+# kind -> (enumerator, JSON form, text form); both forms are taken straight
+# from the enumerated (already validated) objects
+_KIND_FORMS = {
+    "asm": (enumerate_asms, asm_to_json, asm_row_word),
+    "dpp": (enumerate_dpps, dpp_to_json, _dpp_text),
+    "sixvertex": (enumerate_configs, config_to_json, _config_text),
+    "nilp": (enumerate_nilp_families, nilp_to_json, _nilp_text),
+}
+
+KINDS = tuple(_KIND_FORMS)
 
 
 def _open_output(path: Path, shown: str) -> TextIO:
@@ -119,16 +111,14 @@ def _replaced_on_success(path: Path, shown: str) -> Iterator[TextIO]:
 
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
     _check_cap(args.n)
-    if args.format == "text":
-        for line in islice(_text_lines(args.kind, args.n), args.limit):
-            out.write(line + "\n")
-        return 0
-    emitted = 0
-    for obj in _json_objects(args.kind, args.n):
-        if args.limit is not None and emitted >= args.limit:
-            break
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        emitted += 1
+    enumerator, json_form, text_form = _KIND_FORMS[args.kind]
+    if args.format == "json":
+        lines = (json.dumps(json_form(obj), separators=(",", ":")) for obj in enumerator(args.n))
+    else:
+        lines = map(text_form, enumerator(args.n))
+    # islice stops after the limit-th line without drawing another object
+    for line in islice(lines, args.limit):
+        out.write(line + "\n")
     return 0
 
 

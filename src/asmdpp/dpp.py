@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
@@ -201,6 +201,3 @@ def q_sum_of_parts(n: int) -> MultiPoly:
 def dpp_to_json(d: Dpp) -> list[list[int]]:
     return [list(row) for row in d.rows]
 
-
-def dpp_from_json(obj: Sequence[Sequence[int]]) -> Dpp:
-    return Dpp(tuple(tuple(int(v) for v in row) for row in obj))

@@ -67,19 +67,6 @@ from .polynomial import (
 )
 from .sixvertex import homogeneous_point, homogeneous_weights, partition_function_explicit
 
-FAMILY_NAMES = (
-    "M_ASM",
-    "M_DPP",
-    "M_BAR",
-    "M_BAR_W",
-    "M_PRIME",
-    "M_DPRIME",
-    "S",
-    "B",
-    "L",
-)
-
-
 def _delta(i: int, j: int) -> MultiPoly:
     return ONE if i == j else ZERO
 
@@ -155,6 +142,22 @@ def _check_order(n: int) -> None:
         raise ResourceLimitError(f"matrix construction capped at order {MATRIX_BUILD_MAX_N}")
 
 
+# name -> builder(n, refined); the order is that of `matrix --name`
+_BUILDERS = {
+    "M_ASM": _masm,
+    "M_DPP": _mdpp,
+    "M_BAR": lgv_matrix,
+    "M_BAR_W": lambda n, refined: lgv_matrix(n, refined, w_weight=True),
+    "M_PRIME": _mprime,
+    "M_DPRIME": _mdprime,
+    "S": lambda n, refined: shift_matrix(n),
+    "B": lambda n, refined: _bmat(n),
+    "L": lambda n, refined: _lmat(n),
+}
+
+FAMILY_NAMES = tuple(_BUILDERS)
+
+
 def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     """Construct one of the named matrices at order n.
 
@@ -163,25 +166,10 @@ def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     omega-free MultiPoly.
     """
     _check_order(n)
-    if name == "M_BAR":
-        return lgv_matrix(n, refined)
-    if name == "M_BAR_W":
-        return lgv_matrix(n, refined, w_weight=True)
-    if name == "M_ASM":
-        return _masm(n, refined)
-    if name == "M_DPP":
-        return _mdpp(n, refined)
-    if name == "M_PRIME":
-        return _mprime(n, refined)
-    if name == "M_DPRIME":
-        return _mdprime(n, refined)
-    if name == "S":
-        return shift_matrix(n)
-    if name == "B":
-        return _bmat(n)
-    if name == "L":
-        return _lmat(n)
-    raise ValidationError(f"unknown matrix family {name!r}")
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise ValidationError(f"unknown matrix family {name!r}")
+    return builder(n, refined)
 
 
 def l_matrix_rat(n: int, alpha: Fraction, beta: Fraction) -> list[list[Fraction]]:
@@ -309,12 +297,9 @@ def _omega_points(seed: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
             yield omega, _sample_fraction(rng), _sample_fraction(rng)
 
 
-def asmdet_holds_at(n: int, omega: Fraction, y: Fraction, z: Fraction) -> bool:
-    """Check det M_ASM = (1 + omega (z-1)) Z at one admissible point."""
-    return _asmdet_holds(build("M_ASM", n, refined=True), omega, y, z)
-
-
-def _asmdet_holds(masm: PolyMatrix, omega: Fraction, y: Fraction, z: Fraction) -> bool:
+def asmdet_holds_at(masm: PolyMatrix, omega: Fraction, y: Fraction, z: Fraction) -> bool:
+    """Check det M_ASM = (1 + omega (z-1)) Z at one admissible point, for
+    the refined M_ASM of some order."""
     omega, y, z = Fraction(omega), Fraction(y), Fraction(z)
     x = omega_parameterization(omega, y)
     if y * omega**2 + (1 - x - y) * omega + x != 0:
@@ -331,7 +316,7 @@ def check_prop_asmdet_rational(n: int, trials: int, seed: int = 0) -> bool:
     Each trial samples omega not in {0, 1} and free y, z, then solves for
     the x that puts omega on the quadratic; M_ASM is built once."""
     masm = build("M_ASM", n, refined=True)
-    return all(_asmdet_holds(masm, *pt) for pt in islice(_omega_points(seed), trials))
+    return all(asmdet_holds_at(masm, *pt) for pt in islice(_omega_points(seed), trials))
 
 
 def check_omega_relation_rational(n: int, points: int, seed: int = 0) -> bool:

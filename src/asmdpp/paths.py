@@ -1,22 +1,17 @@
 """Nonintersecting lattice paths in bijection with descending plane
 partitions, path-weight sums, and the determinant identity they satisfy.
 
-The primary grid has Cartesian vertices (column, row) with
-0 <= column, row <= n-1; edges run rightward and downward.  A family in
-the primary class consists of vertex-disjoint paths from (0, L[i-1] - 1)
-to (L[i], 0) for i = 1 .. t+1, where n = L[0] > L[1] > ... > L[t] > 0 and
-L[t+1] = 0; the L[i] are the row lengths of the matching partition.
+The grid has Cartesian vertices (column, row) with 0 <= column, row <=
+n-1; edges run rightward and downward.  A family consists of
+vertex-disjoint paths from (0, L[i-1] - 1) to (L[i], 0) for
+i = 1 .. t+1, where n = L[0] > L[1] > ... > L[t] > 0 and L[t+1] = 0; the
+L[i] are the row lengths of the matching partition.
 
 Edge weights: a rightward step leaving column c at height h weighs x when
 c <= h and y when c > h; in the z-refined regime steps in the top row
 (h = n-1) weigh x*z instead of x.  Vertical steps weigh 1.  The counts of
 x-steps, y-steps and top-row steps of a family equal the statistics
 (nu, mu, rho) of the matching partition.
-
-The alternative class lives on the grid with columns 1 .. n-1 and rows
--1 .. n-1; paths run from (1, d_i) to (d_i, -1) for a strictly decreasing
-sequence n-1 >= d_1 > ... > d_t >= 1, where d_i + 1 is the first part of
-row i.
 """
 
 from __future__ import annotations
@@ -71,18 +66,6 @@ class LatticePath:
         return out
 
 
-def _check_family(paths: Sequence[LatticePath], columns: range, rows: range) -> None:
-    # every vertex inside the grid, no vertex shared by two paths
-    seen: set[tuple[int, int]] = set()
-    for p in paths:
-        for v in p.vertices():
-            if v[0] not in columns or v[1] not in rows:
-                raise ValidationError("path leaves the grid")
-            if v in seen:
-                raise ValidationError(f"paths share vertex {v}")
-            seen.add(v)
-
-
 @dataclass(frozen=True)
 class NilpSet:
     n: int
@@ -105,7 +88,14 @@ class NilpSet:
                 raise ValidationError(f"path {i + 1} starts at {p.start}")
             if p.end != (lengths[i], 0):
                 raise ValidationError(f"path {i + 1} ends at {p.end}")
-        _check_family(self.paths, range(n), range(n))
+        # with both ends inside the grid, a monotone path stays inside it;
+        # no vertex may be shared by two paths
+        seen: set[tuple[int, int]] = set()
+        for p in self.paths:
+            for v in p.vertices():
+                if v in seen:
+                    raise ValidationError(f"paths share vertex {v}")
+                seen.add(v)
 
 
 def _heights_to_path(
@@ -148,25 +138,20 @@ def nilp_to_dpp(p: NilpSet) -> Dpp:
     return Dpp(tuple(rows))
 
 
-def _step_counts(paths: Sequence[LatticePath], top_row: int) -> tuple[int, int, int]:
-    # rightward steps above the diagonal line (c <= h), below it at a
-    # nonnegative height, and in the top row
+def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
+    """(steps above the diagonal line, steps below it, steps in the top
+    row); equals (nu, mu, rho) of the matching partition."""
+    top_row = p.n - 1
     above = below = top = 0
-    for path in paths:
+    for path in p.paths:
         for c, h in path.right_steps():
             if c <= h:
                 above += 1
-            elif h >= 0:
+            else:
                 below += 1
             if h == top_row:
                 top += 1
     return (above, below, top)
-
-
-def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
-    """(steps above the diagonal line, steps below it, steps in the top
-    row); equals (nu, mu, rho) of the matching partition."""
-    return _step_counts(p.paths, p.n - 1)
 
 
 def split_binom(top: int, k: int, j: int, n: int, refined: bool) -> list[tuple[int, int]]:
@@ -329,78 +314,6 @@ def lgv_nilp_sum(n: int, refined: bool = False) -> MultiPoly:
     return det
 
 
-@dataclass(frozen=True)
-class NilpPrimeSet:
-    n: int
-    paths: tuple[LatticePath, ...]
-
-    def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ValidationError("order must be at least 1")
-        deltas = []
-        for i, p in enumerate(self.paths):
-            if p.start[0] != 1:
-                raise ValidationError(f"path {i + 1} must start in column 1")
-            delta = p.start[1]
-            if not 1 <= delta <= n - 1:
-                raise ValidationError("start height out of range")
-            if p.end != (delta, -1):
-                raise ValidationError(f"path {i + 1} must end at ({delta}, -1)")
-            deltas.append(delta)
-        if any(deltas[i] <= deltas[i + 1] for i in range(len(deltas) - 1)):
-            raise ValidationError("start heights must decrease strictly")
-        _check_family(self.paths, range(1, n), range(-1, n))
-
-
-def dpp_to_nilp_prime(d: Dpp, n: int) -> NilpPrimeSet:
-    """Row i maps to a path from (1, f-1) to (f-1, -1) where f is the
-    first part; the k-th rightward step at nonnegative height carries
-    part k+1 of the row, extra steps at height -1 pad the length."""
-    if d.rows and d.max_part > n:
-        raise ValidationError("parts exceed the ambient order")
-    paths = [
-        _heights_to_path((1, row[0] - 1), [p - 1 for p in row[1:]], (row[0] - 1, -1))
-        for row in d.rows
-    ]
-    return NilpPrimeSet(n, tuple(paths))
-
-
-def nilp_prime_to_dpp(p: NilpPrimeSet) -> Dpp:
-    rows = []
-    for path in p.paths:
-        parts = [path.start[1] + 1]
-        parts.extend(h + 1 for _, h in path.right_steps() if h >= 0)
-        rows.append(tuple(parts))
-    return Dpp(tuple(rows))
-
-
-def nilp_prime_statistics(p: NilpPrimeSet) -> tuple[int, int]:
-    """(number of paths plus steps above the diagonal line, steps below it
-    at nonnegative height); equals (nu, mu) of the matching partition."""
-    above, below, _ = _step_counts(p.paths, p.n - 1)
-    return (len(p.paths) + above, below)
-
-
-def enumerate_nilp_prime_families(n: int) -> Iterator[NilpPrimeSet]:
-    """Every family of the alternative class, found by direct search in
-    the order of enumerate_nilp_families."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    for deltas in _profiles(n):
-        for paths in _disjoint_families([((1, d), (d, -1)) for d in deltas]):
-            yield NilpPrimeSet(n, paths)
-
-
 def nilp_to_json(p: NilpSet) -> dict:
     return {"n": p.n, "paths": ["".join(path.steps) for path in p.paths]}
 
-
-def nilp_from_json(obj: dict) -> NilpSet:
-    n = int(obj["n"])
-    words = list(obj["paths"])
-    profile = [n] + [w.count("R") for w in words]
-    paths = [
-        LatticePath((0, profile[i] - 1), tuple(words[i])) for i in range(len(words))
-    ]
-    return NilpSet(n, tuple(paths))

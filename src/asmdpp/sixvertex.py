@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .asm import Asm, enumerate_asms, z_asm_brute
 from .errors import DegenerateParameterError, ValidationError
@@ -286,13 +286,9 @@ def ik_determinant_rat(pt: IkPoint) -> Fraction:
 
 def homogeneous_weights(q: Fraction, rho0: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """The (a, b, c) weights at the fully homogeneous point u = v = rho0^2."""
-    q = Fraction(q)
-    r = Fraction(rho0) ** 2
-    return (
-        q * r - 1 / (q * r),
-        r / q - q / r,
-        q * q - 1 / (q * q),
-    )
+    q, rho0 = Fraction(q), Fraction(rho0)
+    r = rho0 * rho0
+    return (weight_a(r, r, q), weight_b(r, r, q), weight_c(rho0, rho0, q))
 
 
 def homogeneous_point(n: int, q: Fraction, rho0: Fraction) -> IkPoint:
@@ -321,9 +317,9 @@ def check_refined_specialization(
     a, b, c = homogeneous_weights(q, rho0)
     r = rho0 * rho0
     u1 = s1 * s1
-    a_t = u1 * q - 1 / (r * q)
-    b_t = u1 / q - q / r
-    c_t = (q * q - 1 / (q * q)) * s1 / rho0
+    a_t = weight_a(u1, r, q)
+    b_t = weight_b(u1, r, q)
+    c_t = weight_c(s1, rho0, q)
     if 0 in (a, b, b_t):
         raise DegenerateParameterError("degenerate weight in refined specialization")
     pt = IkPoint(q, (s1,) + (rho0,) * (n - 1), (rho0,) * n)
@@ -369,6 +365,3 @@ def sample_ik_point(n: int, rng: Random) -> IkPoint:
 def config_to_json(c: SixVertexConfig) -> list[list[str]]:
     return [list(row) for row in c.types]
 
-
-def config_from_json(obj: Sequence[Sequence[str]]) -> SixVertexConfig:
-    return SixVertexConfig(tuple(tuple(str(t) for t in row) for row in obj))

@@ -2,13 +2,19 @@ import json
 import os
 import re
 import threading
+from itertools import islice
 
 import pytest
 
-from asmdpp.asm import asm_from_json, asm_from_row_word
+import asmdpp.asm
+import asmdpp.dpp
+import asmdpp.paths
+import asmdpp.sixvertex
+from asmdpp.asm import Asm, asm_row_word, enumerate_asms
 from asmdpp.cli import main
-from asmdpp.paths import nilp_from_json
-from asmdpp.sixvertex import config_from_json
+from asmdpp.formulas import asm_total
+from asmdpp.paths import enumerate_nilp_families, nilp_to_json
+from asmdpp.sixvertex import SixVertexConfig, enumerate_configs
 
 Z3 = "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
 
@@ -24,8 +30,8 @@ def test_enumerate_asm_json(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 7
-    mats = [asm_from_json(json.loads(line)) for line in lines]
-    assert len(set(mats)) == 7
+    mats = [Asm(tuple(map(tuple, json.loads(line)))) for line in lines]
+    assert mats == list(enumerate_asms(3))
 
 
 def test_enumerate_dpp_single_record(capsys):
@@ -45,21 +51,63 @@ def test_enumerate_text_and_limit(capsys):
         capsys, "enumerate", "--kind", "asm", "--n", "3", "--format", "text", "--limit", "2"
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        asm_from_row_word(line)
+    assert out.splitlines() == [asm_row_word(a) for a in islice(enumerate_asms(3), 2)]
 
 
 def test_enumerate_other_kinds_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--kind", "sixvertex", "--n", "3")
     assert code == 0
-    for line in out.strip().splitlines():
-        config_from_json(json.loads(line))
+    configs = [SixVertexConfig(tuple(map(tuple, json.loads(line)))) for line in out.splitlines()]
+    assert configs == list(enumerate_configs(3))
     code, out, _ = run_cli(capsys, "enumerate", "--kind", "nilp", "--n", "3")
     assert code == 0
-    fams = [nilp_from_json(json.loads(line)) for line in out.strip().splitlines()]
-    assert len(fams) == 7
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records == [nilp_to_json(f) for f in enumerate_nilp_families(3)]
+    assert len(records) == 7
+
+
+@pytest.mark.parametrize("kind", ("asm", "dpp", "sixvertex", "nilp"))
+def test_enumerate_lines_are_distinct(capsys, kind):
+    # distinct objects print distinct lines, in either format
+    for n in range(1, 6):
+        for fmt in ("json", "text"):
+            code, out, _ = run_cli(
+                capsys, "enumerate", "--kind", kind, "--n", str(n), "--format", fmt
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert len(set(lines)) == len(lines) == asm_total(n), (n, fmt)
+
+
+# the class each enumerator builds once per object it yields
+ENUMERATED_CLASS = {
+    "asm": (asmdpp.asm, "Asm"),
+    "dpp": (asmdpp.dpp, "Dpp"),
+    "sixvertex": (asmdpp.sixvertex, "SixVertexConfig"),
+    "nilp": (asmdpp.paths, "NilpSet"),
+}
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("kind", sorted(ENUMERATED_CLASS))
+def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, fmt):
+    module, name = ENUMERATED_CLASS[kind]
+    drawn = []
+
+    class Counted(getattr(module, name)):
+        def __post_init__(self):
+            drawn.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(module, name, Counted)
+    for limit in (0, 1, 3):
+        drawn.clear()
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--kind", kind, "--n", "5", "--format", fmt, "--limit", str(limit)
+        )
+        assert code == 0
+        assert len(out.splitlines()) == limit
+        assert len(drawn) == limit, limit
 
 
 def test_enumerate_bad_kind_is_usage_error(capsys):

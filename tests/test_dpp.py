@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from asmdpp.dpp import (
     Dpp,
     EMPTY_DPP,
-    dpp_from_json,
     dpp_stats,
     dpp_to_json,
     enumerate_dpps,
@@ -128,5 +128,7 @@ def test_boundary_relation_small():
 
 
 def test_json_roundtrip():
-    for d in dpp_list(3):
-        assert dpp_from_json(dpp_to_json(d)) == d
+    # the JSON text read back through the validating constructor
+    for n in range(1, 6):
+        for d in dpp_list(n):
+            assert Dpp(tuple(map(tuple, json.loads(json.dumps(dpp_to_json(d)))))) == d

@@ -1,24 +1,24 @@
 """sha256 of the stdout of `matrix` and `table`, pinned from the
 outputs before the M_BAR builders, the cell counters and the
-determinant were merged; and of the path families of both classes and
-the q- and w-refined DPP sums, pinned before the two path searches and
-the DPP statistics counters were merged; of the determinant generating
+determinant were merged; and of the path families and the q- and
+w-refined DPP sums, pinned before the two path searches and the DPP
+statistics counters were merged; of the determinant generating
 functions, pinned before the polynomial kernel was packed; of the
 DPP stream, pinned before the enumerator stopped sorting the family; of
 the `verify --suite all` report, pinned before the polynomial ring lost
-its arity parameter; and of the text form of the other enumerations,
-pinned before it stopped parsing each JSON record again.  Any change to these bytes must be
-deliberate."""
+its arity parameter; of the text form of the other enumerations,
+pinned before it stopped parsing each JSON record again; and of the
+JSON form of the ASM and six-vertex enumerations, pinned before the
+enumerate command became one table of kinds.  Any change to these bytes
+must be deliberate."""
 
 import hashlib
-import json
 
 import pytest
 
 from asmdpp.cli import main
 from asmdpp.dpp import q_sum_of_parts, z_dpp_brute_w
 from asmdpp.matrices import FAMILY_NAMES
-from asmdpp.paths import enumerate_nilp_prime_families
 from asmdpp.polynomial import poly_str
 
 ORDERS = range(1, 7)
@@ -208,16 +208,6 @@ NILP_SHA256 = (
     "5dc642ca8decadfe288068c97d28debe589f4b333a45e65e3589480a85964cff",
 )
 
-# JSON list of the step words of enumerate_nilp_prime_families(k), k = 1..6
-NILP_PRIME_SHA256 = (
-    "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
-    "bc34f33290158397c42b8cca829a486e90a8f54f72ab6b7852340e7948812a9e",
-    "c69948a606f8421291d48b534653533aeb3fc176a9b4cf44619b1ee2873d1e92",
-    "99d6db1ac086dbe1e9b5022cf595bba7a5a779af89d3792d86c1b6638028c2c7",
-    "405e9d1f62a36a4cedb109d5c751671f476b5616bfc78be55b02c19eb28b4f13",
-    "f11ca2606f0fce3ca9b67764903b1326c6bd69cd50258a97e0be80dddbf7020a",
-)
-
 # poly_str(q_sum_of_parts(k)), k = 1..6
 Q_SUM_SHA256 = (
     "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
@@ -285,6 +275,27 @@ ENUM_TEXT_SHA256 = {
         "f7d394d4ef22f6be2aba54369826b72ba2bf52192294aa7ebab22b1cefabc443",
         "5f909630ffeb279c7a8ec4f5df24356ed26a8496c4667f46bec4a7fe922dd847",
         "6df74f7ba27078255261fccd8a92f9952fbccb61208a5fc055492cf51a92fed7",
+    ),
+}
+
+# `enumerate --kind K --n k --format json`, k = 1..6, pinned before the
+# enumerate command became one table of kinds
+ENUM_JSON_SHA256 = {
+    "asm": (
+        "89fab4268dfb17a5b0e4e0c8886fed603bab63412f144371754c36e7a2b6d316",
+        "aca1285df28328db8ebdabdb3d38c54b0707a834b80632a0a0c3759b379f1228",
+        "397a744f3311998e0d1abd7acac0900393bd80d4f8cbf4455d25c43831363da1",
+        "fc0ccf1420ea25cee49f6309f781ca9669f422195a364b0cc51424411ca16c17",
+        "7b04fc99f0e392cb0c60d4692cb05fdf5c7af2a82ee2a3117ffa143b4aff74d9",
+        "86284c3fbafed1a35747ce9abeb1b43c5bbc935984759c0aa3e2fc028b18b67c",
+    ),
+    "sixvertex": (
+        "a7ea6b44829f761018ebf2ddd721417ad46d259ac1e37bc05416622be8b1eb58",
+        "436a48beb395c03b4b084b58c2c7175caaca918c9f6e9ef56ab5c74f0d9702fa",
+        "143899e180b67646d7f24c2f30dd215abf84ff8559a1c2865dffca31dfcf5b1a",
+        "aae9cfcf410b039cf2dc351298ac068e2823ab098beebfa6919a832fe104e856",
+        "6f621e6d93a22eba8615940cff08f06dfd18d5c63d0e0d6cd093e612cb7ffca8",
+        "9eefe90507d2a20a2b93085fb7b249da142672d2998a040283bf822186156986",
     ),
 }
 
@@ -361,12 +372,6 @@ def test_nilp_enumeration_is_unchanged(capsys):
         assert _digest(capsys, "enumerate", "--kind", "nilp", "--n", str(n)) == NILP_SHA256[n - 1], n
 
 
-def test_nilp_prime_enumeration_is_unchanged():
-    for n in ORDERS:
-        words = [["".join(p.steps) for p in f.paths] for f in enumerate_nilp_prime_families(n)]
-        assert _sha256(json.dumps(words)) == NILP_PRIME_SHA256[n - 1], n
-
-
 @pytest.mark.parametrize("fmt", sorted(DPP_ENUM_SHA256))
 def test_dpp_enumeration_is_unchanged(capsys, fmt):
     for n in ORDERS:
@@ -388,6 +393,15 @@ def test_enumeration_text_is_unchanged(capsys, kind):
         assert (
             _digest(capsys, "enumerate", "--kind", kind, "--n", str(n), "--format", "text")
             == ENUM_TEXT_SHA256[kind][n - 1]
+        ), n
+
+
+@pytest.mark.parametrize("kind", sorted(ENUM_JSON_SHA256))
+def test_enumeration_json_is_unchanged(capsys, kind):
+    for n in ORDERS:
+        assert (
+            _digest(capsys, "enumerate", "--kind", kind, "--n", str(n))
+            == ENUM_JSON_SHA256[kind][n - 1]
         ), n
 
 

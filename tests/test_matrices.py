@@ -112,7 +112,7 @@ def test_omega_parameterization():
 def test_asmdet_hand_case():
     # omega = 2, y = 1 gives x = 4; at n = 2, z = 1 the determinant is
     # 1*9 - 2*2 = 5 = Z(2, 4, 1, 1)
-    assert asmdet_holds_at(2, Fraction(2), Fraction(1), Fraction(1))
+    assert asmdet_holds_at(build("M_ASM", 2), Fraction(2), Fraction(1), Fraction(1))
 
 
 def test_asmdet_rational_trials():

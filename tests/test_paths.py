@@ -7,17 +7,11 @@ from asmdpp.paths import (
     NilpSet,
     direct_path_weight_oracle,
     dpp_to_nilp,
-    dpp_to_nilp_prime,
     enumerate_nilp_families,
-    enumerate_nilp_prime_families,
     family_weight,
     lgv_nilp_sum,
-    nilp_from_json,
-    nilp_prime_statistics,
-    nilp_prime_to_dpp,
     nilp_statistics,
     nilp_to_dpp,
-    nilp_to_json,
     path_weight_sum,
 )
 from asmdpp.polynomial import MultiPoly, monomial, poly_str
@@ -111,36 +105,3 @@ def test_lgv_small_values():
 def test_family_weight_counts_steps():
     fam = dpp_to_nilp(DPPEX, 6)
     assert family_weight(fam, refined=True) == monomial(1, x=7, y=2, z=3)
-
-
-def test_prime_bijection_worked_example():
-    fam = dpp_to_nilp_prime(DPPEX, 6)
-    assert [p.start for p in fam.paths] == [(1, 5), (1, 3), (1, 2)]
-    assert [p.end for p in fam.paths] == [(5, -1), (3, -1), (2, -1)]
-    assert nilp_prime_statistics(fam) == (7, 2)
-    assert nilp_prime_to_dpp(fam) == DPPEX
-
-
-def test_prime_bijection_roundtrip():
-    for n in range(1, 7):
-        for d in dpp_list(n):
-            fam = dpp_to_nilp_prime(d, n)
-            assert nilp_prime_to_dpp(fam) == d
-            s = dpp_stats(d, n)
-            assert nilp_prime_statistics(fam) == (s.nu, s.mu)
-        fams = list(enumerate_nilp_prime_families(n))
-        assert len(fams) == len(dpp_list(n))
-        for f in fams:
-            assert dpp_to_nilp_prime(nilp_prime_to_dpp(f), n) == f
-
-
-def test_empty_dpp_prime_is_empty_family():
-    fam = dpp_to_nilp_prime(Dpp(()), 5)
-    assert fam.paths == ()
-    assert nilp_prime_statistics(fam) == (0, 0)
-
-
-def test_json_roundtrip():
-    for d in dpp_list(3):
-        fam = dpp_to_nilp(d, 3)
-        assert nilp_from_json(nilp_to_json(fam)) == fam

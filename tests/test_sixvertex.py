@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from random import Random
 
@@ -11,7 +12,6 @@ from asmdpp.sixvertex import (
     asm_to_sixvertex,
     check_homogeneous_specialization,
     check_refined_specialization,
-    config_from_json,
     config_to_json,
     enumerate_configs,
     ik_determinant_rat,
@@ -141,6 +141,9 @@ def test_refined_specialization_small():
 
 
 def test_json_roundtrip():
-    for a in asm_list(3):
-        c = asm_to_sixvertex(a)
-        assert config_from_json(config_to_json(c)) == c
+    # the JSON text read back through the validating constructor
+    for n in range(1, 6):
+        for a in asm_list(n):
+            c = asm_to_sixvertex(a)
+            text = json.dumps(config_to_json(c))
+            assert SixVertexConfig(tuple(map(tuple, json.loads(text)))) == c
