@@ -109,19 +109,15 @@ class PolyMatrix:
             rows.append(tuple(row))
         return PolyMatrix(tuple(rows))
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
+    def substitute(self, index: int, value: int) -> "PolyMatrix":
+        """Set one variable to an integer constant in every entry."""
+        return PolyMatrix(
+            tuple(tuple(e.substitute(index, value) for e in row) for row in self.entries)
+        )
 
     def _shape_check(self, other: "PolyMatrix") -> None:
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValidationError("matrix shapes differ")
-
-
-def lift_to_omega(m: PolyMatrix) -> PolyMatrix:
-    """View MultiPoly entries as degree-0 OmegaPoly entries."""
-    if isinstance(m.entries[0][0], OmegaPoly):
-        return m
-    return m.map_entries(OmegaPoly.from_poly)
 
 
 def _det_minors(entries) -> object:

@@ -12,8 +12,7 @@ PolyMatrix.square:
   M_BAR_W    M_BAR with the binomial sum (not the -delta term) multiplied
              by w; the determinant then also tracks the row count.
   M_ASM      (1-omega) delta(i,j) + omega sum_k C(i,k) C(j,k) x^k y^(i-k).
-  M_DPP      M_BAR, with the last column multiplied by 1 + omega (z-1)
-             when refined.
+  M_DPP      M_BAR, with the last column multiplied by 1 + omega (z-1).
   M_PRIME    delta(i,j) + sum_{k<i} sum_l C(j,l) C(k,l) x^(l+1) y^(k-l).
   M_DPRIME   C(j+1,i) x^i - C(i-1,i-j-1) (-y)^(i-j-1), with B M_DPRIME =
              M_BAR; with w on the binomial part, B M_DPRIME_w = M_BAR_W.
@@ -23,15 +22,17 @@ PolyMatrix.square:
              the parameters played by x and y; rational instances are
              built by l_matrix_rat).
 
-The z-refinement (refined=True, the default) tracks the column of the
-first-row 1 on the ASM side and the number of parts equal to n on the
-DPP side.  It touches the last column alone, and there one rule,
+The z-refinement tracks the column of the first-row 1 on the ASM side
+and the number of parts equal to n on the DPP side, and every entry rule
+applies it.  It touches the last column alone, and there one rule,
 paths.split_binom, splits the binomial whose top index is the column:
 
   C(top, k) = sum_l C(top-1-l, k-l),  part l weighted z^(l+n-top),
 
 with top = j+1 in M_BAR and M_DPRIME and top = j in M_ASM and M_PRIME.
-At z = 1 every refined matrix is the unrefined one.
+The unrefined matrix is the refined one at z = 1, and build alone makes
+it, by that substitution; unrefined M_DPP is M_BAR, since its last-column
+factor 1 + omega (z-1) is 1 at z = 1.
 
 genfunc_det expands M_DPRIME (or its w form), not M_BAR: det B = 1, so
 the two determinants are equal, and an M_DPRIME entry has at most two
@@ -54,10 +55,11 @@ from typing import Iterator
 from .asm import z_asm_brute
 from .errors import ResourceLimitError, ValidationError
 from .limits import MATRIX_BUILD_MAX_N
-from .linalg import PolyMatrix, det_poly, det_rat, lift_to_omega
+from .linalg import PolyMatrix, det_poly, det_rat
 from .paths import lgv_matrix, path_weight_sum, split_binom
 from .polynomial import (
     ONE,
+    Z_IDX,
     ZERO,
     MultiPoly,
     OmegaPoly,
@@ -71,22 +73,20 @@ def _delta(i: int, j: int) -> MultiPoly:
     return ONE if i == j else ZERO
 
 
-def _masm(n: int, refined: bool) -> PolyMatrix:
+def _masm(n: int) -> PolyMatrix:
     def entry(i: int, j: int) -> OmegaPoly:
         g = MultiPoly.from_term_list(
             ((k, i - k, l, 0, 0), binom(i, k) * c)
             for k in range(i + 1)
-            for l, c in split_binom(j, k, j, n, refined)
+            for l, c in split_binom(j, k, j, n)
         )
         return OmegaPoly((_delta(i, j), g - _delta(i, j)))
 
     return PolyMatrix.square(n, entry)
 
 
-def _mdpp(n: int, refined: bool) -> PolyMatrix:
-    mbar = lgv_matrix(n, refined)
-    if not refined:
-        return mbar
+def _mdpp(n: int) -> PolyMatrix:
+    mbar = lgv_matrix(n)
     z_minus_1 = monomial(1, z=1) - ONE
     return PolyMatrix.square(
         n,
@@ -94,25 +94,25 @@ def _mdpp(n: int, refined: bool) -> PolyMatrix:
     )
 
 
-def _mprime(n: int, refined: bool) -> PolyMatrix:
+def _mprime(n: int) -> PolyMatrix:
     def entry(i: int, j: int) -> MultiPoly:
         return _delta(i, j) + MultiPoly.from_term_list(
             ((l + 1, k - l, m, 0, 0), binom(k, l) * c)
             for k in range(i)
             for l in range(k + 1)
-            for m, c in split_binom(j, l, j, n, refined)
+            for m, c in split_binom(j, l, j, n)
         )
 
     return PolyMatrix.square(n, entry)
 
 
-def _mdprime(n: int, refined: bool, w_weight: bool = False) -> PolyMatrix:
+def _mdprime(n: int, w_weight: bool = False) -> PolyMatrix:
     """M_DPRIME; with w_weight its binomial part, not the (-y) part, is
     multiplied by w, so that B M_DPRIME = M_BAR_W."""
     w = 1 if w_weight else 0
 
     def entry(i: int, j: int) -> MultiPoly:
-        terms = [((i, 0, l, w, 0), c) for l, c in split_binom(j + 1, i, j, n, refined)]
+        terms = [((i, 0, l, w, 0), c) for l, c in split_binom(j + 1, i, j, n)]
         if i > j:
             e = i - j - 1
             terms.append(((0, e, 0, 0, 0), (-1) ** (e + 1) * binom(i - 1, e)))
@@ -142,34 +142,37 @@ def _check_order(n: int) -> None:
         raise ResourceLimitError(f"matrix construction capped at order {MATRIX_BUILD_MAX_N}")
 
 
-# name -> builder(n, refined); the order is that of `matrix --name`
+# name -> builder(n) of the z-refined matrix; the order is that of
+# `matrix --name`
 _BUILDERS = {
     "M_ASM": _masm,
     "M_DPP": _mdpp,
     "M_BAR": lgv_matrix,
-    "M_BAR_W": lambda n, refined: lgv_matrix(n, refined, w_weight=True),
+    "M_BAR_W": lambda n: lgv_matrix(n, w_weight=True),
     "M_PRIME": _mprime,
     "M_DPRIME": _mdprime,
-    "S": lambda n, refined: shift_matrix(n),
-    "B": lambda n, refined: _bmat(n),
-    "L": lambda n, refined: _lmat(n),
+    "S": shift_matrix,
+    "B": _bmat,
+    "L": _lmat,
 }
 
 FAMILY_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
-    """Construct one of the named matrices at order n.
+    """Construct one of the named matrices at order n; unless refined,
+    the z-refined matrix at z = 1.
 
     M_ASM always has OmegaPoly entries; M_DPP does when refined (the
-    omega factor sits only in the last column).  Everything else is
-    omega-free MultiPoly.
+    omega factor sits only in the last column, and is 1 at z = 1).
+    Everything else is omega-free MultiPoly.
     """
     _check_order(n)
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in _BUILDERS:
         raise ValidationError(f"unknown matrix family {name!r}")
-    return builder(n, refined)
+    if refined:
+        return _BUILDERS[name](n)
+    return _BUILDERS["M_BAR" if name == "M_DPP" else name](n).substitute(Z_IDX, 1)
 
 
 def l_matrix_rat(n: int, alpha: Fraction, beta: Fraction) -> list[list[Fraction]]:
@@ -190,7 +193,7 @@ def genfunc_det(n: int, w_refined: bool = False) -> MultiPoly:
     the refined last column, where an M_BAR entry in row i has up to
     i + 1, so every product in the minor expansion is smaller."""
     _check_order(n)
-    return det_poly(_mdprime(n, refined=True, w_weight=w_refined))
+    return det_poly(_mdprime(n, w_weight=w_refined))
 
 
 def check_omega_relation(
@@ -203,7 +206,7 @@ def check_omega_relation(
     must vanish modulo the omega quadratic, entry by entry.  An optional
     perturbation adds 1 to one M_ASM entry (negative control)."""
     masm = build("M_ASM", n, refined)
-    mdpp = lift_to_omega(build("M_DPP", n, refined))
+    mdpp = build("M_DPP", n, refined)
     if perturbation is not None:
         masm = masm + PolyMatrix.square(
             n, lambda i, j: ONE if (i, j) == perturbation else ZERO

@@ -8,10 +8,13 @@ i = 1 .. t+1, where n = L[0] > L[1] > ... > L[t] > 0 and L[t+1] = 0; the
 L[i] are the row lengths of the matching partition.
 
 Edge weights: a rightward step leaving column c at height h weighs x when
-c <= h and y when c > h; in the z-refined regime steps in the top row
-(h = n-1) weigh x*z instead of x.  Vertical steps weigh 1.  The counts of
-x-steps, y-steps and top-row steps of a family equal the statistics
-(nu, mu, rho) of the matching partition.
+c <= h and y when c > h, and a step in the top row (h = n-1) weighs x*z.
+Vertical steps weigh 1.  The counts of x-steps, y-steps and top-row steps
+of a family equal the statistics (nu, mu, rho) of the matching partition.
+
+Refinement is always on in these rules: every path sum and LGV entry
+carries z, and the unrefined form is its z = 1 substitution
+(matrices.build makes it; lgv_nilp_sum returns it when asked).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .dpp import Dpp
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT
 from .linalg import PolyMatrix, det_poly
-from .polynomial import ONE, ZERO, MultiPoly, binom, monomial
+from .polynomial import ONE, Z_IDX, ZERO, MultiPoly, binom, monomial
 
 
 @dataclass(frozen=True)
@@ -138,37 +141,41 @@ def nilp_to_dpp(p: NilpSet) -> Dpp:
     return Dpp(tuple(rows))
 
 
-def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
-    """(steps above the diagonal line, steps below it, steps in the top
-    row); equals (nu, mu, rho) of the matching partition."""
-    top_row = p.n - 1
+def _step_counts(paths: Sequence[LatticePath], n: int) -> tuple[int, int, int]:
+    # rightward steps above the diagonal line, below it, and in the top row
     above = below = top = 0
-    for path in p.paths:
+    for path in paths:
         for c, h in path.right_steps():
             if c <= h:
                 above += 1
             else:
                 below += 1
-            if h == top_row:
+            if h == n - 1:
                 top += 1
     return (above, below, top)
 
 
-def split_binom(top: int, k: int, j: int, n: int, refined: bool) -> list[tuple[int, int]]:
+def nilp_statistics(p: NilpSet) -> tuple[int, int, int]:
+    """(steps above the diagonal line, steps below it, steps in the top
+    row); equals (nu, mu, rho) of the matching partition."""
+    return _step_counts(p.paths, p.n)
+
+
+def split_binom(top: int, k: int, j: int, n: int) -> list[tuple[int, int]]:
     """C(top, k) as (z exponent, coefficient) pairs, refined in the last
     column alone.
 
-    In the refined last column (j = n-1) it is the hockey-stick split
+    In the last column (j = n-1) it is the hockey-stick split
     C(top, k) = sum_l C(top-1-l, k-l), with part l weighted z^(l+n-top);
     everywhere else it is the single pair (0, C(top, k)).  Every named
-    matrix that carries z takes its last-column refinement from here.
+    matrix takes its last-column refinement from here.
     """
-    if refined and j == n - 1:
+    if j == n - 1:
         return [(l + n - top, binom(top - 1 - l, k - l)) for l in range(k + 1)]
     return [(0, binom(top, k))]
 
 
-def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
+def path_weight_sum(i: int, j: int, n: int) -> MultiPoly:
     """Closed-form weight sum over all paths from (0, j) to (i, 0):
 
         sum_k C(i-1, i-k) C(j+1, k) x^k y^(i-k),
@@ -180,33 +187,19 @@ def path_weight_sum(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
     return MultiPoly.from_term_list(
         ((k, i - k, l, 0, 0), binom(i - 1, i - k) * c)
         for k in range(i + 1)
-        for l, c in split_binom(j + 1, k, j, n, refined)
+        for l, c in split_binom(j + 1, k, j, n)
     )
 
 
-def direct_path_weight_oracle(i: int, j: int, n: int, refined: bool = False) -> MultiPoly:
-    """Brute-force companion of path_weight_sum: walk every monotone path
-    from (0, j) to (i, 0) and sum the edge-weight products."""
+def direct_path_weight_oracle(i: int, j: int, n: int) -> MultiPoly:
+    """Brute-force companion of path_weight_sum: the weight x^above
+    y^below z^top of every monotone path from (0, j) to (i, 0), each found
+    by the one disjoint-path search."""
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError("grid indices out of range")
     total = ZERO
-
-    def walk(c: int, h: int, ex: int, ey: int, ez: int) -> None:
-        nonlocal total
-        if c == i and h == 0:
-            total = total + monomial(1, x=ex, y=ey, z=ez)
-            return
-        if c < i:
-            if refined and h == n - 1:
-                walk(c + 1, h, ex + 1, ey, ez + 1)
-            elif c <= h:
-                walk(c + 1, h, ex + 1, ey, ez)
-            else:
-                walk(c + 1, h, ex, ey + 1, ez)
-        if h > 0:
-            walk(c, h - 1, ex, ey, ez)
-
-    walk(0, j, 0, 0, 0)
+    for paths in _disjoint_families([((0, j), (i, 0))]):
+        total = total + monomial(1, *_step_counts(paths, n))
     return total
 
 
@@ -279,39 +272,38 @@ def enumerate_nilp_families(n: int) -> Iterator[NilpSet]:
             yield NilpSet(n, paths)
 
 
-def family_weight(p: NilpSet, refined: bool = False) -> MultiPoly:
-    """x^above y^below, times z^top when refined: every top-row step lies
-    above the diagonal line, so refining only adds the z factor."""
-    above, below, top = nilp_statistics(p)
-    return monomial(1, x=above, y=below, z=top if refined else 0)
+def family_weight(p: NilpSet) -> MultiPoly:
+    """x^nu y^mu z^rho of the matching partition: every top-row step lies
+    above the diagonal line, so it weighs x*z."""
+    return monomial(1, *nilp_statistics(p))
 
 
-def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMatrix:
+def lgv_matrix(n: int, w_weight: bool = False) -> PolyMatrix:
     """-delta(i, j+1) + path weight sum, the matrix whose determinant
     carries the full family sum (M_BAR).  With w_weight the path weight
     sum, not the -delta term, is multiplied by w (M_BAR_W)."""
     w = monomial(1, w=1) if w_weight else ONE
     return PolyMatrix.square(
         n,
-        lambda i, j: path_weight_sum(i, j, n, refined) * w - (ONE if i == j + 1 else ZERO),
+        lambda i, j: path_weight_sum(i, j, n) * w - (ONE if i == j + 1 else ZERO),
     )
 
 
 def lgv_nilp_sum(n: int, refined: bool = False) -> MultiPoly:
     """Family weight sum computed twice: direct enumeration and the
     determinant route.  Returns the determinant value after asserting the
-    two agree."""
+    two agree, at z = 1 unless refined."""
     if n > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"family enumeration capped at order {BRUTE_FORCE_LIMIT}"
         )
-    det = det_poly(lgv_matrix(n, refined))
+    det = det_poly(lgv_matrix(n))
     direct = ZERO
     for fam in enumerate_nilp_families(n):
-        direct = direct + family_weight(fam, refined)
+        direct = direct + family_weight(fam)
     if direct != det:
         raise InvariantError(f"family sum and determinant disagree at order {n}")
-    return det
+    return det if refined else det.substitute(Z_IDX, 1)
 
 
 def nilp_to_json(p: NilpSet) -> dict:

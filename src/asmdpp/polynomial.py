@@ -334,10 +334,6 @@ W = MultiPoly.variable(W_IDX)
 Q = MultiPoly.variable(Q_IDX)
 
 
-def const(value: int) -> MultiPoly:
-    return MultiPoly.const(value)
-
-
 def monomial(coeff: int, x: int = 0, y: int = 0, z: int = 0, w: int = 0, q: int = 0) -> MultiPoly:
     """One term of the shared five-variable ring."""
     return MultiPoly({(x, y, z, w, q): coeff})
@@ -441,6 +437,10 @@ class OmegaPoly:
                     by_degree[i + j].append((sign, ai, bj))
         # the constructor raises if a power past the cap survives
         return cls([MultiPoly._sum_of_products(p) for p in by_degree])
+
+    def substitute(self, index: int, value: int) -> "OmegaPoly":
+        """Set one variable to an integer constant in every coefficient."""
+        return OmegaPoly([c.substitute(index, value) for c in self.coeffs])
 
     def evaluate(self, point: Sequence, omega: Fraction) -> Fraction:
         omega = Fraction(omega)

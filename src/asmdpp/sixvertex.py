@@ -247,6 +247,22 @@ def partition_function_explicit(n: int, pt: IkPoint) -> Fraction:
     return sum((config_weight(c, pt) for c in _configs(n)), Fraction(0))
 
 
+def _degeneracy(q: Fraction, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> str | None:
+    """Why the determinant route rejects the point, or None: two equal u_i
+    (or v_j), or a pole u_i*v_j in {q^2, q^-2}."""
+    for name, seq in (("s", u), ("t", v)):
+        for i in range(len(seq)):
+            for j in range(i + 1, len(seq)):
+                if seq[i] == seq[j]:
+                    return f"{name}[{i + 1}] and {name}[{j + 1}] have equal squares"
+    q2 = q * q
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui * vj in (q2, 1 / q2):
+                return f"pole at u[{i + 1}]*v[{j + 1}] = q^(+/-2)"
+    return None
+
+
 def ik_determinant_rat(pt: IkPoint) -> Fraction:
     """Determinant form of the partition function, exactly, at a rational
     point.  Requires the u_i (and the v_j) pairwise distinct and no pole
@@ -255,19 +271,9 @@ def ik_determinant_rat(pt: IkPoint) -> Fraction:
     q2 = pt.q * pt.q
     q2inv = 1 / q2
     u, v = pt.u, pt.v
-    for name, seq in (("s", u), ("t", v)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seq[i] == seq[j]:
-                    raise DegenerateParameterError(
-                        f"{name}[{i + 1}] and {name}[{j + 1}] have equal squares"
-                    )
-    for i in range(n):
-        for j in range(n):
-            if u[i] * v[j] in (q2, q2inv):
-                raise DegenerateParameterError(
-                    f"pole at u[{i + 1}]*v[{j + 1}] = q^(+/-2)"
-                )
+    reason = _degeneracy(pt.q, u, v)
+    if reason is not None:
+        raise DegenerateParameterError(reason)
     prefactor = Fraction(1)
     for i in range(n):
         prefactor *= pt.s[i] * pt.t[i] ** (2 * n + 1)
@@ -287,6 +293,8 @@ def ik_determinant_rat(pt: IkPoint) -> Fraction:
 def homogeneous_weights(q: Fraction, rho0: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """The (a, b, c) weights at the fully homogeneous point u = v = rho0^2."""
     q, rho0 = Fraction(q), Fraction(rho0)
+    if q == 0 or rho0 == 0:
+        raise DegenerateParameterError("q and rho0 must be nonzero")
     r = rho0 * rho0
     return (weight_a(r, r, q), weight_b(r, r, q), weight_c(rho0, rho0, q))
 
@@ -352,14 +360,8 @@ def sample_ik_point(n: int, rng: Random) -> IkPoint:
         q = frac(nonunit=True)
         s = tuple(frac() for _ in range(n))
         t = tuple(frac() for _ in range(n))
-        u = [x * x for x in s]
-        v = [x * x for x in t]
-        if len(set(u)) != n or len(set(v)) != n:
-            continue
-        q2 = q * q
-        if any(ui * vj in (q2, 1 / q2) for ui in u for vj in v):
-            continue
-        return IkPoint(q, s, t)
+        if _degeneracy(q, tuple(x * x for x in s), tuple(x * x for x in t)) is None:
+            return IkPoint(q, s, t)
 
 
 def config_to_json(c: SixVertexConfig) -> list[list[str]]:

@@ -225,9 +225,7 @@ def _suite_lgv(max_n: int, seed: int) -> Iterator[CheckResult]:
     for n in range(1, min(max_n, 5) + 1):
         yield _timed(
             lambda n=n: all(
-                paths.path_weight_sum(i, j, n, refined)
-                == paths.direct_path_weight_oracle(i, j, n, refined)
-                for refined in (False, True)
+                paths.path_weight_sum(i, j, n) == paths.direct_path_weight_oracle(i, j, n)
                 for i in range(n)
                 for j in range(n)
             ),
@@ -241,7 +239,7 @@ def _suite_lgv(max_n: int, seed: int) -> Iterator[CheckResult]:
         )
     for n in range(1, max_n + 1):
         yield _timed(
-            lambda n=n: det_poly(paths.lgv_matrix(n, refined=True)) == z_dpp_brute(n),
+            lambda n=n: det_poly(paths.lgv_matrix(n)) == z_dpp_brute(n),
             "det_equals_brute",
             {"n": n},
         )

@@ -107,21 +107,15 @@ def test_05_izergin_korepin():
 def test_06_lgv():
     with criterion(6, "path sums, family sum == det, det == brute, n <= 6"):
         for n in range(1, 6):
-            for refined in (False, True):
-                for i in range(n):
-                    for j in range(n):
-                        assert paths.path_weight_sum(
-                            i, j, n, refined
-                        ) == paths.direct_path_weight_oracle(i, j, n, refined), (
-                            n,
-                            i,
-                            j,
-                            refined,
-                        )
+            for i in range(n):
+                for j in range(n):
+                    assert paths.path_weight_sum(i, j, n) == paths.direct_path_weight_oracle(
+                        i, j, n
+                    ), (n, i, j)
             paths.lgv_nilp_sum(n, refined=True)
             paths.lgv_nilp_sum(n, refined=False)
         for n in range(1, 7):
-            assert det_poly(paths.lgv_matrix(n, refined=True)) == z_dpp_brute(n)
+            assert det_poly(paths.lgv_matrix(n)) == z_dpp_brute(n)
 
 
 def test_07_omega_machinery():

@@ -78,19 +78,16 @@ def test_path_weight_sum_examples():
         assert path_weight_sum(0, j, 3) == MultiPoly.const(1)
     assert poly_str(path_weight_sum(2, 1, 3)) == "x^2 + 2*x*y"
     assert path_weight_sum(1, 0, 3) == monomial(1, x=1)
-    assert poly_str(path_weight_sum(1, 1, 2, refined=True)) == "x + x*z"
+    assert poly_str(path_weight_sum(1, 1, 2)) == "x + x*z"
     with pytest.raises(ValidationError):
         path_weight_sum(3, 0, 3)
 
 
 def test_path_weight_sum_matches_oracle():
     for n in (1, 2, 3, 4):
-        for refined in (False, True):
-            for i in range(n):
-                for j in range(n):
-                    assert path_weight_sum(i, j, n, refined) == direct_path_weight_oracle(
-                        i, j, n, refined
-                    )
+        for i in range(n):
+            for j in range(n):
+                assert path_weight_sum(i, j, n) == direct_path_weight_oracle(i, j, n)
 
 
 def test_lgv_small_values():
@@ -104,4 +101,4 @@ def test_lgv_small_values():
 
 def test_family_weight_counts_steps():
     fam = dpp_to_nilp(DPPEX, 6)
-    assert family_weight(fam, refined=True) == monomial(1, x=7, y=2, z=3)
+    assert family_weight(fam) == monomial(1, x=7, y=2, z=3)

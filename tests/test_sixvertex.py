@@ -6,6 +6,7 @@ import pytest
 
 from asmdpp.asm import Asm, asm_stats
 from asmdpp.errors import DegenerateParameterError, ValidationError
+from asmdpp.matrices import check_weight_determinant
 from asmdpp.sixvertex import (
     IkPoint,
     SixVertexConfig,
@@ -138,6 +139,23 @@ def test_homogeneous_specialization_small():
 def test_refined_specialization_small():
     for n in (1, 2, 3):
         assert check_refined_specialization(n, Fraction(3, 2), Fraction(2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_homogeneous_specialization, (2, 0, 2)),
+        (check_homogeneous_specialization, (2, Fraction(3, 2), 0)),
+        (check_refined_specialization, (2, 0, 2, Fraction(1, 2))),
+        (check_weight_determinant, (2, 0, 2)),
+        (check_weight_determinant, (2, Fraction(3, 2), 0)),
+    ],
+    ids=["homogeneous-q0", "homogeneous-rho0", "refined-q0", "weight_det-q0", "weight_det-rho0"],
+)
+def test_homogeneous_point_with_zero_q_or_rho0_is_degenerate(check, args):
+    # the weights divide by q and rho0, so they are refused before dividing
+    with pytest.raises(DegenerateParameterError):
+        check(*args)
 
 
 def test_json_roundtrip():

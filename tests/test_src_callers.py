@@ -26,14 +26,38 @@ def _definitions() -> set[str]:
     return names
 
 
+def _module_names(tree: ast.Module) -> set[str]:
+    # names bound to a module: `import m`, `import m as alias`, and
+    # `from package import module [as alias]` for a module of asmdpp
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(
+                a.asname or a.name for a in node.names if (SRC / f"{a.name}.py").exists()
+            )
+    return names
+
+
 def _references() -> set[str]:
+    """Names read in src/asmdpp, scripts and perfbench.  An attribute
+    counts only when it is read on a module name or alias (such as
+    paths.lgv_matrix), so a method of the same name, like MultiPoly.const,
+    does not count as a caller of a module-level function."""
     names = set()
     for folder in (SRC, ROOT / "scripts", ROOT / "perfbench"):
         for path in folder.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            modules = _module_names(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(alias.name for alias in node.names)
