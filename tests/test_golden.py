@@ -9,10 +9,13 @@ the `verify --suite all` report, pinned before the polynomial ring lost
 its arity parameter; of the text form of the other enumerations,
 pinned before it stopped parsing each JSON record again; and of the
 JSON form of the ASM and six-vertex enumerations, pinned before the
-enumerate command became one table of kinds.  Any change to these bytes
-must be deliberate."""
+enumerate command became one table of kinds; and of the verify report
+at each --max-n up to 5 and at seed 7, text and JSON, pinned before the
+suites' per-order loops were merged.  Any change to these bytes must be
+deliberate."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -337,6 +340,41 @@ GENFUNC_SHA256 = {
 # check passes
 VERIFY_ALL_SHA256 = "e35e70dfdbe5b0dc9129d7bcba08e13eedeab7b73a62ebe42958586317ac3e1c"
 
+# `verify --suite all --max-n k` -> (text, JSON without `seed`), k = 0..5,
+# pinned before the per-order loops of the suites were merged into one
+VERIFY_MAX_N_SHA256 = {
+    0: (
+        "cf6ac20a6b678ae9072446293daeac0b44a53ce053bf0f24fbb7fe12e225b321",
+        "71f422ee05914a49520c1465174e8d48c4588484b8b5c155705e95348880a89f",
+    ),
+    1: (
+        "cf6ac20a6b678ae9072446293daeac0b44a53ce053bf0f24fbb7fe12e225b321",
+        "71f422ee05914a49520c1465174e8d48c4588484b8b5c155705e95348880a89f",
+    ),
+    2: (
+        "b837855d3903f113b7e2aef1439c5628f11dad4ac939e9cd14bc49db1f8c3e52",
+        "6e6cb01e2623bb4d9946576d4a010e521ba8a853a168a624f6c0cf53a673e118",
+    ),
+    3: (
+        "a123c63f0a651c3c760221516345138791abc7f51f0dd677cca1a13b5fffa484",
+        "25fb83635149fca4dfad85504e664b3f1c149eeb4852917f84835128ae87ecbb",
+    ),
+    4: (
+        "c70c61657f137ff04f08ec11ce4ef959cbbbf535ec35bedf91d7682a91e17f3c",
+        "d56522e166718a67719ea2dd25f9330e36d4b76daa270a76ad0c7d6b7f479129",
+    ),
+    5: (
+        "a8db50bd22d8db0402481079e4c0801668e084fdbd8a5db96bc2970d388d7a8d",
+        "5dd9c927ae9b461b2aaca1be2f6c3710330b7caa29c0b2f88b803499f63458d4",
+    ),
+}
+
+# the full run at --seed 7: (text, JSON without `seed`)
+VERIFY_SEED7_SHA256 = (
+    "e35e70dfdbe5b0dc9129d7bcba08e13eedeab7b73a62ebe42958586317ac3e1c",
+    "85dfecac00dba674084977ab2c1bdcad216eb4c0226f4c9ce4e0bf2deb24f7b3",
+)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -345,6 +383,15 @@ def _sha256(text: str) -> str:
 def _digest(capsys, *argv):
     assert main(list(argv)) == 0
     return _sha256(capsys.readouterr().out)
+
+
+def _verify_digests(capsys, *argv):
+    """(text digest, digest of the JSON document without its seed)."""
+    text = _digest(capsys, "verify", "--suite", "all", *argv)
+    assert main(["verify", "--suite", "all", *argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("seed")
+    return text, _sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def test_every_family_is_pinned():
@@ -413,3 +460,12 @@ def test_genfunc_det_output_is_unchanged(capsys, method):
 
 def test_verify_all_output_is_unchanged(capsys):
     assert _digest(capsys, "verify", "--suite", "all") == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("max_n", sorted(VERIFY_MAX_N_SHA256))
+def test_verify_all_output_is_unchanged_at_each_max_n(capsys, max_n):
+    assert _verify_digests(capsys, "--max-n", str(max_n)) == VERIFY_MAX_N_SHA256[max_n]
+
+
+def test_verify_all_output_is_unchanged_at_seed_7(capsys):
+    assert _verify_digests(capsys, "--seed", "7") == VERIFY_SEED7_SHA256

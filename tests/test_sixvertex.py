@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from random import Random
@@ -128,6 +129,27 @@ def test_ik_oracle_equivalence_random_points():
         for _ in range(5):
             pt = sample_ik_point(n, rng)
             assert ik_determinant_rat(pt) == partition_function_explicit(n, pt)
+
+
+# sha256 of 20 successive sample_ik_point(n, Random(0)) draws, one line
+# "q s_1 .. s_n t_1 .. t_n" per point, pinned before the order cap
+SAMPLE_SHA256 = {
+    1: "c6d2511863ae1925c8fa00fd5c336a70e49ee7d9691eff6cee09023acf3681dd",
+    2: "b89d624d97e997105d35bd47ea10be6e0a1a5a8bdb52acf28687363fb709e3f9",
+    3: "43c29764080dd91f0303e7bdb6155d07634faccb82ab2aa19e74793e5319981a",
+    4: "0cd0a4d8cf42c42319b2aac075b8fead1c92175e40766e76d6f8eb54ac882af9",
+    5: "1f84c98cc46ea2c1d6e417946bde48758210652a37e4e093680ac629e7f87a0e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SAMPLE_SHA256))
+def test_sample_ik_point_draws_are_unchanged(n):
+    rng = Random(0)
+    lines = []
+    for _ in range(20):
+        pt = sample_ik_point(n, rng)
+        lines.append(" ".join(map(str, (pt.q, *pt.s, *pt.t))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLE_SHA256[n]
 
 
 def test_homogeneous_specialization_small():
