@@ -12,7 +12,7 @@ from asmdpp.asm import z_asm_brute
 from asmdpp.dpp import z_dpp_brute
 from asmdpp.formulas import asm_total, refined_total
 from asmdpp.matrices import genfunc_det
-from asmdpp.polynomial import poly_str
+from asmdpp.polynomial import Z_IDX, marginal, poly_str
 
 
 def main() -> None:
@@ -37,9 +37,8 @@ def main() -> None:
             f"   {len(asm_cells)} occupied (nu, mu, rho) cells, "
             f"{'all equal' if not disagreements else f'DISAGREE at {disagreements}'}"
         )
-        refined = [
-            sum(c for (p, m, k, _, _), c in asm_cells.items() if k == kk) for kk in range(n)
-        ]
+        by_rho = marginal(z_asm_brute(n), Z_IDX)
+        refined = [by_rho[k] for k in range(n)]
         formula = [refined_total(n, kk) for kk in range(n)]
         print(f"   refined counts by rho: {refined} (formula {formula})")
         print()

@@ -8,7 +8,6 @@ transcription bug, not a rounding problem).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +21,7 @@ from .asm import (
 from .dpp import Dpp, dpp_stats, q_sum_of_parts
 from .errors import InvariantError, ValidationError
 from .linalg import divide_exact
-from .polynomial import ONE, Q_IDX, Y_IDX, MultiPoly
+from .polynomial import ONE, Q_IDX, Y_IDX, MultiPoly, marginal
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -191,9 +190,7 @@ def cdlg_identities(n: int, max_m: int) -> list[tuple[int, int]]:
     carries the whole m = 0 case.  Returns (enumerated count, sum) for
     m = 0..max_m, from one ``z_asm_brute(n)`` and one pass over each
     family of order i <= min(3 max_m, n)."""
-    by_mu: Counter[int] = Counter()
-    for exp, c in z_asm_brute(n).items():
-        by_mu[exp[Y_IDX]] += c
+    by_mu = marginal(z_asm_brute(n), Y_IDX)
     no_isolated = [count_asm_no_isolated_by_mu(i) for i in range(min(3 * max_m, n) + 1)]
     sides = []
     for m in range(max_m + 1):

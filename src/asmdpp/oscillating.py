@@ -44,14 +44,6 @@ class OscTab:
     diagrams: tuple[Partition, ...]
     changes: tuple[tuple[int, int], ...]  # 1-based (i_k, j_k)
 
-    @property
-    def length(self) -> int:
-        return len(self.diagrams) - 1
-
-    @property
-    def shape(self) -> Partition:
-        return self.diagrams[-1]
-
 
 def _additions(lam: Partition) -> Iterator[tuple[Partition, int, int]]:
     for r in range(len(lam) + 1):

@@ -29,6 +29,7 @@ and ``omega_congruent_zero`` tests divisibility by it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -330,8 +331,17 @@ ONE = MultiPoly.const(1)
 X = MultiPoly.variable(X_IDX)
 Y = MultiPoly.variable(Y_IDX)
 Z = MultiPoly.variable(Z_IDX)
-W = MultiPoly.variable(W_IDX)
-Q = MultiPoly.variable(Q_IDX)
+
+
+def marginal(p: MultiPoly, var: int) -> Counter[int]:
+    """Sum of the coefficients of p by the exponent of variable ``var``.
+    For a generating function whose coefficients count objects, this is
+    the number of objects at each value of that statistic."""
+    shift = _SHIFTS[var]
+    out: Counter[int] = Counter()
+    for key, coeff in p._terms.items():
+        out[(key >> shift) & FIELD_MASK] += coeff
+    return out
 
 
 def monomial(coeff: int, x: int = 0, y: int = 0, z: int = 0, w: int = 0, q: int = 0) -> MultiPoly:
@@ -366,10 +376,6 @@ class OmegaPoly:
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "OmegaPoly":
         return cls((p,))
-
-    @classmethod
-    def zero(cls) -> "OmegaPoly":
-        return cls(())
 
     @classmethod
     def omega(cls) -> "OmegaPoly":

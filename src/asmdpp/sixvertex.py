@@ -28,6 +28,7 @@ so every computation stays in exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +36,8 @@ from random import Random
 from typing import Iterator
 
 from .asm import Asm, enumerate_asms, z_asm_brute
-from .errors import DegenerateParameterError, ValidationError
+from .errors import DegenerateParameterError, ResourceLimitError, ValidationError
+from .limits import IK_SAMPLE_MAX_N
 from .linalg import det_rat
 
 # (left, right, top, bottom) edge labels per type; the tables below are
@@ -48,8 +50,6 @@ EDGE_LABELS = {
     "c1": (0, 1, 0, 1),
     "c2": (1, 0, 1, 0),
 }
-
-VERTEX_TYPES = tuple(EDGE_LABELS)
 
 # the matrix entry is the step of the row partial sum across the vertex
 ENTRY_OF_TYPE = {t: right - left for t, (left, right, _, _) in EDGE_LABELS.items()}
@@ -94,33 +94,6 @@ class SixVertexConfig:
         return len(self.types)
 
 
-@dataclass(frozen=True)
-class VertexCounts:
-    n_a1: int
-    n_a2: int
-    n_b1: int
-    n_b2: int
-    n_c1: int
-    n_c2: int
-    row1_a: int
-    row1_b: int
-    row1_c: int
-
-    # halved / shifted totals: the grid carries the a- and b-counts twice
-    # and the c-count n more times than these
-    @property
-    def n_a(self) -> int:
-        return self.n_a1
-
-    @property
-    def n_b(self) -> int:
-        return self.n_b1
-
-    @property
-    def n_c(self) -> int:
-        return self.n_c2
-
-
 def asm_to_sixvertex(a: Asm) -> SixVertexConfig:
     """Bijection from matrices to configurations via partial sums."""
     n = a.n
@@ -151,26 +124,9 @@ def enumerate_configs(n: int) -> Iterator[SixVertexConfig]:
         yield asm_to_sixvertex(a)
 
 
-def vertex_counts(c: SixVertexConfig) -> VertexCounts:
-    totals = {t: 0 for t in VERTEX_TYPES}
-    for row in c.types:
-        for t in row:
-            totals[t] += 1
-    row1 = {"a1": 0, "b1": 0, "c1": 0}
-    for t in c.types[0]:
-        if t in row1:
-            row1[t] += 1
-    return VertexCounts(
-        totals["a1"],
-        totals["a2"],
-        totals["b1"],
-        totals["b2"],
-        totals["c1"],
-        totals["c2"],
-        row1["a1"],
-        row1["b1"],
-        row1["c1"],
-    )
+def vertex_counts(c: SixVertexConfig) -> tuple[Counter[str], Counter[str]]:
+    """Tallies of the vertex types over the whole grid and over its first row."""
+    return Counter(t for row in c.types for t in row), Counter(c.types[0])
 
 
 @dataclass(frozen=True)
@@ -303,24 +259,13 @@ def homogeneous_point(n: int, q: Fraction, rho0: Fraction) -> IkPoint:
     return IkPoint(Fraction(q), (Fraction(rho0),) * n, (Fraction(rho0),) * n)
 
 
-def check_homogeneous_specialization(n: int, q: Fraction, rho0: Fraction) -> bool:
-    """At the homogeneous point the partition function factors through the
-    brute-force generating function at x = (a/b)^2, y = (c/b)^2, z = 1."""
-    a, b, c = homogeneous_weights(q, rho0)
-    if b == 0:
-        raise DegenerateParameterError("b weight vanishes; choose rho0^2 != q^(+/-1)")
-    lhs = partition_function_explicit(n, homogeneous_point(n, q, rho0))
-    x = (a / b) ** 2
-    y = (c / b) ** 2
-    rhs = b ** (n * (n - 1)) * c**n * z_asm_brute(n).evaluate((x, y, 1, 1, 1))
-    return lhs == rhs
-
-
 def check_refined_specialization(
     n: int, q: Fraction, rho0: Fraction, s1: Fraction
 ) -> bool:
     """With the first row parameter free the partition function matches the
-    z-refined generating function at z = (a~ * b) / (a * b~)."""
+    z-refined generating function at x = (a/b)^2, y = (c/b)^2 and
+    z = (a~ * b) / (a * b~).  At s1 = rho0 the point is homogeneous:
+    a~ = a, b~ = b, c~ = c and z = 1."""
     q, rho0, s1 = Fraction(q), Fraction(rho0), Fraction(s1)
     a, b, c = homogeneous_weights(q, rho0)
     r = rho0 * rho0
@@ -347,7 +292,12 @@ def check_refined_specialization(
 
 def sample_ik_point(n: int, rng: Random) -> IkPoint:
     """Draw a small random rational point avoiding every degeneracy that
-    the determinant route rejects."""
+    the determinant route rejects.  Each coordinate is +-a/b with a <= 9
+    and b <= 6, so at most 36 squares exist and the expected number of
+    redraws grows steeply with n; an order past IK_SAMPLE_MAX_N is
+    refused before the first draw."""
+    if n > IK_SAMPLE_MAX_N:
+        raise ResourceLimitError(f"IK point sampling capped at order {IK_SAMPLE_MAX_N}")
 
     def frac(nonunit: bool = False) -> Fraction:
         while True:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import formulas, matrices, oscillating, paths, sixvertex
 from .asm import (
@@ -33,9 +33,16 @@ from .dpp import (
     z_dpp_brute_wq,
 )
 from .linalg import det_poly
-from .polynomial import MultiPoly, poly_str
+from .polynomial import X_IDX, Y_IDX, Z_IDX, MultiPoly, marginal, poly_str
 
 Z3_STRING = "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
+
+# (q, rho0, s1) of the six-vertex specializations and the weight
+# determinant, which reads q and rho0 only
+POINTS = (
+    (Fraction(3, 2), Fraction(2), Fraction(1, 2)),
+    (Fraction(2), Fraction(1, 3), Fraction(3)),
+)
 
 
 @dataclass(frozen=True)
@@ -95,13 +102,6 @@ def _dpps(n: int) -> tuple:
     return tuple(enumerate_dpps(n))
 
 
-def _marginal(z: MultiPoly, var: int, value: int) -> int:
-    """Number of objects whose statistic number var (0 nu, 1 mu, 2 rho)
-    equals value.  The brute-force generating functions are the cell
-    counts: the coefficient of x^p y^m z^k counts cell (p, m, k)."""
-    return sum(c for exp, c in z.items() if exp[var] == value)
-
-
 def _timed(run: Callable[[], bool], name: str, params: dict) -> CheckResult:
     start = time.perf_counter()
     error = None
@@ -113,47 +113,48 @@ def _timed(run: Callable[[], bool], name: str, params: dict) -> CheckResult:
     return CheckResult(name, params, ok, time.perf_counter() - start, error)
 
 
+def _each_n(
+    name: str, check: Callable[[int], bool], orders: Iterable[int], **params
+) -> Iterator[CheckResult]:
+    """One result of ``check(n)`` per order n; ``params`` are reported
+    beside n."""
+    for n in orders:
+        yield _timed(lambda: check(n), name, {"n": n, **params})
+
+
 def _suite_theorem1(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, max_n + 1):
-        yield _timed(
-            lambda n=n: z_asm_brute(n) == z_dpp_brute(n) == matrices.genfunc_det(n),
-            "genfunc_triple_equal",
-            {"n": n},
-        )
+    yield from _each_n(
+        "genfunc_triple_equal",
+        lambda n: z_asm_brute(n) == z_dpp_brute(n) == matrices.genfunc_det(n),
+        range(1, max_n + 1),
+    )
     if max_n >= 3:
-        yield _timed(
-            lambda: poly_str(z_asm_brute(3)) == Z3_STRING,
-            "canonical_string",
-            {"n": 3},
-        )
+        yield _timed(lambda: poly_str(z_asm_brute(3)) == Z3_STRING, "canonical_string", {"n": 3})
+
+
+def _refined_count(n: int) -> bool:
+    # the coefficient of x^p y^m z^k in a brute-force generating function
+    # counts cell (p, m, k), so its z-marginal counts the objects by rho
+    asm_side = marginal(z_asm_brute(n), Z_IDX)
+    dpp_side = marginal(z_dpp_brute(n), Z_IDX)
+    return all(
+        formulas.refined_total(n, k) == asm_side[k] == dpp_side[k] for k in range(n)
+    )
 
 
 def _suite_counting(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, max_n + 1):
-        yield _timed(
-            lambda n=n: len(_asms(n)) == len(_dpps(n)) == formulas.asm_total(n),
-            "total_count",
-            {"n": n},
-        )
-        yield _timed(
-            lambda n=n: all(
-                formulas.refined_total(n, k)
-                == _marginal(z_asm_brute(n), 2, k)
-                == _marginal(z_dpp_brute(n), 2, k)
-                for k in range(n)
-            ),
-            "refined_count",
-            {"n": n},
-        )
+    yield from _each_n(
+        "total_count",
+        lambda n: len(_asms(n)) == len(_dpps(n)) == formulas.asm_total(n),
+        range(1, max_n + 1),
+    )
+    yield from _each_n("refined_count", _refined_count, range(1, max_n + 1))
 
 
 def _suite_table(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, max_n + 1):
-        yield _timed(
-            lambda n=n: z_asm_brute(n) == z_dpp_brute(n),
-            "cells_agree",
-            {"n": n},
-        )
+    yield from _each_n(
+        "cells_agree", lambda n: z_asm_brute(n) == z_dpp_brute(n), range(1, max_n + 1)
+    )
     if max_n >= 5:
         yield _timed(
             lambda: z_asm_brute(5).terms.get((3, 1, 2, 0, 0)) == 10
@@ -168,177 +169,147 @@ def _sixvertex_checks(n: int) -> bool:
         c = sixvertex.asm_to_sixvertex(a)
         if sixvertex.sixvertex_to_asm(c) != a:
             return False
-        counts = sixvertex.vertex_counts(c)
-        if counts.n_a1 != counts.n_a2 or counts.n_b1 != counts.n_b2:
-            return False
-        if counts.n_c1 != counts.n_c2 + n:
-            return False
-        if counts.n_a + counts.n_b + counts.n_c != n * (n - 1) // 2:
-            return False
-        if counts.row1_a + counts.row1_b != n - 1 or counts.row1_c != 1:
-            return False
+        # the grid holds a1 = a2 = nu, b1 = b2 and c2 = mu, c1 = mu + n;
+        # the first row holds rho a1s, then one c1, then b1s
+        grid, row1 = sixvertex.vertex_counts(c)
         s = asm_stats(a)
-        if (s.nu, s.mu, s.rho) != (counts.n_a, counts.n_c, counts.row1_a):
+        if not (
+            grid["a1"] == grid["a2"]
+            and grid["b1"] == grid["b2"]
+            and grid["c1"] == grid["c2"] + n
+            and grid["a1"] + grid["b1"] + grid["c2"] == n * (n - 1) // 2
+            and row1["a1"] + row1["b1"] == n - 1
+            and row1["c1"] == 1
+            and (s.nu, s.mu, s.rho) == (grid["a1"], grid["c2"], row1["a1"])
+        ):
             return False
     return True
 
 
 def _suite_sixvertex(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, min(max_n, 5) + 1):
-        yield _timed(lambda n=n: _sixvertex_checks(n), "lemmas_and_roundtrip", {"n": n})
+    yield from _each_n("lemmas_and_roundtrip", _sixvertex_checks, range(1, max_n + 1))
 
 
 def _suite_ik(max_n: int, seed: int) -> Iterator[CheckResult]:
     rng = Random(seed)
-    for n in range(2, min(max_n, 4) + 1):
-        yield _timed(
-            lambda n=n: all(
-                sixvertex.ik_determinant_rat(pt)
-                == sixvertex.partition_function_explicit(n, pt)
-                for pt in (sixvertex.sample_ik_point(n, rng) for _ in range(20))
-            ),
-            "det_equals_sum",
-            {"n": n, "points": 20},
-        )
-    for n in range(1, min(max_n, 4) + 1):
-        yield _timed(
-            lambda n=n: sixvertex.check_homogeneous_specialization(
-                n, Fraction(3, 2), Fraction(2)
-            )
-            and sixvertex.check_homogeneous_specialization(n, Fraction(2), Fraction(1, 3)),
-            "homogeneous_point",
-            {"n": n},
-        )
-        yield _timed(
-            lambda n=n: sixvertex.check_refined_specialization(
-                n, Fraction(3, 2), Fraction(2), Fraction(1, 2)
-            )
-            and sixvertex.check_refined_specialization(
-                n, Fraction(2), Fraction(1, 3), Fraction(3)
-            ),
-            "refined_point",
-            {"n": n},
-        )
+    yield from _each_n(
+        "det_equals_sum",
+        lambda n: all(
+            sixvertex.ik_determinant_rat(pt) == sixvertex.partition_function_explicit(n, pt)
+            for pt in (sixvertex.sample_ik_point(n, rng) for _ in range(20))
+        ),
+        range(2, max_n + 1),
+        points=20,
+    )
+    # the homogeneous point is the refined one at s1 = rho0
+    yield from _each_n(
+        "homogeneous_point",
+        lambda n: all(
+            sixvertex.check_refined_specialization(n, q, rho0, rho0) for q, rho0, _ in POINTS
+        ),
+        range(1, max_n + 1),
+    )
+    yield from _each_n(
+        "refined_point",
+        lambda n: all(
+            sixvertex.check_refined_specialization(n, q, rho0, s1) for q, rho0, s1 in POINTS
+        ),
+        range(1, max_n + 1),
+    )
 
 
 def _suite_lgv(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, min(max_n, 5) + 1):
-        yield _timed(
-            lambda n=n: all(
-                paths.path_weight_sum(i, j, n) == paths.direct_path_weight_oracle(i, j, n)
-                for i in range(n)
-                for j in range(n)
-            ),
-            "path_sum_oracle",
-            {"n": n},
-        )
-        yield _timed(
-            lambda n=n: bool(paths.lgv_nilp_sum(n, refined=True)),
-            "family_sum_equals_det",
-            {"n": n},
-        )
-    for n in range(1, max_n + 1):
-        yield _timed(
-            lambda n=n: det_poly(paths.lgv_matrix(n)) == z_dpp_brute(n),
-            "det_equals_brute",
-            {"n": n},
-        )
+    yield from _each_n(
+        "path_sum_oracle",
+        lambda n: all(
+            paths.path_weight_sum(i, j, n) == paths.direct_path_weight_oracle(i, j, n)
+            for i in range(n)
+            for j in range(n)
+        ),
+        range(1, min(max_n, 5) + 1),
+    )
+    yield from _each_n(
+        "family_sum_equals_det",
+        lambda n: bool(paths.lgv_nilp_sum(n, refined=True)),
+        range(1, min(max_n, 5) + 1),
+    )
+    yield from _each_n(
+        "det_equals_brute",
+        lambda n: det_poly(paths.lgv_matrix(n)) == z_dpp_brute(n),
+        range(1, max_n + 1),
+    )
 
 
 def _suite_omega(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, max_n + 1):
-        for refined in (False, True):
-            yield _timed(
-                lambda n=n, refined=refined: matrices.check_omega_relation(n, refined),
-                "intertwining",
-                {"n": n, "refined": refined},
-            )
+    for refined in (False, True):
+        yield from _each_n(
+            "intertwining",
+            lambda n: matrices.check_omega_relation(n, refined),
+            range(1, max_n + 1),
+            refined=refined,
+        )
     yield _timed(
         lambda: not matrices.check_omega_relation(3, True, perturbation=(0, 0)),
         "negative_control",
         {"n": 3},
     )
-    for n in range(1, min(max_n, 5) + 1):
-        yield _timed(
-            lambda n=n: matrices.check_prop_asmdet_rational(n, 20, seed=seed),
-            "det_formula_rational",
-            {"n": n, "trials": 20},
-        )
-    for n in range(1, min(max_n, 4) + 1):
-        yield _timed(
-            lambda n=n: matrices.check_omega_relation_rational(n, 10, seed=seed),
-            "det_equality_spot",
-            {"n": n, "points": 10},
-        )
+    yield from _each_n(
+        "det_formula_rational",
+        lambda n: matrices.check_prop_asmdet_rational(n, 20, seed=seed),
+        range(1, min(max_n, 5) + 1),
+        trials=20,
+    )
+    yield from _each_n(
+        "det_equality_spot",
+        lambda n: matrices.check_omega_relation_rational(n, 10, seed=seed),
+        range(1, min(max_n, 4) + 1),
+        points=10,
+    )
 
 
 def _suite_aux(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, min(max_n, 5) + 1):
-        yield _timed(
-            lambda n=n: matrices.check_aux_relations(n), "products_and_dets", {"n": n}
-        )
-        yield _timed(
-            lambda n=n: det_poly(matrices.build("M_BAR_W", n)) == z_dpp_brute_w(n),
-            "w_refined_det",
-            {"n": n},
-        )
-        yield _timed(
-            lambda n=n: matrices.dpp_det_omega_factor_holds(n),
-            "omega_factor",
-            {"n": n},
-        )
-    for n in range(1, min(max_n, 4) + 1):
-        yield _timed(
-            lambda n=n: matrices.check_weight_determinant(n, Fraction(3, 2), Fraction(2))
-            and matrices.check_weight_determinant(n, Fraction(2), Fraction(1, 3)),
-            "weight_determinant",
-            {"n": n},
-        )
+    yield from _each_n("products_and_dets", matrices.check_aux_relations, range(1, max_n + 1))
+    yield from _each_n(
+        "w_refined_det",
+        lambda n: det_poly(matrices.build("M_BAR_W", n)) == z_dpp_brute_w(n),
+        range(1, max_n + 1),
+    )
+    yield from _each_n("omega_factor", matrices.dpp_det_omega_factor_holds, range(1, max_n + 1))
+    yield from _each_n(
+        "weight_determinant",
+        lambda n: all(matrices.check_weight_determinant(n, q, rho0) for q, rho0, _ in POINTS),
+        range(1, min(max_n, 4) + 1),
+    )
 
 
 def _suite_osc(max_n: int, seed: int) -> Iterator[CheckResult]:
     for p in range(5):
         yield _timed(
-            lambda p=p: sum(
-                1 for _ in oscillating.enumerate_oscillating((), 2 * p)
-            )
+            lambda: sum(1 for _ in oscillating.enumerate_oscillating((), 2 * p))
             == oscillating.double_factorial_odd(p),
             "empty_shape_size",
             {"p": p},
         )
         yield _timed(
-            lambda p=p: oscillating.ascent_distribution(
-                oscillating.enumerate_oscillating((), 2 * p)
-            )
+            lambda: oscillating.ascent_distribution(oscillating.enumerate_oscillating((), 2 * p))
             == oscillating.delta_ascent_distribution(p),
             "ascent_distribution",
             {"p": p},
         )
-        for n in range(1, max_n + 1):
-            yield _timed(
-                lambda n=n, p=p: _osc_vs_enumeration(n, p),
-                "counts_match_enumeration",
-                {"n": n, "p": p},
-            )
+        yield from _each_n(
+            "counts_match_enumeration",
+            lambda n: oscillating.osc_counts(n, p)
+            == (marginal(z_asm_brute(n), X_IDX)[p], marginal(z_dpp_brute(n), X_IDX)[p]),
+            range(1, max_n + 1),
+            p=p,
+        )
     yield _timed(
         lambda: all(
-            oscillating.osc_counts(n, 2)
-            == (
-                comb(n, 4) + 2 * comb(n + 1, 4),
-                comb(n, 4) + 2 * comb(n + 1, 4),
-            )
+            oscillating.osc_counts(n, 2) == (comb(n, 4) + 2 * comb(n + 1, 4),) * 2
             for n in range(1, 9)
         ),
         "p2_closed_form",
         {},
-    )
-
-
-def _osc_vs_enumeration(n: int, p: int) -> bool:
-    asm_side, dpp_side = oscillating.osc_counts(n, p)
-    return (
-        asm_side == _marginal(z_asm_brute(n), 0, p)
-        and dpp_side == _marginal(z_dpp_brute(n), 0, p)
     )
 
 
@@ -363,14 +334,14 @@ def _m0_roundtrip(n: int) -> bool:
 
 
 def _suite_m0(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, max_n + 1):
-        yield _timed(lambda n=n: _m0_roundtrip(n), "roundtrip_and_stats", {"n": n})
-        yield _timed(
-            lambda n=n: z_asm_brute(n).substitute(1, 0) == formulas.z_mu_zero(n)
-            and z_dpp_brute(n).substitute(1, 0) == formulas.z_mu_zero(n),
-            "mu_zero_genfunc",
-            {"n": n},
-        )
+    yield from _each_n("roundtrip_and_stats", _m0_roundtrip, range(1, max_n + 1))
+    yield from _each_n(
+        "mu_zero_genfunc",
+        lambda n: z_asm_brute(n).substitute(Y_IDX, 0)
+        == z_dpp_brute(n).substitute(Y_IDX, 0)
+        == formulas.z_mu_zero(n),
+        range(1, max_n + 1),
+    )
 
 
 def _symstat_holds(n: int) -> bool:
@@ -395,23 +366,17 @@ def _dpp_multiset_symmetry(n: int) -> bool:
 
 
 def _suite_symmetry(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, min(max_n, 5) + 1):
-        yield _timed(lambda n=n: _symstat_holds(n), "reflection_stats", {"n": n})
-        yield _timed(
-            lambda n=n: all(
-                asm_nu_second_form(a) == asm_stats(a).nu for a in _asms(n)
-            ),
-            "nu_two_forms",
-            {"n": n},
-        )
-    for n in range(1, max_n + 1):
-        yield _timed(
-            lambda n=n: _dpp_multiset_symmetry(n), "dpp_multiset", {"n": n}
-        )
+    yield from _each_n("reflection_stats", _symstat_holds, range(1, min(max_n, 5) + 1))
+    yield from _each_n(
+        "nu_two_forms",
+        lambda n: all(asm_nu_second_form(a) == asm_stats(a).nu for a in _asms(n)),
+        range(1, min(max_n, 5) + 1),
+    )
+    yield from _each_n("dpp_multiset", _dpp_multiset_symmetry, range(1, max_n + 1))
     for m, order in ((1, 3), (2, 5)):
         if order <= max_n:
             yield _timed(
-                lambda m=m, order=order: formulas.vsasm_total(m)
+                lambda: formulas.vsasm_total(m)
                 == sum(1 for a in _asms(order) if asm_reflect(a) == a),
                 "reflection_invariant_count",
                 {"order": order},
@@ -419,31 +384,29 @@ def _suite_symmetry(max_n: int, seed: int) -> Iterator[CheckResult]:
 
 
 def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(1, min(max_n, 5) + 1):
-        yield _timed(
-            lambda n=n: bool(formulas.stanton_parity(n)), "stanton", {"n": n}
-        )
-        yield _timed(
-            lambda n=n: all(lhs == rhs for lhs, rhs in formulas.cdlg_identities(n, 2)),
-            "isolated_one_identity",
-            {"n": n, "max_m": 2},
-        )
-    for n in range(1, max_n + 1):
-        yield _timed(
-            lambda n=n: q_marginal(z_dpp_brute_wq(n)) == formulas.q_factorial_product(n),
-            "q_enumeration",
-            {"n": n},
-        )
+    yield from _each_n(
+        "stanton", lambda n: bool(formulas.stanton_parity(n)), range(1, min(max_n, 5) + 1)
+    )
+    yield from _each_n(
+        "isolated_one_identity",
+        lambda n: all(lhs == rhs for lhs, rhs in formulas.cdlg_identities(n, 2)),
+        range(1, min(max_n, 5) + 1),
+        max_m=2,
+    )
+    yield from _each_n(
+        "q_enumeration",
+        lambda n: q_marginal(z_dpp_brute_wq(n)) == formulas.q_factorial_product(n),
+        range(1, max_n + 1),
+    )
 
 
 def _suite_boundary(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for n in range(2, max_n + 1):
-        yield _timed(
-            lambda n=n: z_asm_brute(n).substitute(2, 0) == z_asm_brute(n - 1).substitute(2, 1)
-            and z_dpp_brute(n).substitute(2, 0) == z_dpp_brute(n - 1).substitute(2, 1),
-            "z_at_zero_vs_one",
-            {"n": n},
-        )
+    yield from _each_n(
+        "z_at_zero_vs_one",
+        lambda n: z_asm_brute(n).substitute(Z_IDX, 0) == z_asm_brute(n - 1).substitute(Z_IDX, 1)
+        and z_dpp_brute(n).substitute(Z_IDX, 0) == z_dpp_brute(n - 1).substitute(Z_IDX, 1),
+        range(2, max_n + 1),
+    )
 
 
 SUITES: dict[str, tuple[int, Callable[[int, int], Iterator[CheckResult]]]] = {

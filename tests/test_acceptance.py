@@ -70,14 +70,14 @@ def test_04_sixvertex_lemmas():
             for a in asm_list(n):
                 c = sixvertex.asm_to_sixvertex(a)
                 assert sixvertex.sixvertex_to_asm(c) == a
-                v = sixvertex.vertex_counts(c)
-                assert v.n_a1 == v.n_a2
-                assert v.n_b1 == v.n_b2
-                assert v.n_c1 == v.n_c2 + n
-                assert v.n_a + v.n_b + v.n_c == half
-                assert v.row1_a + v.row1_b == n - 1 and v.row1_c == 1
+                grid, row1 = sixvertex.vertex_counts(c)
+                assert grid["a1"] == grid["a2"]
+                assert grid["b1"] == grid["b2"]
+                assert grid["c1"] == grid["c2"] + n
+                assert grid["a1"] + grid["b1"] + grid["c2"] == half
+                assert row1["a1"] + row1["b1"] == n - 1 and row1["c1"] == 1
                 s = asm_stats(a)
-                assert (s.nu, s.mu, s.rho) == (v.n_a, v.n_c, v.row1_a)
+                assert (s.nu, s.mu, s.rho) == (grid["a1"], grid["c2"], row1["a1"])
 
 
 def test_05_izergin_korepin():
@@ -90,11 +90,12 @@ def test_05_izergin_korepin():
                     sixvertex.partition_function_explicit(n, pt)
                 ), (n, pt)
         for n in range(1, 5):
-            assert sixvertex.check_homogeneous_specialization(
-                n, Fraction(3, 2), Fraction(2)
+            # the homogeneous point is the refined one at s1 = rho0
+            assert sixvertex.check_refined_specialization(
+                n, Fraction(3, 2), Fraction(2), Fraction(2)
             )
-            assert sixvertex.check_homogeneous_specialization(
-                n, Fraction(2), Fraction(1, 3)
+            assert sixvertex.check_refined_specialization(
+                n, Fraction(2), Fraction(1, 3), Fraction(1, 3)
             )
             assert sixvertex.check_refined_specialization(
                 n, Fraction(3, 2), Fraction(2), Fraction(1, 2)

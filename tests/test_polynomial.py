@@ -16,6 +16,7 @@ from asmdpp.polynomial import (
     Y,
     Z,
     binom,
+    marginal,
     monomial,
     omega_congruent_zero,
     poly_str,
@@ -87,6 +88,23 @@ def test_substitute():
     p = ONE + X * Z + monomial(1, x=2, z=2)
     assert p.substitute(2, 0) == ONE
     assert p.substitute(2, 1) == ONE + X + X * X
+
+
+def test_marginal_sums_coefficients_by_one_exponent():
+    p = MultiPoly.const(3) + X * Z - monomial(2, x=2, z=1) + monomial(5, y=4, q=7)
+    assert marginal(p, 2) == {0: 8, 1: -1}
+    assert marginal(p, 0) == {0: 8, 1: 1, 2: -2}
+    assert marginal(p, 4) == {0: 2, 7: 5}
+    assert marginal(MultiPoly.zero(), 1)[0] == 0
+
+
+@settings(max_examples=50)
+@given(polys, st.integers(0, NVARS - 1))
+def test_marginal_matches_the_term_list(p, var):
+    expected = {}
+    for exp, c in p.items():
+        expected[exp[var]] = expected.get(exp[var], 0) + c
+    assert marginal(p, var) == expected
 
 
 def test_term_list_roundtrip():

@@ -6,13 +6,13 @@ from random import Random
 import pytest
 
 from asmdpp.asm import Asm, asm_stats
-from asmdpp.errors import DegenerateParameterError, ValidationError
+from asmdpp.errors import DegenerateParameterError, ResourceLimitError, ValidationError
+from asmdpp.limits import IK_SAMPLE_MAX_N
 from asmdpp.matrices import check_weight_determinant
 from asmdpp.sixvertex import (
     IkPoint,
     SixVertexConfig,
     asm_to_sixvertex,
-    check_homogeneous_specialization,
     check_refined_specialization,
     config_to_json,
     enumerate_configs,
@@ -40,15 +40,15 @@ def test_worked_example_configuration():
     assert c.types[0] == ("a1", "a1", "a1", "c1", "b1", "b1")
     assert c.types[1] == ("a1", "c1", "b1", "c2", "c1", "b1")
     assert sixvertex_to_asm(c) == ASMEX
-    counts = vertex_counts(c)
-    assert (counts.n_a, counts.n_b, counts.n_c) == (5, 7, 3)
-    assert counts.row1_a == 3
+    grid, row1 = vertex_counts(c)
+    assert (grid["a1"], grid["b1"], grid["c2"]) == (5, 7, 3)
+    assert row1["a1"] == 3
 
 
 def test_identity_counts():
     ident = Asm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    counts = vertex_counts(asm_to_sixvertex(ident))
-    assert (counts.n_a, counts.n_b, counts.n_c) == (0, 3, 0)
+    grid, _ = vertex_counts(asm_to_sixvertex(ident))
+    assert (grid["a1"], grid["b1"], grid["c2"]) == (0, 3, 0)
 
 
 def test_roundtrip_order_4():
@@ -59,15 +59,15 @@ def test_roundtrip_order_4():
 def test_count_lemmas_order_4():
     for n in (1, 2, 3, 4):
         for a in asm_list(n):
-            counts = vertex_counts(asm_to_sixvertex(a))
-            assert counts.n_a1 == counts.n_a2
-            assert counts.n_b1 == counts.n_b2
-            assert counts.n_c1 == counts.n_c2 + n
-            assert counts.n_a + counts.n_b + counts.n_c == n * (n - 1) // 2
-            assert counts.row1_a + counts.row1_b == n - 1
-            assert counts.row1_c == 1
+            grid, row1 = vertex_counts(asm_to_sixvertex(a))
+            assert grid["a1"] == grid["a2"]
+            assert grid["b1"] == grid["b2"]
+            assert grid["c1"] == grid["c2"] + n
+            assert grid["a1"] + grid["b1"] + grid["c2"] == n * (n - 1) // 2
+            assert row1["a1"] + row1["b1"] == n - 1
+            assert row1["c1"] == 1
             s = asm_stats(a)
-            assert (s.nu, s.mu, s.rho) == (counts.n_a, counts.n_c, counts.row1_a)
+            assert (s.nu, s.mu, s.rho) == (grid["a1"], grid["c2"], row1["a1"])
 
 
 def test_invalid_config_rejected():
@@ -152,10 +152,25 @@ def test_sample_ik_point_draws_are_unchanged(n):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLE_SHA256[n]
 
 
+def test_sample_ik_point_refuses_orders_past_the_cap_before_drawing():
+    for n in (IK_SAMPLE_MAX_N + 1, 37):
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(ResourceLimitError):
+            sample_ik_point(n, rng)
+        assert rng.getstate() == state
+
+
+def test_sample_ik_point_draws_at_the_cap():
+    pt = sample_ik_point(IK_SAMPLE_MAX_N, Random(0))
+    assert pt.n == IK_SAMPLE_MAX_N
+
+
 def test_homogeneous_specialization_small():
+    # at s1 = rho0 the refined point is the homogeneous one (z = 1)
     for n in (1, 2, 3):
-        assert check_homogeneous_specialization(n, Fraction(3, 2), Fraction(2))
-        assert check_homogeneous_specialization(n, Fraction(2), Fraction(1, 3))
+        assert check_refined_specialization(n, Fraction(3, 2), Fraction(2), Fraction(2))
+        assert check_refined_specialization(n, Fraction(2), Fraction(1, 3), Fraction(1, 3))
 
 
 def test_refined_specialization_small():
@@ -166,8 +181,8 @@ def test_refined_specialization_small():
 @pytest.mark.parametrize(
     "check, args",
     [
-        (check_homogeneous_specialization, (2, 0, 2)),
-        (check_homogeneous_specialization, (2, Fraction(3, 2), 0)),
+        (check_refined_specialization, (2, 0, 2, 2)),
+        (check_refined_specialization, (2, Fraction(3, 2), 0, 0)),
         (check_refined_specialization, (2, 0, 2, Fraction(1, 2))),
         (check_weight_determinant, (2, 0, 2)),
         (check_weight_determinant, (2, Fraction(3, 2), 0)),
