@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .errors import ResourceLimitError, ValidationError
-from .limits import BRUTE_FORCE_LIMIT
+from .errors import ValidationError
+from .limits import BRUTE_FORCE_LIMIT, check_order
 from .polynomial import MultiPoly
 
 
@@ -119,8 +119,7 @@ def enumerate_asms(n: int) -> Iterator[Asm]:
     column, so sign alternation needs no extra state.  The rows that may
     follow a vector come from ``_row_candidates``, built once per vector.
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
 
     def walk(rows: tuple[tuple[int, ...], ...], col: tuple[int, ...]) -> Iterator[Asm]:
         if len(rows) == n:
@@ -198,12 +197,14 @@ def count_asm_no_isolated_by_mu(n: int) -> Counter[int]:
     isolated 1, from one pass over the family."""
     if n == 0:
         return Counter({0: 1})
+    check_order(n, BRUTE_FORCE_LIMIT, "family enumeration")
     return Counter(asm_stats(a).mu for a in enumerate_asms(n) if isolated_ones_count(a) == 0)
 
 
 def count_rotation_invariant(n: int) -> tuple[int, int]:
     """Numbers of order-n matrices invariant under the half turn and under
     the quarter turn."""
+    check_order(n, BRUTE_FORCE_LIMIT, "family enumeration")
     half = quarter = 0
     for a in enumerate_asms(n):
         half += rotation_invariance(a, "half")
@@ -215,10 +216,7 @@ def count_rotation_invariant(n: int) -> tuple[int, int]:
 def z_asm_brute(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized (at
     most BRUTE_FORCE_LIMIT entries)."""
-    if n > BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(
-            f"brute-force generating function capped at order {BRUTE_FORCE_LIMIT}"
-        )
+    check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
     counts: Counter[tuple[int, int, int]] = Counter()
     for a in enumerate_asms(n):
         s = asm_stats(a)

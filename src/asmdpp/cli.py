@@ -8,13 +8,17 @@ Subcommands:
   verify     run the named verification suites (exit 1 on any failure)
   matrix     dump one of the named matrices as JSON term lists
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Every
+order goes through the one rule limits.check_order: an order below 1,
+verify's --max-n included, exits with 2, and so does an order past a
+documented cap, with "error: <what> capped at order <cap>".  The
 environment variable ASMDPP_MAX_N caps the order accepted by every
-command that takes --n (a larger order exits with 2) and lowers verify's
---max-n.  --output FILE replaces a regular FILE only when the command
-returns, so a refused command (exit 2) leaves an existing FILE as it
-was; a device or a pipe is written through, and a FILE that cannot be
-opened for writing (a directory, a missing parent) exits with 2.
+command that takes --n in the same way ("ASMDPP_MAX_N capped at order
+<cap>") and lowers verify's --max-n.  --output FILE replaces a regular
+FILE only when the command returns, so a refused command (exit 2)
+leaves an existing FILE as it was; a device or a pipe is written
+through, and a FILE that cannot be opened for writing (a directory, a
+missing parent) exits with 2.
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (one line per suite: checks, failures and
 seconds) or under --timings (json).
@@ -36,7 +40,7 @@ from . import verify as verify_mod
 from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
 from .dpp import Dpp, dpp_to_json, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
-from .limits import MAX_N_ENV_VAR
+from .limits import MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
 from .paths import NilpSet, enumerate_nilp_families, nilp_to_json
 from .polynomial import poly_str
@@ -53,12 +57,6 @@ def _env_cap() -> int | None:
         return int(raw)
     except ValueError:
         raise AsmDppError(f"{MAX_N_ENV_VAR} must be an integer, got {raw!r}")
-
-
-def _check_cap(n: int) -> None:
-    cap = _env_cap()
-    if cap is not None and n > cap:
-        raise AsmDppError(f"order {n} exceeds {MAX_N_ENV_VAR}={cap}")
 
 
 def _dpp_text(d: Dpp) -> str:
@@ -110,7 +108,7 @@ def _replaced_on_success(path: Path, shown: str) -> Iterator[TextIO]:
 
 
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
-    _check_cap(args.n)
+    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
     enumerator, json_form, text_form = _KIND_FORMS[args.kind]
     if args.format == "json":
         lines = (json.dumps(json_form(obj), separators=(",", ":")) for obj in enumerator(args.n))
@@ -123,7 +121,7 @@ def cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_genfunc(args: argparse.Namespace, out) -> int:
-    _check_cap(args.n)
+    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
     if args.method in ("det", "det-w"):
         poly = genfunc_det(args.n, w_refined=args.method == "det-w")
     elif args.method == "brute-asm":
@@ -144,7 +142,7 @@ def cmd_genfunc(args: argparse.Namespace, out) -> int:
 
 
 def cmd_table(args: argparse.Namespace, out) -> int:
-    _check_cap(args.n)
+    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
     # coefficients are keyed by (p, m, k, 0, 0), so they sort as (p, m, k)
     asm_cells = z_asm_brute(args.n).terms
     dpp_cells = z_dpp_brute(args.n).terms
@@ -210,7 +208,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace, out) -> int:
-    _check_cap(args.n)
+    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
     m = build(args.name, args.n, refined=not args.unrefined)
     doc = {
         "name": args.name,

@@ -24,8 +24,8 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import ResourceLimitError, ValidationError
-from .limits import BRUTE_FORCE_LIMIT
+from .errors import ValidationError
+from .limits import BRUTE_FORCE_LIMIT, check_order
 from .polynomial import Q_IDX, W_IDX, X_IDX, Y_IDX, Z_IDX, MultiPoly
 
 
@@ -131,8 +131,7 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
     top to bottom, each filled in ascending order.  A row's part at
     offset 1 must exceed the next row's first part, which sits under it.
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     rows: list[tuple[int, ...]] = []
 
     def fill(firsts: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[Dpp]:
@@ -154,20 +153,13 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
                 yield from fill(firsts, lengths)
 
 
-def _check_brute_limit(n: int) -> None:
-    if n > BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(
-            f"brute-force generating function capped at order {BRUTE_FORCE_LIMIT}"
-        )
-
-
 @cache
 def z_dpp_brute_wq(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho * w^(rows+1) * q^(sum of parts) over
     DPP(n).  This is the one pass that counts DPP statistics, memoized (at
     most BRUTE_FORCE_LIMIT entries); the other DPP generating functions
     are substitutions of it."""
-    _check_brute_limit(n)
+    check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
     counts: Counter[tuple[int, int, int, int, int]] = Counter()
     for d in enumerate_dpps(n):
         s = dpp_stats(d, n)
@@ -186,16 +178,13 @@ def z_dpp_brute(n: int) -> MultiPoly:
     return z_dpp_brute_w(n).substitute(W_IDX, 1)
 
 
-def q_marginal(z: MultiPoly) -> MultiPoly:
-    """The q part of a five-variable sum: x, y, z and w set to 1."""
+def q_sum_of_parts(n: int) -> MultiPoly:
+    """Sum of q^(sum of parts) over DPP(n): the one-pass sum with x, y, z
+    and w set to 1."""
+    z = z_dpp_brute_wq(n)
     for index in (X_IDX, Y_IDX, Z_IDX, W_IDX):
         z = z.substitute(index, 1)
     return z
-
-
-def q_sum_of_parts(n: int) -> MultiPoly:
-    """Sum of q^(sum of parts) over DPP(n)."""
-    return q_marginal(z_dpp_brute_wq(n))
 
 
 def dpp_to_json(d: Dpp) -> list[list[int]]:

@@ -20,6 +20,7 @@ from .asm import (
 )
 from .dpp import Dpp, dpp_stats, q_sum_of_parts
 from .errors import InvariantError, ValidationError
+from .limits import check_order
 from .linalg import divide_exact
 from .polynomial import ONE, Q_IDX, Y_IDX, MultiPoly, marginal
 
@@ -32,8 +33,7 @@ def _exact_int(value: Fraction, what: str) -> int:
 
 def asm_total(n: int) -> int:
     """prod_{i=0}^{n-1} (3i+1)! / (n+i)!  (counts both families)."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     value = Fraction(1)
     for i in range(n):
         value *= Fraction(factorial(3 * i + 1), factorial(n + i))
@@ -45,8 +45,7 @@ def refined_total(n: int, k: int) -> int:
 
     (n+k-1)! (2n-k-2)! / ((2n-2)! k! (n-k-1)!) * prod (3i+1)!/(n+i-1)!.
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     if not 0 <= k <= n - 1:
         raise ValidationError(f"k = {k} out of range 0..{n - 1}")
     value = Fraction(
@@ -61,8 +60,7 @@ def refined_total(n: int, k: int) -> int:
 def vsasm_total(n: int) -> int:
     """Number of order-(2n+1) matrices invariant under the vertical
     reflection: prod_{i=1}^{n} (6i-2)! / (2n+2i)!."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
+    check_order(n)
     value = Fraction(1)
     for i in range(1, n + 1):
         value *= Fraction(factorial(6 * i - 2), factorial(2 * n + 2 * i))
@@ -100,8 +98,7 @@ def xz_int(k: int) -> MultiPoly:
 def z_mu_zero(n: int) -> MultiPoly:
     """[n]_{xz} [n-1]_x!, the generating function over elements with no
     -1 entries / no special parts."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     out = xz_int(n)
     for k in range(1, n):
         out = out * MultiPoly({(e, 0, 0, 0, 0): 1 for e in range(k)})

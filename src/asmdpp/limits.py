@@ -1,8 +1,17 @@
-"""Documented size limits for the exhaustive and symbolic routines.
+"""Documented size limits for the exhaustive and symbolic routines, and
+the one rule that enforces them.
 
-BRUTE_FORCE_LIMIT caps the order accepted by the brute-force generating
-functions (both families have 218348 elements at order 7, which is the
-largest size that enumerates in reasonable time in pure Python).
+``check_order(n, cap, what)`` is the only order check in the package:
+an order below 1 raises ``ValidationError("order must be at least 1")``,
+and an order past cap raises ``ResourceLimitError("<what> capped at
+order <cap>")`` before any work is done.  Every cap below, and the
+command line's ASMDPP_MAX_N, is applied through it.
+
+BRUTE_FORCE_LIMIT caps every exhaustive pass over a family: the
+brute-force generating functions, the direct path-family sum, the
+explicit six-vertex sum and the ASM counts behind the parity checks
+(both families have 218348 elements at order 7, which is the largest
+size that enumerates in reasonable time in pure Python).
 
 DET_POLY_MAX_N caps symbolic determinants; minor expansion computes one
 minor per column subset, so cost grows like 2^n.  At the cap,
@@ -30,6 +39,10 @@ bit, so every exponent must stay below 2^15 = 32768.  The largest in use
 is the q-degree of q_factorial_product(7), 441.
 """
 
+from __future__ import annotations
+
+from .errors import ResourceLimitError, ValidationError
+
 BRUTE_FORCE_LIMIT = 7
 
 DET_POLY_MAX_N = 12
@@ -41,3 +54,12 @@ IK_SAMPLE_MAX_N = 9
 EXPONENT_FIELD_BITS = 16
 
 MAX_N_ENV_VAR = "ASMDPP_MAX_N"
+
+
+def check_order(n: int, cap: int | None = None, what: str | None = None) -> None:
+    """Refuse an order below 1, or past cap when one is given; what names
+    the capped computation in the message."""
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    if cap is not None and n > cap:
+        raise ResourceLimitError(f"{what} capped at order {cap}")

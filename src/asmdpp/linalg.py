@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ResourceLimitError, ValidationError
-from .limits import DET_POLY_MAX_N
+from .errors import ValidationError
+from .limits import DET_POLY_MAX_N, check_order
 from .polynomial import _GUARD, ONE, ZERO, MultiPoly, OmegaPoly
 
 
@@ -195,10 +195,7 @@ def det_poly(m: PolyMatrix):
     tie it keeps the rows."""
     if not m.is_square():
         raise ValidationError("determinant of a non-square matrix")
-    if m.n_rows > DET_POLY_MAX_N:
-        raise ResourceLimitError(
-            f"determinant order {m.n_rows} exceeds limit {DET_POLY_MAX_N}"
-        )
+    check_order(m.n_rows, DET_POLY_MAX_N, "determinant")
     entries = m.entries
     last_row = sum(map(_term_count, entries[-1]))
     last_col = sum(_term_count(row[-1]) for row in entries)

@@ -53,8 +53,8 @@ from random import Random
 from typing import Iterator
 
 from .asm import z_asm_brute
-from .errors import ResourceLimitError, ValidationError
-from .limits import MATRIX_BUILD_MAX_N
+from .errors import ValidationError
+from .limits import DET_POLY_MAX_N, MATRIX_BUILD_MAX_N, check_order
 from .linalg import PolyMatrix, det_poly, det_rat
 from .paths import lgv_matrix, path_weight_sum, split_binom
 from .polynomial import (
@@ -135,13 +135,6 @@ def _lmat(n: int) -> PolyMatrix:
     return PolyMatrix.square(n, lambda i, j: monomial(binom(i, j), x=i, y=j))
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    if n > MATRIX_BUILD_MAX_N:
-        raise ResourceLimitError(f"matrix construction capped at order {MATRIX_BUILD_MAX_N}")
-
-
 # name -> builder(n) of the z-refined matrix; the order is that of
 # `matrix --name`
 _BUILDERS = {
@@ -167,7 +160,7 @@ def build(name: str, n: int, refined: bool = True) -> PolyMatrix:
     omega factor sits only in the last column, and is 1 at z = 1).
     Everything else is omega-free MultiPoly.
     """
-    _check_order(n)
+    check_order(n, MATRIX_BUILD_MAX_N, "matrix construction")
     if name not in _BUILDERS:
         raise ValidationError(f"unknown matrix family {name!r}")
     if refined:
@@ -191,8 +184,9 @@ def genfunc_det(n: int, w_refined: bool = False) -> MultiPoly:
     two determinants are equal at every order; the same holds for the
     w-weighted pair.  An M_DPRIME entry has at most two terms outside
     the refined last column, where an M_BAR entry in row i has up to
-    i + 1, so every product in the minor expansion is smaller."""
-    _check_order(n)
+    i + 1, so every product in the minor expansion is smaller.  The
+    determinant cap is checked before the matrix is built."""
+    check_order(n, DET_POLY_MAX_N, "determinant")
     return det_poly(_mdprime(n, w_weight=w_refined))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterator, Sequence
 
@@ -89,13 +90,7 @@ def enumerate_oscillating(shape: Sequence[int], length: int) -> Iterator[OscTab]
             if current == shape:
                 yield OscTab(tuple(diagrams), tuple(changes))
             return
-        for new, i, j in _additions(current):
-            diagrams.append(new)
-            changes.append((i, j))
-            yield from walk(step + 1)
-            diagrams.pop()
-            changes.pop()
-        for new, i, j in _deletions(current):
+        for new, i, j in chain(_additions(current), _deletions(current)):
             diagrams.append(new)
             changes.append((i, j))
             yield from walk(step + 1)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dpp import Dpp
-from .errors import InvariantError, ResourceLimitError, ValidationError
-from .limits import BRUTE_FORCE_LIMIT
+from .errors import InvariantError, ValidationError
+from .limits import BRUTE_FORCE_LIMIT, check_order
 from .linalg import PolyMatrix, det_poly
 from .polynomial import ONE, Z_IDX, ZERO, MultiPoly, binom, monomial
 
@@ -76,8 +76,7 @@ class NilpSet:
 
     def __post_init__(self):
         n = self.n
-        if n < 1:
-            raise ValidationError("order must be at least 1")
+        check_order(n)
         if not self.paths:
             raise ValidationError("a family always contains the final path")
         lengths = [sum(1 for s in p.steps if s == "R") for p in self.paths]
@@ -262,8 +261,7 @@ def enumerate_nilp_families(n: int) -> Iterator[NilpSet]:
     Order: profiles as in _profiles, families within a profile in
     depth-first order exploring a downward step before a rightward one.
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     for profile in _profiles(n):
         starts = (n,) + profile
         ends = profile + (0,)
@@ -293,10 +291,7 @@ def lgv_nilp_sum(n: int, refined: bool = False) -> MultiPoly:
     """Family weight sum computed twice: direct enumeration and the
     determinant route.  Returns the determinant value after asserting the
     two agree, at z = 1 unless refined."""
-    if n > BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(
-            f"family enumeration capped at order {BRUTE_FORCE_LIMIT}"
-        )
+    check_order(n, BRUTE_FORCE_LIMIT, "family enumeration")
     det = det_poly(lgv_matrix(n))
     direct = ZERO
     for fam in enumerate_nilp_families(n):

@@ -36,8 +36,8 @@ from random import Random
 from typing import Iterator
 
 from .asm import Asm, enumerate_asms, z_asm_brute
-from .errors import DegenerateParameterError, ResourceLimitError, ValidationError
-from .limits import IK_SAMPLE_MAX_N
+from .errors import DegenerateParameterError, ValidationError
+from .limits import BRUTE_FORCE_LIMIT, IK_SAMPLE_MAX_N, check_order
 from .linalg import det_rat
 
 # (left, right, top, bottom) edge labels per type; the tables below are
@@ -193,6 +193,7 @@ def config_weight(c: SixVertexConfig, pt: IkPoint) -> Fraction:
 @lru_cache(maxsize=8)
 def _configs(n: int) -> tuple[SixVertexConfig, ...]:
     # the explicit sum is taken at many points per order
+    check_order(n, BRUTE_FORCE_LIMIT, "family enumeration")
     return tuple(enumerate_configs(n))
 
 
@@ -296,8 +297,7 @@ def sample_ik_point(n: int, rng: Random) -> IkPoint:
     and b <= 6, so at most 36 squares exist and the expected number of
     redraws grows steeply with n; an order past IK_SAMPLE_MAX_N is
     refused before the first draw."""
-    if n > IK_SAMPLE_MAX_N:
-        raise ResourceLimitError(f"IK point sampling capped at order {IK_SAMPLE_MAX_N}")
+    check_order(n, IK_SAMPLE_MAX_N, "IK point sampling")
 
     def frac(nonunit: bool = False) -> Fraction:
         while True:

@@ -27,11 +27,11 @@ from .asm import (
 from .dpp import (
     dpp_stats,
     enumerate_dpps,
-    q_marginal,
+    q_sum_of_parts,
     z_dpp_brute,
     z_dpp_brute_w,
-    z_dpp_brute_wq,
 )
+from .limits import check_order
 from .linalg import det_poly
 from .polynomial import X_IDX, Y_IDX, Z_IDX, MultiPoly, marginal, poly_str
 
@@ -395,7 +395,7 @@ def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
     )
     yield from _each_n(
         "q_enumeration",
-        lambda n: q_marginal(z_dpp_brute_wq(n)) == formulas.q_factorial_product(n),
+        lambda n: q_sum_of_parts(n) == formulas.q_factorial_product(n),
         range(1, max_n + 1),
     )
 
@@ -430,7 +430,9 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyRepor
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     default_n, fn = SUITES[name]
-    bound = default_n if max_n is None else min(max_n, default_n) if max_n > 0 else 1
+    if max_n is not None:
+        check_order(max_n)
+    bound = default_n if max_n is None else min(max_n, default_n)
     report = VerifyReport(name)
     report.checks.extend(fn(bound, seed))
     return report

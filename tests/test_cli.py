@@ -326,7 +326,7 @@ def test_refused_command_keeps_the_output_file(capsys, tmp_path):
     target.write_text("earlier output\n")
     code, out, err = run_cli(capsys, "genfunc", "--n", "13", "--output", str(target))
     assert code == 2
-    assert "exceeds limit 12" in err
+    assert "determinant capped at order 12" in err
     assert target.read_text() == "earlier output\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f"]
 

@@ -340,13 +340,9 @@ GENFUNC_SHA256 = {
 # check passes
 VERIFY_ALL_SHA256 = "e35e70dfdbe5b0dc9129d7bcba08e13eedeab7b73a62ebe42958586317ac3e1c"
 
-# `verify --suite all --max-n k` -> (text, JSON without `seed`), k = 0..5,
+# `verify --suite all --max-n k` -> (text, JSON without `seed`), k = 1..5,
 # pinned before the per-order loops of the suites were merged into one
 VERIFY_MAX_N_SHA256 = {
-    0: (
-        "cf6ac20a6b678ae9072446293daeac0b44a53ce053bf0f24fbb7fe12e225b321",
-        "71f422ee05914a49520c1465174e8d48c4588484b8b5c155705e95348880a89f",
-    ),
     1: (
         "cf6ac20a6b678ae9072446293daeac0b44a53ce053bf0f24fbb7fe12e225b321",
         "71f422ee05914a49520c1465174e8d48c4588484b8b5c155705e95348880a89f",
@@ -465,6 +461,21 @@ def test_verify_all_output_is_unchanged(capsys):
 @pytest.mark.parametrize("max_n", sorted(VERIFY_MAX_N_SHA256))
 def test_verify_all_output_is_unchanged_at_each_max_n(capsys, max_n):
     assert _verify_digests(capsys, "--max-n", str(max_n)) == VERIFY_MAX_N_SHA256[max_n]
+
+
+def test_verify_refuses_max_n_below_1(capsys, monkeypatch):
+    """--max-n 0, a negative --max-n and ASMDPP_MAX_N=0 exit 2 before any
+    check runs, where they once ran the n = 1 checks."""
+    for argv in (["--max-n", "0"], ["--max-n", "-1"]):
+        assert main(["verify", "--suite", "all", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "error: order must be at least 1" in captured.err, argv
+    monkeypatch.setenv("ASMDPP_MAX_N", "0")
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: order must be at least 1" in captured.err
 
 
 def test_verify_all_output_is_unchanged_at_seed_7(capsys):

@@ -175,9 +175,9 @@ def test_mdprime_entries_have_at_most_two_terms_off_the_refined_column():
 def test_genfunc_det_refuses_an_order_before_building_the_matrix():
     with pytest.raises(ValidationError):
         genfunc_det(0)
-    with pytest.raises(ResourceLimitError, match="capped at order 32"):
+    with pytest.raises(ResourceLimitError, match="determinant capped at order 12"):
         genfunc_det(10**6, w_refined=True)
-    with pytest.raises(ResourceLimitError, match="exceeds limit 12"):
+    with pytest.raises(ResourceLimitError, match="determinant capped at order 12"):
         genfunc_det(DET_POLY_MAX_N + 1)
 
 
