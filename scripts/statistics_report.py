@@ -4,21 +4,32 @@ generating function, the matching per-(nu, mu, rho) cell counts of the
 two families, and the refined column sums against the closed forms.
 
 Usage: python3 scripts/statistics_report.py [--max-n N]
+
+An order below 1 or past the brute-force cap exits with 2 and
+"error: <message>" before anything is printed.
 """
 
 import argparse
+import sys
 
 from asmdpp.asm import z_asm_brute
 from asmdpp.dpp import z_dpp_brute
+from asmdpp.errors import AsmDppError
 from asmdpp.formulas import asm_total, refined_total
+from asmdpp.limits import BRUTE_FORCE_LIMIT, check_order
 from asmdpp.matrices import genfunc_det
 from asmdpp.polynomial import Z_IDX, marginal, poly_str
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5, dest="max_n")
     args = parser.parse_args()
+    try:
+        check_order(args.max_n, BRUTE_FORCE_LIMIT, "brute-force generating function")
+    except AsmDppError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     for n in range(1, args.max_n + 1):
         # the coefficient of x^nu y^mu z^rho is the count of that cell
@@ -42,7 +53,8 @@ def main() -> None:
         formula = [refined_total(n, kk) for kk in range(n)]
         print(f"   refined counts by rho: {refined} (formula {formula})")
         print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -217,11 +217,7 @@ def z_asm_brute(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized (at
     most BRUTE_FORCE_LIMIT entries)."""
     check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
-    counts: Counter[tuple[int, int, int]] = Counter()
-    for a in enumerate_asms(n):
-        s = asm_stats(a)
-        counts[(s.nu, s.mu, s.rho)] += 1
-    return MultiPoly({(p, m, k, 0, 0): c for (p, m, k), c in counts.items()})
+    return MultiPoly(Counter((s.nu, s.mu, s.rho, 0, 0) for s in map(asm_stats, enumerate_asms(n))))
 
 
 def asm_to_json(a: Asm) -> list[list[int]]:

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import ValidationError
 from .limits import BRUTE_FORCE_LIMIT, check_order
-from .polynomial import Q_IDX, W_IDX, X_IDX, Y_IDX, Z_IDX, MultiPoly
+from .polynomial import Q_IDX, W_IDX, MultiPoly, marginal
 
 
 @dataclass(frozen=True)
@@ -156,15 +156,17 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
 @cache
 def z_dpp_brute_wq(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho * w^(rows+1) * q^(sum of parts) over
-    DPP(n).  This is the one pass that counts DPP statistics, memoized (at
-    most BRUTE_FORCE_LIMIT entries); the other DPP generating functions
-    are substitutions of it."""
+    DPP(n): one Counter of the statistic tuples, streamed from the
+    enumerator.  This is the one pass that counts DPP statistics,
+    memoized (at most BRUTE_FORCE_LIMIT entries); the other DPP
+    generating functions are substitutions or marginals of it."""
     check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
-    counts: Counter[tuple[int, int, int, int, int]] = Counter()
-    for d in enumerate_dpps(n):
-        s = dpp_stats(d, n)
-        counts[(s.nu, s.mu, s.rho, s.row_count + 1, s.parts_sum)] += 1
-    return MultiPoly(counts)
+    return MultiPoly(
+        Counter(
+            (s.nu, s.mu, s.rho, s.row_count + 1, s.parts_sum)
+            for s in (dpp_stats(d, n) for d in enumerate_dpps(n))
+        )
+    )
 
 
 def z_dpp_brute_w(n: int) -> MultiPoly:
@@ -179,12 +181,10 @@ def z_dpp_brute(n: int) -> MultiPoly:
 
 
 def q_sum_of_parts(n: int) -> MultiPoly:
-    """Sum of q^(sum of parts) over DPP(n): the one-pass sum with x, y, z
-    and w set to 1."""
-    z = z_dpp_brute_wq(n)
-    for index in (X_IDX, Y_IDX, Z_IDX, W_IDX):
-        z = z.substitute(index, 1)
-    return z
+    """Sum of q^(sum of parts) over DPP(n): the q-marginal of the one-pass
+    sum, as a polynomial in q."""
+    by_parts_sum = marginal(z_dpp_brute_wq(n), Q_IDX)
+    return MultiPoly(((0, 0, 0, 0, e), c) for e, c in by_parts_sum.items())
 
 
 def dpp_to_json(d: Dpp) -> list[list[int]]:

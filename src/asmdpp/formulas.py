@@ -160,9 +160,8 @@ def stanton_parity(n: int) -> tuple[int, int, int, int]:
 
     The part-sum parity gaps over the arrays equal the rotation-invariant
     matrix counts; both equalities are asserted before returning."""
-    by_mod4 = [0] * 4
-    for exp, count in q_sum_of_parts(n).items():
-        by_mod4[exp[Q_IDX] % 4] += count
+    by_parts_sum = marginal(q_sum_of_parts(n), Q_IDX)
+    by_mod4 = [sum(c for e, c in by_parts_sum.items() if e % 4 == r) for r in range(4)]
     half, quarter = count_rotation_invariant(n)
     even_minus_odd = by_mod4[0] + by_mod4[2] - by_mod4[1] - by_mod4[3]
     mod4_gap = by_mod4[0] - by_mod4[2]

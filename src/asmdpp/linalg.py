@@ -46,10 +46,6 @@ class PolyMatrix:
             raise ValidationError("matrix entries must be homogeneous in type")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "PolyMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
     def square(cls, n: int, entry: Callable[[int, int], object]) -> "PolyMatrix":
         """The n x n matrix whose (i, j) entry is entry(i, j)."""
         return cls(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))

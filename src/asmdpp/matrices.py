@@ -75,7 +75,7 @@ def _delta(i: int, j: int) -> MultiPoly:
 
 def _masm(n: int) -> PolyMatrix:
     def entry(i: int, j: int) -> OmegaPoly:
-        g = MultiPoly.from_term_list(
+        g = MultiPoly(
             ((k, i - k, l, 0, 0), binom(i, k) * c)
             for k in range(i + 1)
             for l, c in split_binom(j, k, j, n)
@@ -96,7 +96,7 @@ def _mdpp(n: int) -> PolyMatrix:
 
 def _mprime(n: int) -> PolyMatrix:
     def entry(i: int, j: int) -> MultiPoly:
-        return _delta(i, j) + MultiPoly.from_term_list(
+        return _delta(i, j) + MultiPoly(
             ((l + 1, k - l, m, 0, 0), binom(k, l) * c)
             for k in range(i)
             for l in range(k + 1)
@@ -116,7 +116,7 @@ def _mdprime(n: int, w_weight: bool = False) -> PolyMatrix:
         if i > j:
             e = i - j - 1
             terms.append(((0, e, 0, 0, 0), (-1) ** (e + 1) * binom(i - 1, e)))
-        return MultiPoly.from_term_list(terms)
+        return MultiPoly(terms)
 
     return PolyMatrix.square(n, entry)
 

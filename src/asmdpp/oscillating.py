@@ -17,6 +17,7 @@ i.e. d precedes d' when |d| > |d'|, or |d| = |d'| and d < d'.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -188,15 +189,11 @@ def osc_counts(n: int, p: int) -> tuple[int, int]:
     return asm_side, dpp_side
 
 
-def ascent_distribution(tableaux: Iterator[OscTab]) -> dict[int, int]:
-    dist: dict[int, int] = {}
-    for t in tableaux:
-        a = ascent_count(t)
-        dist[a] = dist.get(a, 0) + 1
-    return dist
+def ascent_distribution(tableaux: Iterator[OscTab]) -> Counter[int]:
+    return Counter(map(ascent_count, tableaux))
 
 
-def delta_ascent_distribution(p: int) -> dict[int, int]:
+def delta_ascent_distribution(p: int) -> Counter[int]:
     """Ascent distribution over the tableaux of length 2p whose shape is
     the double diagram of a strict partition of p."""
     return ascent_distribution(

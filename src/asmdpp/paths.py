@@ -19,6 +19,7 @@ carries z, and the unrefined form is its z = 1 substitution
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -183,7 +184,7 @@ def path_weight_sum(i: int, j: int, n: int) -> MultiPoly:
     """
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError("grid indices out of range")
-    return MultiPoly.from_term_list(
+    return MultiPoly(
         ((k, i - k, l, 0, 0), binom(i - 1, i - k) * c)
         for k in range(i + 1)
         for l, c in split_binom(j + 1, k, j, n)
@@ -196,10 +197,12 @@ def direct_path_weight_oracle(i: int, j: int, n: int) -> MultiPoly:
     by the one disjoint-path search."""
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError("grid indices out of range")
-    total = ZERO
-    for paths in _disjoint_families([((0, j), (i, 0))]):
-        total = total + monomial(1, *_step_counts(paths, n))
-    return total
+    return MultiPoly(
+        Counter(
+            _step_counts(paths, n) + (0, 0)
+            for paths in _disjoint_families([((0, j), (i, 0))])
+        )
+    )
 
 
 def _profiles(n: int) -> Iterator[tuple[int, ...]]:
@@ -270,12 +273,6 @@ def enumerate_nilp_families(n: int) -> Iterator[NilpSet]:
             yield NilpSet(n, paths)
 
 
-def family_weight(p: NilpSet) -> MultiPoly:
-    """x^nu y^mu z^rho of the matching partition: every top-row step lies
-    above the diagonal line, so it weighs x*z."""
-    return monomial(1, *nilp_statistics(p))
-
-
 def lgv_matrix(n: int, w_weight: bool = False) -> PolyMatrix:
     """-delta(i, j+1) + path weight sum, the matrix whose determinant
     carries the full family sum (M_BAR).  With w_weight the path weight
@@ -293,9 +290,11 @@ def lgv_nilp_sum(n: int, refined: bool = False) -> MultiPoly:
     two agree, at z = 1 unless refined."""
     check_order(n, BRUTE_FORCE_LIMIT, "family enumeration")
     det = det_poly(lgv_matrix(n))
-    direct = ZERO
-    for fam in enumerate_nilp_families(n):
-        direct = direct + family_weight(fam)
+    # a family weighs x^nu y^mu z^rho: every top-row step lies above the
+    # diagonal line, so it weighs x*z
+    direct = MultiPoly(
+        Counter(nilp_statistics(fam) + (0, 0) for fam in enumerate_nilp_families(n))
+    )
     if direct != det:
         raise InvariantError(f"family sum and determinant disagree at order {n}")
     return det if refined else det.substitute(Z_IDX, 1)

@@ -5,6 +5,12 @@ coefficients:
 
     x^2*y + 3  ->  {(2, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0): 3}
 
+``MultiPoly(terms)`` is the one constructor: it takes that mapping or
+(exponents, coefficient) pairs, such as a JSON term list, validates
+every term and sums repeated exponents.  A tally of objects by their
+statistics is therefore ``MultiPoly(Counter(...))``, and ``marginal``
+counts them by one statistic.
+
 Internally each exponent vector is packed into one int, a fixed-width
 field per variable, so multiplying two monomials is one int addition;
 ``terms``, ``items`` and the printing and evaluation methods unpack to
@@ -101,26 +107,31 @@ class MultiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple, int] | None = None):
+    def __init__(self, terms: Mapping[tuple, int] | Iterable[tuple[Sequence[int], int]] = ()):
+        """Build from a mapping of exponent tuples to coefficients or from
+        (exponents, coefficient) pairs, such as a Counter of statistic
+        tuples or a JSON term list; repeated exponents are summed and
+        terms that cancel are dropped."""
+        if isinstance(terms, Mapping):
+            terms = terms.items()
         clean: dict[int, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                exp = tuple(exp)
-                if len(exp) != NVARS:
-                    raise ValueError(f"exponent {exp} does not have {NVARS} entries")
-                if any(e < 0 or not isinstance(e, int) for e in exp):
-                    raise ValueError(f"exponents must be nonnegative ints, got {exp}")
-                if not isinstance(coeff, int):
-                    raise ValueError("coefficients must be ints")
-                if max(exp, default=0) > MAX_EXPONENT:
-                    raise ResourceLimitError(
-                        f"exponent {exp} exceeds the packed-field limit {MAX_EXPONENT}"
-                    )
-                if coeff:
-                    key = _pack(exp)
-                    clean[key] = clean.get(key, 0) + coeff
-                    if not clean[key]:
-                        del clean[key]
+        for exp, coeff in terms:
+            exp = tuple(exp)
+            if len(exp) != NVARS:
+                raise ValueError(f"exponent {exp} does not have {NVARS} entries")
+            if any(e < 0 or not isinstance(e, int) for e in exp):
+                raise ValueError(f"exponents must be nonnegative ints, got {exp}")
+            if not isinstance(coeff, int):
+                raise ValueError("coefficients must be ints")
+            if max(exp, default=0) > MAX_EXPONENT:
+                raise ResourceLimitError(
+                    f"exponent {exp} exceeds the packed-field limit {MAX_EXPONENT}"
+                )
+            if coeff:
+                key = _pack(exp)
+                clean[key] = clean.get(key, 0) + coeff
+                if not clean[key]:
+                    del clean[key]
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
@@ -129,22 +140,6 @@ class MultiPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", terms)
         return self
-
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls._raw({})
-
-    @classmethod
-    def const(cls, value: int) -> "MultiPoly":
-        if value == 0:
-            return cls._raw({})
-        return cls._raw({0: value})
-
-    @classmethod
-    def variable(cls, index: int) -> "MultiPoly":
-        if not 0 <= index < NVARS:
-            raise ValueError(f"variable index {index} out of range")
-        return cls._raw({1 << _SHIFTS[index]: 1})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
@@ -222,18 +217,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def evaluate(self, point: Sequence) -> Fraction:
         """Evaluate exactly at a point of rationals (or ints)."""
         if len(point) != NVARS:
@@ -282,13 +265,6 @@ class MultiPoly:
         """JSON-friendly canonical form: [[exponents, coefficient], ...]."""
         return [[list(exp), coeff] for exp, coeff in self.sorted_terms()]
 
-    @classmethod
-    def from_term_list(cls, data: Iterable) -> "MultiPoly":
-        terms: dict[tuple, int] = {}
-        for exp, coeff in data:
-            terms[tuple(exp)] = terms.get(tuple(exp), 0) + int(coeff)
-        return cls(terms)
-
     def __repr__(self) -> str:
         return f"MultiPoly({poly_str(self)!r})"
 
@@ -325,14 +301,6 @@ def poly_str(p: MultiPoly) -> str:
     return "".join(pieces)
 
 
-# The shared ring Z[x, y, z, w, q].
-ZERO = MultiPoly.zero()
-ONE = MultiPoly.const(1)
-X = MultiPoly.variable(X_IDX)
-Y = MultiPoly.variable(Y_IDX)
-Z = MultiPoly.variable(Z_IDX)
-
-
 def marginal(p: MultiPoly, var: int) -> Counter[int]:
     """Sum of the coefficients of p by the exponent of variable ``var``.
     For a generating function whose coefficients count objects, this is
@@ -347,6 +315,14 @@ def marginal(p: MultiPoly, var: int) -> Counter[int]:
 def monomial(coeff: int, x: int = 0, y: int = 0, z: int = 0, w: int = 0, q: int = 0) -> MultiPoly:
     """One term of the shared five-variable ring."""
     return MultiPoly({(x, y, z, w, q): coeff})
+
+
+# The shared ring Z[x, y, z, w, q].
+ZERO = MultiPoly()
+ONE = monomial(1)
+X = monomial(1, x=1)
+Y = monomial(1, y=1)
+Z = monomial(1, z=1)
 
 
 MAX_OMEGA_DEGREE = 2
@@ -376,10 +352,6 @@ class OmegaPoly:
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "OmegaPoly":
         return cls((p,))
-
-    @classmethod
-    def omega(cls) -> "OmegaPoly":
-        return cls((ZERO, ONE))
 
     @property
     def degree(self) -> int:

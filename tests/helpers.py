@@ -125,16 +125,6 @@ class TuplePoly:
                     del out[exp]
         return TuplePoly._raw(self.arity, out)
 
-    def __pow__(self, n):
-        result = TuplePoly.const(1, self.arity)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def evaluate(self, point):
         vals = [Fraction(p) for p in point]
         total = Fraction(0)
@@ -436,7 +426,7 @@ def lgv_matrix(n: int, refined: bool = False, w_weight: bool = False) -> PolyMat
     """-delta(i, j+1) + path weight sum, the matrix whose determinant
     carries the full family sum (M_BAR).  With w_weight the path weight
     sum, not the -delta term, is multiplied by w (M_BAR_W)."""
-    neg_one = MultiPoly.const(-1)
+    neg_one = monomial(-1)
     w = monomial(1, w=1)
     rows = []
     for i in range(n):

@@ -116,10 +116,21 @@ def test_enumerate_bad_kind_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_enumerate_bad_n_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--kind", "asm", "--n", "0"])
-    assert exc.value.code == 2
+def test_enumerate_bad_n_is_usage_error(capsys, tmp_path):
+    # --n below 1 goes through the one order rule, like verify --max-n 0
+    target = tmp_path / "out.txt"
+    target.write_text("earlier output\n")
+    for argv in (
+        ["enumerate", "--kind", "asm", "--n", "0"],
+        ["enumerate", "--kind", "dpp", "--n", "-3", "--output", str(target)],
+        ["genfunc", "--n", "0"],
+        ["genfunc", "--n", "0", "--output", str(target)],
+        ["table", "--n", "0"],
+        ["matrix", "--name", "M_BAR", "--n", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: order must be at least 1\n"), argv
+    assert target.read_text() == "earlier output\n"
 
 
 def test_enumerate_negative_limit_is_usage_error(capsys):
@@ -182,7 +193,7 @@ def test_genfunc_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "genfunc", "--n", "3", "--method", "det-w", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert MultiPoly.from_term_list(doc["terms"]) == z_dpp_brute_w(3)
+    assert MultiPoly(doc["terms"]) == z_dpp_brute_w(3)
 
 
 def test_table_contains_known_cell(capsys):

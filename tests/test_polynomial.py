@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from asmdpp.polynomial import (
     MultiPoly,
     OmegaPoly,
     ONE,
+    ZERO,
     X,
     Y,
     Z,
@@ -44,18 +46,18 @@ def test_difference_of_squares():
 
 
 def test_zero_absorbs():
-    p = X * Y + MultiPoly.const(3) * Z
-    assert p * MultiPoly.const(0) == MultiPoly.zero()
+    p = X * Y + monomial(3) * Z
+    assert p * monomial(0) == ZERO
 
 
 def test_square_of_one_plus_xz():
     p = ONE + X * Z
-    assert p * p == ONE + MultiPoly.const(2) * X * Z + monomial(1, x=2, z=2)
+    assert p * p == ONE + monomial(2) * X * Z + monomial(1, x=2, z=2)
 
 
 def test_eval_examples():
     assert (X + Y).evaluate((Fraction(1, 2), Fraction(1, 3), 0, 0, 0)) == Fraction(5, 6)
-    assert (X**3).evaluate((2, 0, 0, 0, 0)) == 8
+    assert (X * X * X).evaluate((2, 0, 0, 0, 0)) == 8
     z3 = (
         ONE
         + monomial(1, x=3, z=2)
@@ -72,7 +74,7 @@ def test_exponents_and_points_have_five_entries():
     with pytest.raises(ValueError):
         MultiPoly({(1, 0): 1})
     with pytest.raises(ValueError):
-        MultiPoly.from_term_list([[[1, 0, 0, 0, 0, 0], 1]])
+        MultiPoly([[[1, 0, 0, 0, 0, 0], 1]])
     with pytest.raises(ValueError):
         X.evaluate((1, 2))
 
@@ -80,8 +82,8 @@ def test_exponents_and_points_have_five_entries():
 def test_canonical_string():
     p = ONE + X + X * Z + monomial(1, x=2, z=1) + X * Y * Z
     assert poly_str(p) == "1 + x + x*z + x^2*z + x*y*z"
-    assert poly_str(MultiPoly.zero()) == "0"
-    assert poly_str(MultiPoly.const(-2) * X - ONE) == "-1 - 2*x"
+    assert poly_str(ZERO) == "0"
+    assert poly_str(monomial(-2) * X - ONE) == "-1 - 2*x"
 
 
 def test_substitute():
@@ -91,11 +93,11 @@ def test_substitute():
 
 
 def test_marginal_sums_coefficients_by_one_exponent():
-    p = MultiPoly.const(3) + X * Z - monomial(2, x=2, z=1) + monomial(5, y=4, q=7)
+    p = monomial(3) + X * Z - monomial(2, x=2, z=1) + monomial(5, y=4, q=7)
     assert marginal(p, 2) == {0: 8, 1: -1}
     assert marginal(p, 0) == {0: 8, 1: 1, 2: -2}
     assert marginal(p, 4) == {0: 2, 7: 5}
-    assert marginal(MultiPoly.zero(), 1)[0] == 0
+    assert marginal(ZERO, 1)[0] == 0
 
 
 @settings(max_examples=50)
@@ -108,8 +110,42 @@ def test_marginal_matches_the_term_list(p, var):
 
 
 def test_term_list_roundtrip():
-    p = ONE + MultiPoly.const(4) * X * Y - monomial(3, z=2)
-    assert MultiPoly.from_term_list(p.to_term_list()) == p
+    # the genfunc JSON form; test_cli reads back the command's own output
+    p = ONE + monomial(4) * X * Y - monomial(3, z=2)
+    assert MultiPoly(p.to_term_list()) == p
+    assert MultiPoly(json.loads(json.dumps(p.to_term_list()))) == p
+
+
+def test_pairs_sum_repeated_exponents_and_drop_cancelled_terms():
+    one, xz, y = (0, 0, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 0, 0)
+    pairs = [(xz, 2), (one, 1), (list(xz), 3), (y, 4), (y, -4)]
+    p = MultiPoly(pairs)
+    assert p == MultiPoly({xz: 5, one: 1}) == monomial(5, x=1, z=1) + ONE
+    assert p.terms == {xz: 5, one: 1}
+    assert MultiPoly([(xz, 1), (xz, -1)]) == ZERO == MultiPoly() == MultiPoly({})
+    # a generator of pairs is consumed once, like the brute-force tallies
+    assert MultiPoly((exp, c) for exp, c in pairs) == p
+
+
+@pytest.mark.parametrize(
+    "pair, error",
+    [
+        (((1, 0, 0, 0), 1), ValueError),
+        (((1, 0, 0, 0, 0, 0), 1), ValueError),
+        (((1, -1, 0, 0, 0), 1), ValueError),
+        (((1.0, 0, 0, 0, 0), 1), ValueError),
+        (((1, 0, 0, 0, 0), 1.5), ValueError),
+        (((1, 0, 0, 0, 0), "1"), ValueError),
+        (((0, 0, 0, 0, MAX_EXPONENT + 1), 1), ResourceLimitError),
+    ],
+)
+def test_a_bad_pair_raises_as_the_mapping_does(pair, error):
+    exp, coeff = pair
+    with pytest.raises(error) as from_mapping:
+        MultiPoly({exp: coeff})
+    with pytest.raises(error) as from_pairs:
+        MultiPoly([((0, 0, 0, 0, 0), 1), pair])
+    assert str(from_pairs.value) == str(from_mapping.value)
 
 
 @settings(max_examples=150)
@@ -133,7 +169,7 @@ def test_evaluation_is_a_homomorphism(a, b, pt):
 @given(polys)
 def test_no_zero_terms_stored(p):
     assert all(c != 0 for _, c in p.items())
-    assert (p - p) == MultiPoly.zero()
+    assert (p - p) == ZERO
 
 
 def test_omega_quadratic_itself_is_congruent():
@@ -142,7 +178,7 @@ def test_omega_quadratic_itself_is_congruent():
 
 
 def test_omega_alone_is_not_congruent():
-    assert not omega_congruent_zero(OmegaPoly.omega())
+    assert not omega_congruent_zero(OmegaPoly((ZERO, ONE)))
 
 
 def test_omega_multiple_of_quadratic_is_congruent():
@@ -151,7 +187,7 @@ def test_omega_multiple_of_quadratic_is_congruent():
 
 
 def test_omega_degree_cap():
-    w = OmegaPoly.omega()
+    w = OmegaPoly((ZERO, ONE))
     with pytest.raises(ValueError):
         _ = (w * w) * w
 
@@ -190,14 +226,13 @@ def test_packed_kernel_matches_the_tuple_kernel(live):
     point = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * NVARS)
 
     @settings(max_examples=80, deadline=None)
-    @given(pairs, pairs, st.integers(0, 3), st.integers(0, NVARS - 1), st.integers(-2, 2), point)
-    def check(a, b, power, index, value, pt):
+    @given(pairs, pairs, st.integers(0, NVARS - 1), st.integers(-2, 2), point)
+    def check(a, b, index, value, pt):
         (pa, ta), (pb, tb) = a, b
         assert _same(pa, ta)
         assert _same(pa + pb, ta + tb)
         assert _same(pa - pb, ta - tb)
         assert _same(pa * pb, ta * tb)
-        assert _same(pa**power, ta**power)
         assert _same(pa.substitute(index, value), ta.substitute(index, value))
         assert pa.evaluate(pt) == ta.evaluate(pt)
         if pb:
@@ -225,5 +260,6 @@ def test_product_past_the_field_limit_raises():
     for other in (X, top, X + Y):
         with pytest.raises(ResourceLimitError):
             top * other
+    half = monomial(1, x=(MAX_EXPONENT + 1) // 2)
     with pytest.raises(ResourceLimitError):
-        X ** (MAX_EXPONENT + 1)
+        half * half

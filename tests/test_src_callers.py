@@ -1,7 +1,8 @@
-"""Every module-level function and class in src/asmdpp serves a command,
-a check or the benchmark: each is referenced somewhere in src/asmdpp,
-scripts or perfbench.  The only exceptions are named below, each with
-its reason; wiring one of them in must also remove it from the list."""
+"""Every module-level function and class in src/asmdpp, and every method
+and property of those classes, serves a command, a check or the
+benchmark: each is referenced somewhere in src/asmdpp, scripts or
+perfbench.  The only exceptions are named below, each with its reason;
+wiring one of them in must also remove it from the list."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,11 @@ UNCALLED = {
     "dpp_to_nilp": "the paper's bijection from DPPs to path families, checked against dpp_stats",
     "nilp_to_dpp": "the inverse of that bijection",
     "l_matrix_rat": "the rational reference that tests hold build('L') to",
+}
+
+# class members never read as an attribute outside tests, and why they stay
+UNREAD_MEMBERS = {
+    "AsmStats.nu_prime": "the paper's inversion count m + p",
 }
 
 
@@ -43,8 +49,9 @@ def _module_names(tree: ast.Module) -> set[str]:
 def _references() -> set[str]:
     """Names read in src/asmdpp, scripts and perfbench.  An attribute
     counts only when it is read on a module name or alias (such as
-    paths.lgv_matrix), so a method of the same name, like MultiPoly.const,
-    does not count as a caller of a module-level function."""
+    paths.lgv_matrix), so a method of the same name, like
+    PolyMatrix.identity, does not count as a caller of a module-level
+    function."""
     names = set()
     for folder in (SRC, ROOT / "scripts", ROOT / "perfbench"):
         for path in folder.rglob("*.py"):
@@ -66,3 +73,39 @@ def _references() -> set[str]:
 
 def test_only_the_listed_definitions_lack_a_caller():
     assert _definitions() - _references() == set(UNCALLED)
+
+
+def _members() -> set[str]:
+    # "Class.member" for every method and property of a class in
+    # src/asmdpp, dunders excepted
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    return names
+
+
+def _attributes_read() -> set[str]:
+    """Attribute names read on any value in src/asmdpp, scripts and
+    perfbench."""
+    names = set()
+    for folder in (SRC, ROOT / "scripts", ROOT / "perfbench"):
+        for path in folder.rglob("*.py"):
+            names.update(
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    return names
+
+
+def test_only_the_listed_members_are_never_read():
+    read = _attributes_read()
+    unread = {m for m in _members() if m.split(".")[1] not in read}
+    assert unread == set(UNREAD_MEMBERS)
