@@ -1,9 +1,11 @@
 """Named verification suites behind the command-line ``verify``.
 
-Each suite reruns one block of the desk-scale identities and yields one
-result per check.  Checks are pure and independent; the report sorts
-them by name, so aggregation does not depend on execution order.  All
-randomness is drawn from the seed, making reports reproducible.
+``SUITES`` is the one table of checks: each suite is a tuple of
+``Check`` rows, and a row's ``orders`` is the only place its order range
+is stated (``--max-n`` can only lower it).  A result depends only on
+the order and the seed, so checks are pure, independent and
+reproducible; the report sorts them by name, so aggregation does not
+depend on execution order.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from . import formulas, matrices, oscillating, paths, sixvertex
 from .asm import (
@@ -43,6 +45,19 @@ POINTS = (
     (Fraction(3, 2), Fraction(2), Fraction(1, 2)),
     (Fraction(2), Fraction(1, 3), Fraction(3)),
 )
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of a suite: ``run(n, seed)`` checks one identity at each
+    order n of ``orders``, reported as ``{key: n, **params}``.  A row
+    whose ``orders`` is None runs once, with n None, at every --max-n."""
+
+    name: str
+    run: Callable[[int | None, int], bool]
+    orders: range | None
+    params: dict = field(default_factory=dict)
+    key: str = "n"
 
 
 @dataclass(frozen=True)
@@ -102,34 +117,13 @@ def _dpps(n: int) -> tuple:
     return tuple(enumerate_dpps(n))
 
 
-def _timed(run: Callable[[], bool], name: str, params: dict) -> CheckResult:
-    start = time.perf_counter()
-    error = None
-    try:
-        ok = bool(run())
-    except Exception as exc:
-        ok = False
-        error = f"{type(exc).__name__}: {exc}"
-    return CheckResult(name, params, ok, time.perf_counter() - start, error)
-
-
-def _each_n(
-    name: str, check: Callable[[int], bool], orders: Iterable[int], **params
-) -> Iterator[CheckResult]:
-    """One result of ``check(n)`` per order n; ``params`` are reported
-    beside n."""
-    for n in orders:
-        yield _timed(lambda: check(n), name, {"n": n, **params})
-
-
-def _suite_theorem1(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n(
-        "genfunc_triple_equal",
-        lambda n: z_asm_brute(n) == z_dpp_brute(n) == matrices.genfunc_det(n),
-        range(1, max_n + 1),
-    )
-    if max_n >= 3:
-        yield _timed(lambda: poly_str(z_asm_brute(3)) == Z3_STRING, "canonical_string", {"n": 3})
+@lru_cache(maxsize=16)
+def _ik_points(n: int, seed: int) -> tuple:
+    """The points det_equals_sum checks at order n: the 20 that one
+    Random(seed) draws at n after drawing 20 at each order 2..n-1."""
+    rng = Random(seed)
+    draws = [[sixvertex.sample_ik_point(m, rng) for _ in range(20)] for m in range(2, n + 1)]
+    return tuple(draws[-1])
 
 
 def _refined_count(n: int) -> bool:
@@ -140,28 +134,6 @@ def _refined_count(n: int) -> bool:
     return all(
         formulas.refined_total(n, k) == asm_side[k] == dpp_side[k] for k in range(n)
     )
-
-
-def _suite_counting(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n(
-        "total_count",
-        lambda n: len(_asms(n)) == len(_dpps(n)) == formulas.asm_total(n),
-        range(1, max_n + 1),
-    )
-    yield from _each_n("refined_count", _refined_count, range(1, max_n + 1))
-
-
-def _suite_table(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n(
-        "cells_agree", lambda n: z_asm_brute(n) == z_dpp_brute(n), range(1, max_n + 1)
-    )
-    if max_n >= 5:
-        yield _timed(
-            lambda: z_asm_brute(5).terms.get((3, 1, 2, 0, 0)) == 10
-            and z_dpp_brute(5).terms.get((3, 1, 2, 0, 0)) == 10,
-            "cell_5_312",
-            {"n": 5},
-        )
 
 
 def _sixvertex_checks(n: int) -> bool:
@@ -186,133 +158,6 @@ def _sixvertex_checks(n: int) -> bool:
     return True
 
 
-def _suite_sixvertex(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n("lemmas_and_roundtrip", _sixvertex_checks, range(1, max_n + 1))
-
-
-def _suite_ik(max_n: int, seed: int) -> Iterator[CheckResult]:
-    rng = Random(seed)
-    yield from _each_n(
-        "det_equals_sum",
-        lambda n: all(
-            sixvertex.ik_determinant_rat(pt) == sixvertex.partition_function_explicit(n, pt)
-            for pt in (sixvertex.sample_ik_point(n, rng) for _ in range(20))
-        ),
-        range(2, max_n + 1),
-        points=20,
-    )
-    # the homogeneous point is the refined one at s1 = rho0
-    yield from _each_n(
-        "homogeneous_point",
-        lambda n: all(
-            sixvertex.check_refined_specialization(n, q, rho0, rho0) for q, rho0, _ in POINTS
-        ),
-        range(1, max_n + 1),
-    )
-    yield from _each_n(
-        "refined_point",
-        lambda n: all(
-            sixvertex.check_refined_specialization(n, q, rho0, s1) for q, rho0, s1 in POINTS
-        ),
-        range(1, max_n + 1),
-    )
-
-
-def _suite_lgv(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n(
-        "path_sum_oracle",
-        lambda n: all(
-            paths.path_weight_sum(i, j, n) == paths.direct_path_weight_oracle(i, j, n)
-            for i in range(n)
-            for j in range(n)
-        ),
-        range(1, min(max_n, 5) + 1),
-    )
-    yield from _each_n(
-        "family_sum_equals_det",
-        lambda n: bool(paths.lgv_nilp_sum(n, refined=True)),
-        range(1, min(max_n, 5) + 1),
-    )
-    yield from _each_n(
-        "det_equals_brute",
-        lambda n: det_poly(paths.lgv_matrix(n)) == z_dpp_brute(n),
-        range(1, max_n + 1),
-    )
-
-
-def _suite_omega(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for refined in (False, True):
-        yield from _each_n(
-            "intertwining",
-            lambda n: matrices.check_omega_relation(n, refined),
-            range(1, max_n + 1),
-            refined=refined,
-        )
-    yield _timed(
-        lambda: not matrices.check_omega_relation(3, True, perturbation=(0, 0)),
-        "negative_control",
-        {"n": 3},
-    )
-    yield from _each_n(
-        "det_formula_rational",
-        lambda n: matrices.check_prop_asmdet_rational(n, 20, seed=seed),
-        range(1, min(max_n, 5) + 1),
-        trials=20,
-    )
-    yield from _each_n(
-        "det_equality_spot",
-        lambda n: matrices.check_omega_relation_rational(n, 10, seed=seed),
-        range(1, min(max_n, 4) + 1),
-        points=10,
-    )
-
-
-def _suite_aux(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n("products_and_dets", matrices.check_aux_relations, range(1, max_n + 1))
-    yield from _each_n(
-        "w_refined_det",
-        lambda n: det_poly(matrices.build("M_BAR_W", n)) == z_dpp_brute_w(n),
-        range(1, max_n + 1),
-    )
-    yield from _each_n("omega_factor", matrices.dpp_det_omega_factor_holds, range(1, max_n + 1))
-    yield from _each_n(
-        "weight_determinant",
-        lambda n: all(matrices.check_weight_determinant(n, q, rho0) for q, rho0, _ in POINTS),
-        range(1, min(max_n, 4) + 1),
-    )
-
-
-def _suite_osc(max_n: int, seed: int) -> Iterator[CheckResult]:
-    for p in range(5):
-        yield _timed(
-            lambda: sum(1 for _ in oscillating.enumerate_oscillating((), 2 * p))
-            == oscillating.double_factorial_odd(p),
-            "empty_shape_size",
-            {"p": p},
-        )
-        yield _timed(
-            lambda: oscillating.ascent_distribution(oscillating.enumerate_oscillating((), 2 * p))
-            == oscillating.delta_ascent_distribution(p),
-            "ascent_distribution",
-            {"p": p},
-        )
-        yield from _each_n(
-            "counts_match_enumeration",
-            lambda n: oscillating.osc_counts(n, p)
-            == (marginal(z_asm_brute(n), X_IDX)[p], marginal(z_dpp_brute(n), X_IDX)[p]),
-            range(1, max_n + 1),
-            p=p,
-        )
-    yield _timed(
-        lambda: all(
-            oscillating.osc_counts(n, 2) == (comb(n, 4) + 2 * comb(n + 1, 4),) * 2
-            for n in range(1, 9)
-        ),
-        "p2_closed_form",
-        {},
-    )
-
-
 def _m0_roundtrip(n: int) -> bool:
     for a in _asms(n):
         s = asm_stats(a)
@@ -331,17 +176,6 @@ def _m0_roundtrip(n: int) -> bool:
         if formulas.m0_asm_to_dpp(formulas.m0_dpp_to_asm(d, n)) != d:
             return False
     return True
-
-
-def _suite_m0(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n("roundtrip_and_stats", _m0_roundtrip, range(1, max_n + 1))
-    yield from _each_n(
-        "mu_zero_genfunc",
-        lambda n: z_asm_brute(n).substitute(Y_IDX, 0)
-        == z_dpp_brute(n).substitute(Y_IDX, 0)
-        == formulas.z_mu_zero(n),
-        range(1, max_n + 1),
-    )
 
 
 def _symstat_holds(n: int) -> bool:
@@ -365,74 +199,240 @@ def _dpp_multiset_symmetry(n: int) -> bool:
     return mapped == z
 
 
-def _suite_symmetry(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n("reflection_stats", _symstat_holds, range(1, min(max_n, 5) + 1))
-    yield from _each_n(
-        "nu_two_forms",
-        lambda n: all(asm_nu_second_form(a) == asm_stats(a).nu for a in _asms(n)),
-        range(1, min(max_n, 5) + 1),
-    )
-    yield from _each_n("dpp_multiset", _dpp_multiset_symmetry, range(1, max_n + 1))
-    for m, order in ((1, 3), (2, 5)):
-        if order <= max_n:
-            yield _timed(
-                lambda: formulas.vsasm_total(m)
-                == sum(1 for a in _asms(order) if asm_reflect(a) == a),
-                "reflection_invariant_count",
-                {"order": order},
+SUITES: dict[str, tuple[Check, ...]] = {
+    "theorem1": (
+        Check(
+            "genfunc_triple_equal",
+            lambda n, seed: z_asm_brute(n) == z_dpp_brute(n) == matrices.genfunc_det(n),
+            range(1, 7),
+        ),
+        Check(
+            "canonical_string", lambda n, seed: poly_str(z_asm_brute(n)) == Z3_STRING, range(3, 4)
+        ),
+    ),
+    "counting": (
+        Check(
+            "total_count",
+            lambda n, seed: len(_asms(n)) == len(_dpps(n)) == formulas.asm_total(n),
+            range(1, 7),
+        ),
+        Check("refined_count", lambda n, seed: _refined_count(n), range(1, 7)),
+    ),
+    "table": (
+        Check("cells_agree", lambda n, seed: z_asm_brute(n) == z_dpp_brute(n), range(1, 7)),
+        Check(
+            "cell_5_312",
+            lambda n, seed: z_asm_brute(n).terms.get((3, 1, 2, 0, 0)) == 10
+            and z_dpp_brute(n).terms.get((3, 1, 2, 0, 0)) == 10,
+            range(5, 6),
+        ),
+    ),
+    "sixvertex": (
+        Check("lemmas_and_roundtrip", lambda n, seed: _sixvertex_checks(n), range(1, 6)),
+    ),
+    "ik": (
+        Check(
+            "det_equals_sum",
+            lambda n, seed: all(
+                sixvertex.ik_determinant_rat(pt) == sixvertex.partition_function_explicit(n, pt)
+                for pt in _ik_points(n, seed)
+            ),
+            range(2, 5),
+            {"points": 20},
+        ),
+        # the homogeneous point is the refined one at s1 = rho0
+        Check(
+            "homogeneous_point",
+            lambda n, seed: all(
+                sixvertex.check_refined_specialization(n, q, rho0, rho0) for q, rho0, _ in POINTS
+            ),
+            range(1, 5),
+        ),
+        Check(
+            "refined_point",
+            lambda n, seed: all(
+                sixvertex.check_refined_specialization(n, q, rho0, s1) for q, rho0, s1 in POINTS
+            ),
+            range(1, 5),
+        ),
+    ),
+    "lgv": (
+        Check(
+            "path_sum_oracle",
+            lambda n, seed: all(
+                paths.path_weight_sum(i, j, n) == paths.direct_path_weight_oracle(i, j, n)
+                for i in range(n)
+                for j in range(n)
+            ),
+            range(1, 6),
+        ),
+        Check(
+            "family_sum_equals_det",
+            lambda n, seed: bool(paths.lgv_nilp_sum(n, refined=True)),
+            range(1, 6),
+        ),
+        Check(
+            "det_equals_brute",
+            lambda n, seed: det_poly(paths.lgv_matrix(n)) == z_dpp_brute(n),
+            range(1, 7),
+        ),
+    ),
+    "omega": (
+        *(
+            Check(
+                "intertwining",
+                lambda n, seed, refined=refined: matrices.check_omega_relation(n, refined),
+                range(1, 7),
+                {"refined": refined},
             )
-
-
-def _suite_parity(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n(
-        "stanton", lambda n: bool(formulas.stanton_parity(n)), range(1, min(max_n, 5) + 1)
-    )
-    yield from _each_n(
-        "isolated_one_identity",
-        lambda n: all(lhs == rhs for lhs, rhs in formulas.cdlg_identities(n, 2)),
-        range(1, min(max_n, 5) + 1),
-        max_m=2,
-    )
-    yield from _each_n(
-        "q_enumeration",
-        lambda n: q_sum_of_parts(n) == formulas.q_factorial_product(n),
-        range(1, max_n + 1),
-    )
-
-
-def _suite_boundary(max_n: int, seed: int) -> Iterator[CheckResult]:
-    yield from _each_n(
-        "z_at_zero_vs_one",
-        lambda n: z_asm_brute(n).substitute(Z_IDX, 0) == z_asm_brute(n - 1).substitute(Z_IDX, 1)
-        and z_dpp_brute(n).substitute(Z_IDX, 0) == z_dpp_brute(n - 1).substitute(Z_IDX, 1),
-        range(2, max_n + 1),
-    )
-
-
-SUITES: dict[str, tuple[int, Callable[[int, int], Iterator[CheckResult]]]] = {
-    "theorem1": (6, _suite_theorem1),
-    "counting": (6, _suite_counting),
-    "table": (6, _suite_table),
-    "sixvertex": (5, _suite_sixvertex),
-    "ik": (4, _suite_ik),
-    "lgv": (6, _suite_lgv),
-    "omega": (6, _suite_omega),
-    "aux": (5, _suite_aux),
-    "osc": (6, _suite_osc),
-    "m0": (6, _suite_m0),
-    "symmetry": (6, _suite_symmetry),
-    "parity": (6, _suite_parity),
-    "boundary": (6, _suite_boundary),
+            for refined in (False, True)
+        ),
+        Check(
+            "negative_control",
+            lambda n, seed: not matrices.check_omega_relation(3, True, perturbation=(0, 0)),
+            None,
+            {"n": 3},
+        ),
+        Check(
+            "det_formula_rational",
+            lambda n, seed: matrices.check_prop_asmdet_rational(n, 20, seed=seed),
+            range(1, 6),
+            {"trials": 20},
+        ),
+        Check(
+            "det_equality_spot",
+            lambda n, seed: matrices.check_omega_relation_rational(n, 10, seed=seed),
+            range(1, 5),
+            {"points": 10},
+        ),
+    ),
+    "aux": (
+        Check("products_and_dets", lambda n, seed: matrices.check_aux_relations(n), range(1, 6)),
+        Check(
+            "w_refined_det",
+            lambda n, seed: det_poly(matrices.build("M_BAR_W", n)) == z_dpp_brute_w(n),
+            range(1, 6),
+        ),
+        Check("omega_factor", lambda n, seed: matrices.dpp_det_omega_factor_holds(n), range(1, 6)),
+        Check(
+            "weight_determinant",
+            lambda n, seed: all(
+                matrices.check_weight_determinant(n, q, rho0) for q, rho0, _ in POINTS
+            ),
+            range(1, 5),
+        ),
+    ),
+    "osc": (
+        *(
+            check
+            for p in range(5)
+            for check in (
+                Check(
+                    "empty_shape_size",
+                    lambda n, seed, p=p: oscillating.double_factorial_odd(p)
+                    == sum(1 for _ in oscillating.enumerate_oscillating((), 2 * p)),
+                    None,
+                    {"p": p},
+                ),
+                Check(
+                    "ascent_distribution",
+                    lambda n, seed, p=p: oscillating.ascent_distribution(
+                        oscillating.enumerate_oscillating((), 2 * p)
+                    )
+                    == oscillating.delta_ascent_distribution(p),
+                    None,
+                    {"p": p},
+                ),
+                Check(
+                    "counts_match_enumeration",
+                    lambda n, seed, p=p: oscillating.osc_counts(n, p)
+                    == (marginal(z_asm_brute(n), X_IDX)[p], marginal(z_dpp_brute(n), X_IDX)[p]),
+                    range(1, 7),
+                    {"p": p},
+                ),
+            )
+        ),
+        Check(
+            "p2_closed_form",
+            lambda n, seed: all(
+                oscillating.osc_counts(m, 2) == (comb(m, 4) + 2 * comb(m + 1, 4),) * 2
+                for m in range(1, 9)
+            ),
+            None,
+        ),
+    ),
+    "m0": (
+        Check("roundtrip_and_stats", lambda n, seed: _m0_roundtrip(n), range(1, 7)),
+        Check(
+            "mu_zero_genfunc",
+            lambda n, seed: z_asm_brute(n).substitute(Y_IDX, 0)
+            == z_dpp_brute(n).substitute(Y_IDX, 0)
+            == formulas.z_mu_zero(n),
+            range(1, 7),
+        ),
+    ),
+    "symmetry": (
+        Check("reflection_stats", lambda n, seed: _symstat_holds(n), range(1, 6)),
+        Check(
+            "nu_two_forms",
+            lambda n, seed: all(asm_nu_second_form(a) == asm_stats(a).nu for a in _asms(n)),
+            range(1, 6),
+        ),
+        Check("dpp_multiset", lambda n, seed: _dpp_multiset_symmetry(n), range(1, 7)),
+        # order 2m + 1 has vsasm_total(m) vertically symmetric ASMs
+        Check(
+            "reflection_invariant_count",
+            lambda n, seed: formulas.vsasm_total((n - 1) // 2)
+            == sum(1 for a in _asms(n) if asm_reflect(a) == a),
+            range(3, 6, 2),
+            key="order",
+        ),
+    ),
+    "parity": (
+        Check("stanton", lambda n, seed: bool(formulas.stanton_parity(n)), range(1, 6)),
+        Check(
+            "isolated_one_identity",
+            lambda n, seed: all(lhs == rhs for lhs, rhs in formulas.cdlg_identities(n, 2)),
+            range(1, 6),
+            {"max_m": 2},
+        ),
+        Check(
+            "q_enumeration",
+            lambda n, seed: q_sum_of_parts(n) == formulas.q_factorial_product(n),
+            range(1, 7),
+        ),
+    ),
+    "boundary": (
+        Check(
+            "z_at_zero_vs_one",
+            lambda n, seed: z_asm_brute(n).substitute(Z_IDX, 0)
+            == z_asm_brute(n - 1).substitute(Z_IDX, 1)
+            and z_dpp_brute(n).substitute(Z_IDX, 0) == z_dpp_brute(n - 1).substitute(Z_IDX, 1),
+            range(2, 7),
+        ),
+    ),
 }
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> VerifyReport:
+    """Run each row of suite ``name`` at its orders up to ``max_n``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    default_n, fn = SUITES[name]
     if max_n is not None:
         check_order(max_n)
-    bound = default_n if max_n is None else min(max_n, default_n)
     report = VerifyReport(name)
-    report.checks.extend(fn(bound, seed))
+    for check in SUITES[name]:
+        for n in (None,) if check.orders is None else check.orders:
+            if n is not None and max_n is not None and n > max_n:
+                continue
+            start = time.perf_counter()
+            error = None
+            try:
+                ok = bool(check.run(n, seed))
+            except Exception as exc:
+                ok = False
+                error = f"{type(exc).__name__}: {exc}"
+            params = check.params if n is None else {check.key: n, **check.params}
+            elapsed = time.perf_counter() - start
+            report.checks.append(CheckResult(check.name, params, ok, elapsed, error))
     return report

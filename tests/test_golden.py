@@ -11,14 +11,16 @@ pinned before it stopped parsing each JSON record again; and of the
 JSON form of the ASM and six-vertex enumerations, pinned before the
 enumerate command became one table of kinds; and of the verify report
 at each --max-n up to 5 and at seed 7, text and JSON, pinned before the
-suites' per-order loops were merged.  Any change to these bytes must be
-deliberate."""
+suites' per-order loops were merged; and of the points the ik suite
+checks, pinned before the suites became one table of checks.  Any
+change to these bytes must be deliberate."""
 
 import hashlib
 import json
 
 import pytest
 
+from asmdpp import sixvertex, verify
 from asmdpp.cli import main
 from asmdpp.dpp import q_sum_of_parts, z_dpp_brute_w
 from asmdpp.matrices import FAMILY_NAMES
@@ -371,6 +373,17 @@ VERIFY_SEED7_SHA256 = (
     "85dfecac00dba674084977ab2c1bdcad216eb4c0226f4c9ce4e0bf2deb24f7b3",
 )
 
+# a --max-n past every check's order range gives the full run, whose
+# digests are the same at every seed
+VERIFY_MAX_N_SHA256.update(dict.fromkeys((6, 7, 40), VERIFY_SEED7_SHA256))
+
+# seed -> sha256 of the points the ik suite hands to ik_determinant_rat,
+# in call order, one line "q s_1 .. s_n t_1 .. t_n" per point
+VERIFY_IK_POINTS_SHA256 = {
+    0: "d816bb6ec3707384b43442577a11ba3ef4400d7c5f9ec3a4dc89b1db9d15cfdf",
+    7: "d645726e807271ee114f723df19a0aa307b439d7e9f1306b5aec7a1eae3c55ed",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -480,3 +493,20 @@ def test_verify_refuses_max_n_below_1(capsys, monkeypatch):
 
 def test_verify_all_output_is_unchanged_at_seed_7(capsys):
     assert _verify_digests(capsys, "--seed", "7") == VERIFY_SEED7_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_IK_POINTS_SHA256))
+def test_verify_ik_points_are_unchanged(monkeypatch, seed):
+    # verify's text is the same for any points, so only this sees a
+    # change to the draws
+    lines = []
+    ik_determinant_rat = sixvertex.ik_determinant_rat
+
+    def recording(pt):
+        lines.append(" ".join(map(str, (pt.q, *pt.s, *pt.t))))
+        return ik_determinant_rat(pt)
+
+    monkeypatch.setattr(sixvertex, "ik_determinant_rat", recording)
+    assert verify.run_suite("ik", None, seed).passed
+    assert len(lines) == 60
+    assert _sha256("\n".join(lines)) == VERIFY_IK_POINTS_SHA256[seed]

@@ -1,8 +1,8 @@
 """Every module-level function and class in src/asmdpp, and every method
 and property of those classes, serves a command, a check or the
-benchmark: each is referenced somewhere in src/asmdpp, scripts or
-perfbench.  The only exceptions are named below, each with its reason;
-wiring one of them in must also remove it from the list."""
+benchmark: each is referenced somewhere in src/asmdpp or perfbench.
+The only exceptions are named below, each with its reason; wiring one
+of them in must also remove it from the list."""
 
 import ast
 from pathlib import Path
@@ -47,13 +47,13 @@ def _module_names(tree: ast.Module) -> set[str]:
 
 
 def _references() -> set[str]:
-    """Names read in src/asmdpp, scripts and perfbench.  An attribute
+    """Names read in src/asmdpp and perfbench.  An attribute
     counts only when it is read on a module name or alias (such as
     paths.lgv_matrix), so a method of the same name, like
     PolyMatrix.identity, does not count as a caller of a module-level
     function."""
     names = set()
-    for folder in (SRC, ROOT / "scripts", ROOT / "perfbench"):
+    for folder in (SRC, ROOT / "perfbench"):
         for path in folder.rglob("*.py"):
             tree = ast.parse(path.read_text())
             modules = _module_names(tree)
@@ -92,10 +92,9 @@ def _members() -> set[str]:
 
 
 def _attributes_read() -> set[str]:
-    """Attribute names read on any value in src/asmdpp, scripts and
-    perfbench."""
+    """Attribute names read on any value in src/asmdpp and perfbench."""
     names = set()
-    for folder in (SRC, ROOT / "scripts", ROOT / "perfbench"):
+    for folder in (SRC, ROOT / "perfbench"):
         for path in folder.rglob("*.py"):
             names.update(
                 node.attr
