@@ -11,6 +11,15 @@ Statistics, for the generating function in (x, y, z):
     nu  - sum of A[i][j]*A[i'][j'] over i < i', j' <= j (inversion count)
     mu  - number of -1 entries
     rho - number of 0's left of the 1 in the first row
+
+Both statistics that span rows are sums of per-row terms: a row's
+entries v at column j close the pairs of nu with every entry above them
+at a column j' >= j, which adds v * (col[j] + ... + col[n-1]) where col
+holds the column sums of the rows above; its -1 entries add to mu.  The
+enumeration walk keeps these running sums, so ``z_asm_brute`` tallies
+every matrix of the family without building an ``Asm`` or calling
+``asm_stats`` on it; ``enumerate_asms`` runs the same walk and hands out
+validated ``Asm`` objects.
 """
 
 from __future__ import annotations
@@ -79,12 +88,10 @@ class AsmStats:
         return self.nu + self.mu
 
 
-@cache
 def _row_candidates(col: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Every row that may follow rows whose column partial sums are col:
     its own partial sums and each col[j] + row[j] stay in {0,1} and the
-    row sums to 1.  Ascending lexicographic with -1 < 0 < 1.  Cached for
-    the life of the process; an order-n walk reaches at most 2^n vectors."""
+    row sums to 1.  Ascending lexicographic with -1 < 0 < 1."""
     n = len(col)
     out: list[tuple[int, ...]] = []
     row = [0] * n
@@ -108,6 +115,42 @@ def _row_candidates(col: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@cache
+def _row_steps(col: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+    """The walk's steps from column state col: (row, next state, d_nu,
+    d_mu) for each row of ``_row_candidates(col)``, in its order.  d_nu
+    is the row's share of nu, the sum of v * (col[j] + ... + col[n-1])
+    over its entries v at column j, and d_mu its number of -1 entries.
+    Cached for the life of the process; an order-n walk reaches at most
+    2^n vectors (127 at n = 7)."""
+    suffix = [0] * (len(col) + 1)
+    for j in reversed(range(len(col))):
+        suffix[j] = suffix[j + 1] + col[j]
+    return tuple(
+        (
+            row,
+            tuple(c + v for c, v in zip(col, row)),
+            sum(v * s for v, s in zip(row, suffix)),
+            row.count(-1),
+        )
+        for row in _row_candidates(col)
+    )
+
+
+def _walk(n: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
+    """(rows, nu, mu) for every order-n matrix, in the enumeration order.
+    The rows come from the step tables and are not validated again."""
+
+    def walk(rows: tuple[tuple[int, ...], ...], col: tuple[int, ...], nu: int, mu: int):
+        if len(rows) == n:
+            yield rows, nu, mu
+            return
+        for row, nxt, d_nu, d_mu in _row_steps(col):
+            yield from walk(rows + (row,), nxt, nu + d_nu, mu + d_mu)
+
+    return walk((), (0,) * n, 0, 0)
+
+
 def enumerate_asms(n: int) -> Iterator[Asm]:
     """Yield every order-n alternating sign matrix exactly once, each one
     a validated ``Asm``.
@@ -117,18 +160,12 @@ def enumerate_asms(n: int) -> Iterator[Asm]:
     by row over the vector of column partial sums, which stays in
     {0,1}^n; that vector also encodes the last nonzero sign seen in each
     column, so sign alternation needs no extra state.  The rows that may
-    follow a vector come from ``_row_candidates``, built once per vector.
+    follow a vector come from its step table ``_row_steps``, built once
+    per vector.
     """
     check_order(n)
-
-    def walk(rows: tuple[tuple[int, ...], ...], col: tuple[int, ...]) -> Iterator[Asm]:
-        if len(rows) == n:
-            yield Asm(rows)
-            return
-        for cand in _row_candidates(col):
-            yield from walk(rows + (cand,), tuple(c + v for c, v in zip(col, cand)))
-
-    yield from walk((), (0,) * n)
+    for rows, _, _ in _walk(n):
+        yield Asm(rows)
 
 
 def asm_stats(a: Asm) -> AsmStats:
@@ -215,9 +252,12 @@ def count_rotation_invariant(n: int) -> tuple[int, int]:
 @cache
 def z_asm_brute(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized (at
-    most BRUTE_FORCE_LIMIT entries)."""
+    most BRUTE_FORCE_LIMIT entries).  One Counter over the enumeration
+    walk: nu and mu are its per-row tallies and rho is read off the first
+    row, so no ``Asm`` is built and ``asm_stats`` is not called; every
+    matrix is still visited once."""
     check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
-    return MultiPoly(Counter((s.nu, s.mu, s.rho, 0, 0) for s in map(asm_stats, enumerate_asms(n))))
+    return MultiPoly(Counter((nu, mu, rows[0].index(1), 0, 0) for rows, nu, mu in _walk(n)))
 
 
 def asm_to_json(a: Asm) -> list[list[int]]:

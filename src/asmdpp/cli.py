@@ -2,7 +2,9 @@
 
 Subcommands:
 
-  enumerate  stream one family in canonical order (json or text lines)
+  enumerate  stream one family in canonical order (json or text lines),
+             written in blocks of 512 records, byte-identical to one
+             write per record
   genfunc    print a generating function (determinant or brute force)
   table      CSV of per-(p, m, k) counts for both families
   verify     run the named verification suites (exit 1 on any failure)
@@ -47,6 +49,9 @@ from .polynomial import poly_str
 from .sixvertex import SixVertexConfig, config_to_json, enumerate_configs
 
 GENFUNC_METHODS = ("det", "brute-asm", "brute-dpp", "det-w")
+
+# records per write of the enumerate stream
+ENUMERATE_BLOCK = 512
 
 
 def _env_cap() -> int | None:
@@ -115,8 +120,9 @@ def cmd_enumerate(args: argparse.Namespace, out) -> int:
     else:
         lines = map(text_form, enumerator(args.n))
     # islice stops after the limit-th line without drawing another object
-    for line in islice(lines, args.limit):
-        out.write(line + "\n")
+    lines = islice(lines, args.limit)
+    while block := list(islice(lines, ENUMERATE_BLOCK)):
+        out.write("\n".join(block) + "\n")
     return 0
 
 

@@ -14,6 +14,13 @@ so the statistics take n as an argument.
 A part in row i at 0-based offset k (absolute column i + k) is special
 when it is <= k; nu counts nonspecial parts, mu special parts, rho the
 parts equal to n.
+
+Every statistic is a sum of per-row terms, since a part's offset within
+its row decides whether it is special.  The enumeration walk keeps the
+running sums, so ``z_dpp_brute_wq`` tallies every array of the family
+without building a ``Dpp`` or calling ``dpp_stats`` on it;
+``enumerate_dpps`` runs the same walk and hands out validated ``Dpp``
+objects.
 """
 
 from __future__ import annotations
@@ -119,6 +126,40 @@ def _row_fillings(first: int, length: int, low: int, prev: tuple[int, ...] | Non
     return out
 
 
+@cache
+def _row_tally(row: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
+    """(nu, mu, rho, sum of parts) of one row of an element of DPP(n).
+    Cached per distinct row; an order-7 walk meets about a thousand."""
+    mu = sum(part <= k for k, part in enumerate(row))
+    return len(row) - mu, mu, row.count(n), sum(row)
+
+
+def _walk(n: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int, int, int]]:
+    """(rows, nu, mu, rho, sum of parts) for every element of DPP(n), in
+    the enumeration order.  The rows are filled within the bounds that
+    make the array valid and are not validated again."""
+    rows: list[tuple[int, ...]] = []
+
+    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...], nu: int, mu: int, rho: int, size: int):
+        i = len(rows)
+        if i == len(firsts):
+            yield tuple(rows), nu, mu, rho, size
+            return
+        low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
+        for row in _row_fillings(firsts[i], lengths[i], low, rows[-1] if rows else None):
+            r_nu, r_mu, r_rho, r_size = _row_tally(row, n)
+            rows.append(row)
+            yield from fill(firsts, lengths, nu + r_nu, mu + r_mu, rho + r_rho, size + r_size)
+            rows.pop()
+
+    for t in range(n):
+        # combinations of a descending range come in descending order
+        for firsts in reversed(list(combinations(range(n, 1, -1), t))):
+            below = firsts[1:] + (1,)
+            for lengths in product(*map(range, below, firsts)):
+                yield from fill(firsts, lengths, 0, 0, 0, 0)
+
+
 def enumerate_dpps(n: int) -> Iterator[Dpp]:
     """Yield every element of DPP(n) exactly once, in ascending order of
     the key (row count, first parts, row lengths, full part tuples), the
@@ -132,40 +173,22 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
     offset 1 must exceed the next row's first part, which sits under it.
     """
     check_order(n)
-    rows: list[tuple[int, ...]] = []
-
-    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[Dpp]:
-        i = len(rows)
-        if i == len(firsts):
-            yield Dpp(tuple(rows))
-            return
-        low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
-        for row in _row_fillings(firsts[i], lengths[i], low, rows[-1] if rows else None):
-            rows.append(row)
-            yield from fill(firsts, lengths)
-            rows.pop()
-
-    for t in range(n):
-        # combinations of a descending range come in descending order
-        for firsts in reversed(list(combinations(range(n, 1, -1), t))):
-            below = firsts[1:] + (1,)
-            for lengths in product(*map(range, below, firsts)):
-                yield from fill(firsts, lengths)
+    for rows, _, _, _, _ in _walk(n):
+        yield Dpp(rows)
 
 
 @cache
 def z_dpp_brute_wq(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho * w^(rows+1) * q^(sum of parts) over
-    DPP(n): one Counter of the statistic tuples, streamed from the
-    enumerator.  This is the one pass that counts DPP statistics,
-    memoized (at most BRUTE_FORCE_LIMIT entries); the other DPP
-    generating functions are substitutions or marginals of it."""
+    DPP(n): one Counter over the enumeration walk, whose per-row tallies
+    give every statistic, so no ``Dpp`` is built and ``dpp_stats`` is not
+    called; every array is still visited once.  This is the one pass that
+    counts DPP statistics, memoized (at most BRUTE_FORCE_LIMIT entries);
+    the other DPP generating functions are substitutions or marginals of
+    it."""
     check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
     return MultiPoly(
-        Counter(
-            (s.nu, s.mu, s.rho, s.row_count + 1, s.parts_sum)
-            for s in (dpp_stats(d, n) for d in enumerate_dpps(n))
-        )
+        Counter((nu, mu, rho, len(rows) + 1, size) for rows, nu, mu, rho, size in _walk(n))
     )
 
 

@@ -1,7 +1,9 @@
 """Shared cached enumerations so the suite never rebuilds a family twice,
-the reference polynomial kernel, ASM and DPP enumerators and matrix
-builders of the differential tests, and a rational matrix product."""
+the reference polynomial kernel, brute-force counters, ASM and DPP
+enumerators and matrix builders of the differential tests, and a
+rational matrix product."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -329,6 +331,32 @@ def walk_and_sort_dpps(n: int) -> Iterator[Dpp]:
         )
     )
     yield from found
+
+
+# --- Reference brute-force counters -----------------------------------------
+# The per-object counters that the walk tallies replaced: one validated
+# object per element of the family and one call of its statistic, kept
+# verbatim (renamed to per_object_z_asm and per_object_z_dpp_wq) as the
+# oracle of z_asm_brute and z_dpp_brute_wq.
+
+
+# sha256 of poly_str(Z) + "\n" at n = 7, as printed by every genfunc
+# method; recorded from the per-object counters, which would add about
+# 10 s to the suite at that order
+Z7_SHA256 = "dea14c1a3a3bb06e255d157746c7cba1f81b73ab7c5f27bf3c05a82b676538f5"
+
+
+def per_object_z_asm(n: int) -> MultiPoly:
+    return MultiPoly(Counter((s.nu, s.mu, s.rho, 0, 0) for s in map(asm_stats, enumerate_asms(n))))
+
+
+def per_object_z_dpp_wq(n: int) -> MultiPoly:
+    return MultiPoly(
+        Counter(
+            (s.nu, s.mu, s.rho, s.row_count + 1, s.parts_sum)
+            for s in (dpp_stats(d, n) for d in enumerate_dpps(n))
+        )
+    )
 
 
 # --- Reference ASM enumerator -----------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from asmdpp.asm import (
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.polynomial import poly_str
-from helpers import ASMEX, asm_list, per_node_asms
+from helpers import ASMEX, Z7_SHA256, asm_list, per_node_asms, per_object_z_asm
 
 CENTER = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
 
@@ -130,6 +131,16 @@ def test_z_brute_small():
     assert (
         poly_str(z_asm_brute(3)) == "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
     )
+
+
+def test_z_brute_matches_the_per_object_reference():
+    for n in range(1, 7):
+        assert z_asm_brute(n) == per_object_z_asm(n), n
+
+
+def test_z_brute_at_order_7_is_unchanged():
+    text = poly_str(z_asm_brute(7)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == Z7_SHA256
 
 
 def test_z_brute_limit():

@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import re
+import sys
 import threading
 from itertools import islice
 
@@ -11,7 +13,7 @@ import asmdpp.dpp
 import asmdpp.paths
 import asmdpp.sixvertex
 from asmdpp.asm import Asm, asm_row_word, enumerate_asms
-from asmdpp.cli import main
+from asmdpp.cli import _KIND_FORMS, ENUMERATE_BLOCK, KINDS, main
 from asmdpp.formulas import asm_total
 from asmdpp.paths import enumerate_nilp_families, nilp_to_json
 from asmdpp.sixvertex import SixVertexConfig, enumerate_configs
@@ -77,6 +79,48 @@ def test_enumerate_lines_are_distinct(capsys, kind):
             assert code == 0
             lines = out.splitlines()
             assert len(set(lines)) == len(lines) == asm_total(n), (n, fmt)
+
+
+def _one_write_per_record(kind, n, fmt, limit=None):
+    """The stream as it was written before the blocks: one write per record."""
+    enumerator, json_form, text_form = _KIND_FORMS[kind]
+    if fmt == "text":
+        form = text_form
+    else:
+        form = lambda obj: json.dumps(json_form(obj), separators=(",", ":"))
+    return "".join(form(obj) + "\n" for obj in islice(enumerator(n), limit))
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_enumerate_blocks_match_one_write_per_record(capsys, kind, fmt):
+    for n in range(1, 6):
+        code, out, _ = run_cli(capsys, "enumerate", "--kind", kind, "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert out == _one_write_per_record(kind, n, fmt), n
+    # around the block size: an empty stream, one record, and one block
+    # short, exact and over
+    for limit in (0, 1, ENUMERATE_BLOCK - 1, ENUMERATE_BLOCK, ENUMERATE_BLOCK + 1):
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--kind", kind, "--n", "6", "--format", fmt, "--limit", str(limit)
+        )
+        assert code == 0
+        assert out == _one_write_per_record(kind, 6, fmt, limit), limit
+
+
+def test_enumerate_writes_whole_blocks(monkeypatch):
+    class CountingOut(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--kind", "dpp", "--n", "6"]) == 0
+    assert out.writes <= -(-asm_total(6) // ENUMERATE_BLOCK) == 15
+    assert out.getvalue() == _one_write_per_record("dpp", 6, "json")
 
 
 # the class each enumerator builds once per object it yields

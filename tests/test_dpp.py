@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -12,10 +13,11 @@ from asmdpp.dpp import (
     q_sum_of_parts,
     z_dpp_brute,
     z_dpp_brute_w,
+    z_dpp_brute_wq,
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.polynomial import poly_str
-from helpers import dpp_list, walk_and_sort_dpps
+from helpers import Z7_SHA256, dpp_list, per_object_z_dpp_wq, walk_and_sort_dpps
 
 DPPEX = Dpp(((6, 6, 6, 5, 2), (4, 4, 1), (3,)))
 
@@ -107,6 +109,16 @@ def test_z_brute_small():
         poly_str(z_dpp_brute(3)) == "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
     )
     assert poly_str(z_dpp_brute_w(2)) == "w + x*z*w^2"
+
+
+def test_z_brute_matches_the_per_object_reference():
+    for n in range(1, 7):
+        assert z_dpp_brute_wq(n) == per_object_z_dpp_wq(n), n
+
+
+def test_z_brute_at_order_7_is_unchanged():
+    text = poly_str(z_dpp_brute(7)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == Z7_SHA256
 
 
 def test_z_brute_limit():

@@ -77,6 +77,12 @@ def test_genfunc_det_small():
         assert genfunc_det(n) == z_asm_brute(n) == z_dpp_brute(n)
 
 
+def test_theorem_1_at_order_7():
+    # the only tier-1 check of the three routes past n = 6: a bug in a
+    # brute pass that shows first at n = 7 passes verify, which stops at 6
+    assert z_asm_brute(7) == z_dpp_brute(7) == genfunc_det(7)
+
+
 def test_w_refined_determinant():
     for n in (1, 2, 3, 4):
         assert det_poly(build("M_BAR_W", n)) == z_dpp_brute_w(n)
