@@ -4,7 +4,10 @@ Subcommands:
 
   enumerate  stream one family in canonical order (json or text lines),
              written in blocks of 512 records, byte-identical to one
-             write per record
+             write per record; each kind's JSON line is compact
+             json.dumps of its <kind>_to_json form, and a DPP's line is
+             joined from the cached text of its rows, byte for byte the
+             same
   genfunc    print a generating function (determinant or brute force)
   table      CSV of per-(p, m, k) counts for both families
   verify     run the named verification suites (exit 1 on any failure)
@@ -34,13 +37,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import cache
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from . import verify as verify_mod
 from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
-from .dpp import Dpp, dpp_to_json, enumerate_dpps, z_dpp_brute
+from .dpp import Dpp, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
 from .limits import MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
@@ -76,13 +79,31 @@ def _nilp_text(fam: NilpSet) -> str:
     return " / ".join("".join(p.steps) or "-" for p in fam.paths)
 
 
-# kind -> (enumerator, JSON form, text form); both forms are taken straight
+def _json_line(to_json):
+    """The JSON line of an object: compact json.dumps of its JSON form."""
+    return lambda obj: json.dumps(to_json(obj), separators=(",", ":"))
+
+
+@cache
+def _row_json(row: tuple[int, ...]) -> str:
+    # one entry per distinct row, the rows the DPP walk shares (1,078 at
+    # order 7)
+    return json.dumps(row, separators=(",", ":"))
+
+
+def _dpp_json_line(d: Dpp) -> str:
+    """json.dumps(dpp_to_json(d)) with compact separators, joined from the
+    cached text of each row."""
+    return "[" + ",".join(map(_row_json, d.rows)) + "]"
+
+
+# kind -> (enumerator, JSON line, text line); both lines are made straight
 # from the enumerated (already validated) objects
 _KIND_FORMS = {
-    "asm": (enumerate_asms, asm_to_json, asm_row_word),
-    "dpp": (enumerate_dpps, dpp_to_json, _dpp_text),
-    "sixvertex": (enumerate_configs, config_to_json, _config_text),
-    "nilp": (enumerate_nilp_families, nilp_to_json, _nilp_text),
+    "asm": (enumerate_asms, _json_line(asm_to_json), asm_row_word),
+    "dpp": (enumerate_dpps, _dpp_json_line, _dpp_text),
+    "sixvertex": (enumerate_configs, _json_line(config_to_json), _config_text),
+    "nilp": (enumerate_nilp_families, _json_line(nilp_to_json), _nilp_text),
 }
 
 KINDS = tuple(_KIND_FORMS)
@@ -114,11 +135,8 @@ def _replaced_on_success(path: Path, shown: str) -> Iterator[TextIO]:
 
 def cmd_enumerate(args: argparse.Namespace, out) -> int:
     check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
-    enumerator, json_form, text_form = _KIND_FORMS[args.kind]
-    if args.format == "json":
-        lines = (json.dumps(json_form(obj), separators=(",", ":")) for obj in enumerator(args.n))
-    else:
-        lines = map(text_form, enumerator(args.n))
+    enumerator, json_line, text_line = _KIND_FORMS[args.kind]
+    lines = map(json_line if args.format == "json" else text_line, enumerator(args.n))
     # islice stops after the limit-th line without drawing another object
     lines = islice(lines, args.limit)
     while block := list(islice(lines, ENUMERATE_BLOCK)):
@@ -162,6 +180,10 @@ def cmd_table(args: argparse.Namespace, out) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
+    # imported here: the suites pull in formulas and oscillating, which no
+    # other command needs at start-up
+    from . import verify as verify_mod
+
     cap = _env_cap()
     max_n = args.max_n
     if cap is not None:

