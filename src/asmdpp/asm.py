@@ -47,7 +47,7 @@ class Asm:
         for r in self.rows:
             s = 0
             for v in r:
-                if v not in (-1, 0, 1):
+                if type(v) is not int or v not in (-1, 0, 1):
                     raise ValidationError(f"entry {v} outside {{-1,0,1}}")
                 s += v
                 if s not in (0, 1):

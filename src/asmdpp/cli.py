@@ -2,28 +2,28 @@
 
 Subcommands:
 
-  enumerate  stream one family in canonical order (json or text lines),
-             written in blocks of 512 records, byte-identical to one
-             write per record; each kind's JSON line is compact
-             json.dumps of its <kind>_to_json form, and a DPP's line is
-             joined from the cached text of its rows, byte for byte the
-             same
+  enumerate  stream one family in canonical order (json or text lines);
+             each kind's JSON line is compact json.dumps of its
+             <kind>_to_json form, and a DPP's line is joined from the
+             cached text of its rows, byte for byte the same
   genfunc    print a generating function (determinant or brute force)
   table      CSV of per-(p, m, k) counts for both families
   verify     run the named verification suites (exit 1 on any failure)
   matrix     dump one of the named matrices as JSON term lists
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Every
-order goes through the one rule limits.check_order: an order below 1,
-verify's --max-n included, exits with 2, and so does an order past a
-documented cap, with "error: <what> capped at order <cap>".  The
-environment variable ASMDPP_MAX_N caps the order accepted by every
-command that takes --n in the same way ("ASMDPP_MAX_N capped at order
-<cap>") and lowers verify's --max-n.  --output FILE replaces a regular
-FILE only when the command returns, so a refused command (exit 2)
-leaves an existing FILE as it was; a device or a pipe is written
-through, and a FILE that cannot be opened for writing (a directory, a
-missing parent) exits with 2.
+Each command only computes: it returns its output lines and exit code,
+and main alone refuses and writes.  Exit codes: 0 success, 1
+verification failure, 2 usage error.  Every order goes through the one
+rule limits.check_order: an order below 1, verify's --max-n included,
+exits with 2, and so does an order past a documented cap, with "error:
+<what> capped at order <cap>".  The environment variable ASMDPP_MAX_N
+caps the order accepted by every command that takes --n in the same way
+("ASMDPP_MAX_N capped at order <cap>") and lowers verify's --max-n.
+main draws the first 512-line block before it opens the output, so a
+refused command never opens --output, and writes one block per write.
+--output FILE replaces a regular FILE only when every line is written;
+a device or a pipe is written through.  A failed open or write exits
+with 2: "error: cannot write <FILE or stdout>: <reason>".
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (one line per suite: checks, failures and
 seconds) or under --timings (json).
@@ -37,10 +37,10 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
 from .dpp import Dpp, enumerate_dpps, z_dpp_brute
@@ -48,12 +48,18 @@ from .errors import AsmDppError
 from .limits import MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
 from .paths import NilpSet, enumerate_nilp_families, nilp_to_json
-from .polynomial import poly_str
+from .polynomial import VAR_NAMES, poly_str
 from .sixvertex import SixVertexConfig, config_to_json, enumerate_configs
 
-GENFUNC_METHODS = ("det", "brute-asm", "brute-dpp", "det-w")
+# genfunc --method -> the route that computes the polynomial
+_ROUTES = {
+    "det": genfunc_det,
+    "brute-asm": z_asm_brute,
+    "brute-dpp": z_dpp_brute,
+    "det-w": partial(genfunc_det, w_refined=True),
+}
 
-# records per write of the enumerate stream
+# lines per write of every command's output
 ENUMERATE_BLOCK = 512
 
 
@@ -109,85 +115,73 @@ _KIND_FORMS = {
 KINDS = tuple(_KIND_FORMS)
 
 
-def _open_output(path: Path, shown: str) -> TextIO:
-    """Open path for writing; an OSError becomes a usage error that names
-    the FILE the user gave."""
-    try:
-        return path.open("w")
-    except OSError as exc:
-        raise AsmDppError(f"cannot write {shown}: {exc.strerror or exc}") from None
-
-
 @contextmanager
-def _replaced_on_success(path: Path, shown: str) -> Iterator[TextIO]:
-    """Write to <path>.<pid>.tmp and rename it onto path only if the
-    block completes; on any exception, including an early close of a
-    generator that writes in the block, delete it and leave path as it
-    was."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+def _output(name: str | None) -> Iterator[TextIO]:
+    """Where the lines go: stdout; a device or a pipe, written through; or
+    a regular FILE, written as <FILE>.<pid>.tmp and renamed onto FILE only
+    when every line is written, so a failed write leaves FILE as it was.
+    An OSError from opening, writing or flushing becomes a usage error
+    that names the FILE the user gave, or stdout."""
     try:
-        with _open_output(tmp, shown) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        if not name:
+            yield sys.stdout
+            sys.stdout.flush()
+        elif (path := Path(name)).exists() and not path.is_file():
+            with path.open("w") as out:
+                yield out
+        else:
+            path = path.resolve()
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            try:
+                with tmp.open("w") as out:
+                    yield out
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise AsmDppError(f"cannot write {name or 'stdout'}: {exc.strerror or exc}") from None
 
 
-def cmd_enumerate(args: argparse.Namespace, out) -> int:
-    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
+def cmd_enumerate(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     enumerator, json_line, text_line = _KIND_FORMS[args.kind]
     lines = map(json_line if args.format == "json" else text_line, enumerator(args.n))
     # islice stops after the limit-th line without drawing another object
-    lines = islice(lines, args.limit)
-    while block := list(islice(lines, ENUMERATE_BLOCK)):
-        out.write("\n".join(block) + "\n")
-    return 0
+    return islice(lines, args.limit), 0
 
 
-def cmd_genfunc(args: argparse.Namespace, out) -> int:
-    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
-    if args.method in ("det", "det-w"):
-        poly = genfunc_det(args.n, w_refined=args.method == "det-w")
-    elif args.method == "brute-asm":
-        poly = z_asm_brute(args.n)
-    else:
-        poly = z_dpp_brute(args.n)
+def cmd_genfunc(args: argparse.Namespace) -> tuple[Iterable[str], int]:
+    poly = _ROUTES[args.method](args.n)
     if args.format == "json":
         doc = {
             "n": args.n,
             "method": args.method,
-            "vars": ["x", "y", "z", "w", "q"],
+            "vars": VAR_NAMES,
             "terms": poly.to_term_list(),
         }
-        out.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    else:
-        out.write(poly_str(poly) + "\n")
-    return 0
+        return [json.dumps(doc, separators=(",", ":"))], 0
+    return [poly_str(poly)], 0
 
 
-def cmd_table(args: argparse.Namespace, out) -> int:
-    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
+def cmd_table(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     # coefficients are keyed by (p, m, k, 0, 0), so they sort as (p, m, k)
     asm_cells = z_asm_brute(args.n).terms
     dpp_cells = z_dpp_brute(args.n).terms
-    out.write("p,m,k,asm_count,dpp_count,equal\n")
+    lines = ["p,m,k,asm_count,dpp_count,equal"]
     for key in sorted(set(asm_cells) | set(dpp_cells)):
         ac = asm_cells.get(key, 0)
         dc = dpp_cells.get(key, 0)
         flag = "true" if ac == dc else "false"
-        out.write(f"{key[0]},{key[1]},{key[2]},{ac},{dc},{flag}\n")
-    return 0
+        lines.append(f"{key[0]},{key[1]},{key[2]},{ac},{dc},{flag}")
+    return lines, 0
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     # imported here: the suites pull in formulas and oscillating, which no
     # other command needs at start-up
     from . import verify as verify_mod
 
-    cap = _env_cap()
-    max_n = args.max_n
-    if cap is not None:
-        max_n = cap if max_n is None else min(max_n, cap)
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in verify_mod.SUITES:
         raise AsmDppError(
@@ -198,7 +192,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     failing: list[str] = []
     for name in names:
         suite_started = time.perf_counter()
-        report = verify_mod.run_suite(name, max_n, args.seed)
+        report = verify_mod.run_suite(name, args.max_n, args.seed)
         failed = [c for c in report.checks if not c.passed]
         print(
             f"{name}: {len(report.checks)} checks, {len(failed)} failed, "
@@ -213,35 +207,30 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
             "seed": args.seed,
             "suites": [r.to_json(timings=args.timings) for r in reports],
         }
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        lines = [json.dumps(doc, indent=2, sort_keys=True)]
     else:
-        for r in reports:
-            for line in r.text_lines():
-                out.write(line + "\n")
+        lines = [line for r in reports for line in r.text_lines()]
         total = sum(len(r.checks) for r in reports)
-        out.write(f"{'FAIL' if failing else 'OK'}: {total - len(failing)}/{total} checks passed\n")
+        lines.append(f"{'FAIL' if failing else 'OK'}: {total - len(failing)}/{total} checks passed")
     print(
         f"verify finished in {time.perf_counter() - started:.2f}s",
         file=sys.stderr,
     )
     if failing:
         print("failing checks: " + "; ".join(failing), file=sys.stderr)
-        return 1
-    return 0
+    return lines, 1 if failing else 0
 
 
-def cmd_matrix(args: argparse.Namespace, out) -> int:
-    check_order(args.n, _env_cap(), MAX_N_ENV_VAR)
+def cmd_matrix(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     m = build(args.name, args.n, refined=not args.unrefined)
     doc = {
         "name": args.name,
         "n": args.n,
         "refined": not args.unrefined,
-        "vars": ["x", "y", "z", "w", "q"],
+        "vars": VAR_NAMES,
         "entries": matrix_to_json(m),
     }
-    out.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    return 0
+    return [json.dumps(doc, separators=(",", ":"))], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("genfunc", help="print a generating function")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--method", choices=GENFUNC_METHODS, default="det")
+    p_gen.add_argument("--method", choices=tuple(_ROUTES), default="det")
     p_gen.add_argument("--format", choices=("text", "json"), default="text")
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(fn=cmd_genfunc)
@@ -297,16 +286,22 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "limit", None) is not None and args.limit < 0:
         parser.error("--limit must be at least 0")
     try:
-        if args.output:
-            path = Path(args.output)
-            if path.exists() and not path.is_file():
-                # a device or a pipe cannot be replaced: write through it
-                with _open_output(path, args.output) as out:
-                    return args.fn(args, out)
-            # a command that raises (exit 2) leaves an existing file intact
-            with _replaced_on_success(path.resolve(), args.output) as out:
-                return args.fn(args, out)
-        return args.fn(args, sys.stdout)
+        cap = _env_cap()
+        if "n" in args:
+            check_order(args.n, cap, MAX_N_ENV_VAR)
+        elif cap is not None:
+            args.max_n = cap if args.max_n is None else min(args.max_n, cap)
+        lines, code = args.fn(args)
+        # a list would restart under each islice: draw from one iterator
+        lines = iter(lines)
+        # the first block is drawn before the output is opened, so a
+        # command refused in its computation never touches --output
+        block = list(islice(lines, ENUMERATE_BLOCK))
+        with _output(args.output) as out:
+            while block:
+                out.write("\n".join(block) + "\n")
+                block = list(islice(lines, ENUMERATE_BLOCK))
+        return code
     except AsmDppError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,7 @@ class Dpp:
         for idx, row in enumerate(self.rows):
             if not row:
                 raise ValidationError("rows must be nonempty")
-            if any(not isinstance(p, int) or p < 1 for p in row):
+            if any(type(p) is not int or p < 1 for p in row):
                 raise ValidationError("parts must be positive integers")
             if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
                 raise ValidationError("parts must decrease weakly along rows")

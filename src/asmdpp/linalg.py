@@ -18,6 +18,7 @@ uses exact Gaussian elimination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -72,23 +73,18 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(tuple(zip(*self.entries)))
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._shape_check(other)
+    def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
+        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
+            raise ValidationError("matrix shapes differ")
         return PolyMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries))
         )
 
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._shape_check(other)
-        return PolyMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(other, operator.sub)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n_cols != other.n_rows:
@@ -110,10 +106,6 @@ class PolyMatrix:
         return PolyMatrix(
             tuple(tuple(e.substitute(index, value) for e in row) for row in self.entries)
         )
-
-    def _shape_check(self, other: "PolyMatrix") -> None:
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValidationError("matrix shapes differ")
 
 
 def _det_minors(entries) -> object:

@@ -365,10 +365,16 @@ class OmegaPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
+    @staticmethod
+    def _lift(other) -> "OmegaPoly | None":
+        """other as an OmegaPoly (a MultiPoly as its omega^0 coefficient), else None."""
         if isinstance(other, MultiPoly):
-            other = OmegaPoly.from_poly(other)
-        if not isinstance(other, OmegaPoly):
+            return OmegaPoly.from_poly(other)
+        return other if isinstance(other, OmegaPoly) else None
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -376,9 +382,8 @@ class OmegaPoly:
         return hash(self.coeffs)
 
     def __add__(self, other) -> "OmegaPoly":
-        if isinstance(other, MultiPoly):
-            other = OmegaPoly.from_poly(other)
-        if not isinstance(other, OmegaPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return OmegaPoly([self.coeff(d) + other.coeff(d) for d in range(n)])
@@ -387,16 +392,13 @@ class OmegaPoly:
         return OmegaPoly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "OmegaPoly":
-        if isinstance(other, MultiPoly):
-            other = OmegaPoly.from_poly(other)
-        if not isinstance(other, OmegaPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return OmegaPoly([c * other for c in self.coeffs])
-        if isinstance(other, MultiPoly):
+        if isinstance(other, (int, MultiPoly)):
             return OmegaPoly([c * other for c in self.coeffs])
         if not isinstance(other, OmegaPoly):
             return NotImplemented

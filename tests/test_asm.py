@@ -44,6 +44,13 @@ def test_validation_rejects_bad_matrices():
         Asm(((2, -1), (0, 1)))  # entry outside range
 
 
+def test_validation_rejects_float_and_bool_entries():
+    # 1.0 and True equal 1, but an ASM holds ints only
+    for rows in (((1.0,),), ((True,),), ((0, 1), (1.0, 0))):
+        with pytest.raises(ValidationError, match="outside {-1,0,1}"):
+            Asm(rows)
+
+
 def test_enumeration_small_orders():
     assert [a.rows for a in enumerate_asms(1)] == [((1,),)]
     assert {a.rows for a in enumerate_asms(3)} == ASM3_EXPECTED

@@ -1,10 +1,13 @@
+import errno
 import io
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +440,160 @@ def test_output_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {target}: ")
     assert ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# every command refused before any output: the order rule, a route cap,
+# the environment cap and verify's --max-n
+REFUSED = (
+    (("genfunc", "--n", "13"), {}),
+    (("genfunc", "--n", "0"), {}),
+    (("table", "--n", "8"), {}),
+    (("matrix", "--name", "M_BAR", "--n", "33"), {}),
+    (("enumerate", "--kind", "asm", "--n", "0"), {}),
+    (("verify", "--max-n", "0"), {}),
+    (("enumerate", "--kind", "asm", "--n", "4"), {"ASMDPP_MAX_N": "3"}),
+)
+REFUSED_IDS = [
+    " ".join(argv) + "".join(f" {k}={v}" for k, v in env.items()) for argv, env in REFUSED
+]
+
+
+def _refusal(capsys, monkeypatch, argv, env):
+    """The stderr of a refused command run without --output."""
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("argv, env", REFUSED, ids=REFUSED_IDS)
+def test_refused_command_never_opens_a_fifo(capsys, monkeypatch, tmp_path, argv, env):
+    # a FIFO with no reader blocks open() for writing; a refused command
+    # must exit 2 at once, without opening it
+    expected = _refusal(capsys, monkeypatch, argv, env)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    codes = []
+    runner = threading.Thread(
+        target=lambda: codes.append(main([*argv, "--output", str(fifo)])), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=1)
+    hung = runner.is_alive()
+    if hung:
+        # a reader lets the blocked open() return, so the thread can end
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        runner.join(timeout=10)
+        os.close(reader)
+    assert not hung, "refused command blocked on the FIFO"
+    assert codes == [2]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
+@pytest.mark.parametrize("argv, env", REFUSED, ids=REFUSED_IDS)
+def test_refused_command_never_opens_a_regular_file(capsys, monkeypatch, tmp_path, argv, env):
+    expected = _refusal(capsys, monkeypatch, argv, env)
+    target = tmp_path / "report.txt"
+    target.write_text("earlier output\n")
+    opened = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out, err) == (2, "", expected)
+    # neither FILE nor a FILE.<pid>.tmp beside it was ever opened
+    assert [p for p in opened if p.name.startswith(target.name)] == []
+    monkeypatch.undo()
+    assert target.read_text() == "earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+WRITING = (("genfunc", "--n", "3"), ("enumerate", "--kind", "dpp", "--n", "6"))
+
+
+@pytest.mark.parametrize("argv", WRITING, ids=" ".join)
+def test_failed_write_to_a_file_exits_2_and_keeps_the_file(capsys, monkeypatch, tmp_path, argv):
+    target = tmp_path / "report.txt"
+    target.write_text("earlier output\n")
+    real_open = Path.open
+
+    def full_open(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        fh.write = _disk_full
+        return fh
+
+    monkeypatch.setattr(Path, "open", full_open)
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    monkeypatch.undo()
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No space left on device\n"
+    assert target.read_text() == "earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+@pytest.mark.parametrize("argv", WRITING, ids=" ".join)
+def test_failed_write_to_stdout_exits_2(capsys, monkeypatch, argv):
+    class FullStdout(io.StringIO):
+        write = staticmethod(_disk_full)
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(list(argv))
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+def _run_child(*argv, **kwargs):
+    """Run the command line in a child process on this package's source."""
+    src = str(Path(asmdpp.asm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("ASMDPP_MAX_N", None)
+    return subprocess.run(
+        [sys.executable, "-m", "asmdpp", *argv],
+        env=env, stderr=subprocess.PIPE, timeout=60, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = _run_child("genfunc", "--n", "3", stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
+    proc = _run_child(
+        "enumerate", "--kind", "asm", "--n", "3", "--output", "/dev/full", stdout=subprocess.PIPE
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: cannot write /dev/full: No space left on device\n"
+
+
+def test_a_closed_pipe_exits_0_quietly():
+    # the reader keeps one line, as `| head -1` does, and closes the pipe
+    with subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.readline())"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    ) as reader:
+        child = _run_child("enumerate", "--kind", "asm", "--n", "7", stdout=reader.stdin)
+        reader.stdin.close()
+        first = reader.stdout.read()
+    assert (child.returncode, child.stderr) == (0, b"")
+    anti_identity = [[int(i + j == 6) for j in range(7)] for i in range(7)]
+    assert json.loads(first) == anti_identity
+
+
+def test_genfunc_help_lists_every_route(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["genfunc", "--help"])
+    assert exc.value.code == 0
+    assert "{det,brute-asm,brute-dpp,det-w}" in capsys.readouterr().out

@@ -47,6 +47,13 @@ def test_validation():
         Dpp(((3, 0),))  # nonpositive part
 
 
+def test_validation_rejects_float_and_bool_parts():
+    # 1.0 and True equal 1, but a DPP's parts are ints only
+    for rows in (((3, True),), ((3.0, 1),), ((3, 1.0),), ((4, 3, 1), (2, True))):
+        with pytest.raises(ValidationError, match="parts must be positive integers"):
+            Dpp(rows)
+
+
 def test_enumeration_small_orders():
     assert [d.rows for d in enumerate_dpps(1)] == [()]
     assert {d.rows for d in enumerate_dpps(2)} == {(), ((2,),)}

@@ -47,6 +47,17 @@ def test_det_2x2_cofactor():
     assert det_poly(m) == X * X - Y
 
 
+def test_entrywise_sum_and_difference():
+    a = PolyMatrix(((ONE, X), (Y, ZERO)))
+    b = PolyMatrix(((X, X), (ONE, Y)))
+    assert a + b == PolyMatrix(((ONE + X, X + X), (Y + ONE, Y)))
+    assert a - b == PolyMatrix(((ONE - X, ZERO), (Y - ONE, -Y)))
+    with pytest.raises(ValidationError, match="matrix shapes differ"):
+        a + PolyMatrix(((ONE, X),))
+    with pytest.raises(ValidationError, match="matrix shapes differ"):
+        a - PolyMatrix(((ONE,), (X,)))
+
+
 def test_det_rat_examples():
     assert det_rat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 1
     assert det_rat([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2

@@ -192,6 +192,20 @@ def test_omega_degree_cap():
         _ = (w * w) * w
 
 
+def test_omega_mixes_with_multipoly_and_int():
+    p = OmegaPoly((ONE, X))  # 1 + x*omega
+    assert OmegaPoly((X,)) == X and X == OmegaPoly((X,))
+    assert p + Y == OmegaPoly((ONE + Y, X))
+    assert p - Y == OmegaPoly((ONE - Y, X))
+    assert p * Y == Y * p == OmegaPoly((Y, X * Y))
+    assert p * 3 == 3 * p == OmegaPoly((3 * ONE, 3 * X))
+    assert p != "1 + x*omega"
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p - "x"
+
+
 def test_omega_evaluate():
     p = OmegaPoly((ONE, X))  # 1 + x*omega
     val = p.evaluate((Fraction(2), 0, 0, 0, 0), Fraction(3))
