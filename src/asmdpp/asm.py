@@ -15,11 +15,14 @@ Statistics, for the generating function in (x, y, z):
 Both statistics that span rows are sums of per-row terms: a row's
 entries v at column j close the pairs of nu with every entry above them
 at a column j' >= j, which adds v * (col[j] + ... + col[n-1]) where col
-holds the column sums of the rows above; its -1 entries add to mu.  The
-enumeration walk keeps these running sums, so ``z_asm_brute`` tallies
-every matrix of the family without building an ``Asm`` or calling
-``asm_stats`` on it; ``enumerate_asms`` runs the same walk and hands out
-validated ``Asm`` objects.
+holds the column sums of the rows above; its -1 entries add to mu.  So
+a row's share depends only on the row and col, and one step table per
+column vector, ``_row_steps``, serves both the enumeration and the
+generating function.  ``enumerate_asms`` walks the tables and hands out
+validated ``Asm`` objects, one per matrix.  ``z_asm_brute`` sums over
+them instead: the rest of a matrix below a column vector contributes the
+same polynomial whatever rows led there, so it is summed once per
+vector, at most 2^n - 1 of them, and no matrix is visited.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from functools import cache
 from typing import Iterator
 
 from .errors import ValidationError
-from .limits import BRUTE_FORCE_LIMIT, check_order
-from .polynomial import MultiPoly
+from .limits import ASM_SUM_MAX_N, BRUTE_FORCE_LIMIT, check_order
+from .polynomial import MultiPoly, _pack
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,9 @@ class Asm:
         for r in self.rows:
             s = 0
             for v in r:
-                if type(v) is not int or v not in (-1, 0, 1):
+                if type(v) is not int:
+                    raise ValidationError(f"entry {v!r} is not an int")
+                if v not in (-1, 0, 1):
                     raise ValidationError(f"entry {v} outside {{-1,0,1}}")
                 s += v
                 if s not in (0, 1):
@@ -116,13 +121,13 @@ def _row_candidates(col: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _row_steps(col: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
-    """The walk's steps from column state col: (row, next state, d_nu,
-    d_mu) for each row of ``_row_candidates(col)``, in its order.  d_nu
-    is the row's share of nu, the sum of v * (col[j] + ... + col[n-1])
-    over its entries v at column j, and d_mu its number of -1 entries.
-    Cached for the life of the process; an order-n walk reaches at most
-    2^n vectors (127 at n = 7)."""
+def _row_steps(col: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The steps from column state col: (row, next state, weight) for each
+    row of ``_row_candidates(col)``, in its order.  The weight is the
+    packed key of x^d_nu y^d_mu: d_nu is the row's share of nu, the sum
+    of v * (col[j] + ... + col[n-1]) over its entries v at column j, and
+    d_mu its number of -1 entries.  Cached for the life of the process;
+    an order-n walk or sum reaches at most 2^n vectors (128 at n = 7)."""
     suffix = [0] * (len(col) + 1)
     for j in reversed(range(len(col))):
         suffix[j] = suffix[j + 1] + col[j]
@@ -130,25 +135,24 @@ def _row_steps(col: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, 
         (
             row,
             tuple(c + v for c, v in zip(col, row)),
-            sum(v * s for v, s in zip(row, suffix)),
-            row.count(-1),
+            _pack((sum(v * s for v, s in zip(row, suffix)), row.count(-1), 0, 0, 0)),
         )
         for row in _row_candidates(col)
     )
 
 
-def _walk(n: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
-    """(rows, nu, mu) for every order-n matrix, in the enumeration order.
-    The rows come from the step tables and are not validated again."""
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The rows of every order-n matrix, in the enumeration order.  They
+    come from the step tables and are not validated again."""
 
-    def walk(rows: tuple[tuple[int, ...], ...], col: tuple[int, ...], nu: int, mu: int):
+    def walk(rows: tuple[tuple[int, ...], ...], col: tuple[int, ...]):
         if len(rows) == n:
-            yield rows, nu, mu
+            yield rows
             return
-        for row, nxt, d_nu, d_mu in _row_steps(col):
-            yield from walk(rows + (row,), nxt, nu + d_nu, mu + d_mu)
+        for row, nxt, _ in _row_steps(col):
+            yield from walk(rows + (row,), nxt)
 
-    return walk((), (0,) * n, 0, 0)
+    return walk((), (0,) * n)
 
 
 def enumerate_asms(n: int) -> Iterator[Asm]:
@@ -164,7 +168,7 @@ def enumerate_asms(n: int) -> Iterator[Asm]:
     per vector.
     """
     check_order(n)
-    for rows, _, _ in _walk(n):
+    for rows in _walk(n):
         yield Asm(rows)
 
 
@@ -251,13 +255,38 @@ def count_rotation_invariant(n: int) -> tuple[int, int]:
 
 @cache
 def z_asm_brute(n: int) -> MultiPoly:
-    """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized (at
-    most BRUTE_FORCE_LIMIT entries).  One Counter over the enumeration
-    walk: nu and mu are its per-row tallies and rho is read off the first
-    row, so no ``Asm`` is built and ``asm_stats`` is not called; every
-    matrix is still visited once."""
-    check_order(n, BRUTE_FORCE_LIMIT, "brute-force generating function")
-    return MultiPoly(Counter((nu, mu, rows[0].index(1), 0, 0) for rows, nu, mu in _walk(n)))
+    """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized,
+    summed over the step tables instead of over the matrices.
+
+    The state after some rows is their vector of column sums.
+    suffix(col) is the sum, over the ways to finish from col, of x^nu y^mu
+    of the rows still to come: 1 at the all-ones vector, and otherwise
+    each step of ``_row_steps(col)`` times suffix of its next state.  A
+    first row adds nothing to nu or mu, and z^j to rho when its 1 is in
+    column j.  There are at most 2^n - 1 states, each summed once on
+    packed keys."""
+    check_order(n, ASM_SUM_MAX_N, "ASM step-table sum")
+    memo: dict[tuple[int, ...], dict[int, int]] = {(1,) * n: {0: 1}}
+
+    def suffix(col: tuple[int, ...]) -> dict[int, int]:
+        out = memo.get(col)
+        if out is None:
+            out = memo[col] = {}
+            get = out.get
+            for _, nxt, weight in _row_steps(col):
+                for key, coeff in suffix(nxt).items():
+                    key += weight
+                    out[key] = get(key, 0) + coeff
+        return out
+
+    # the first rows have distinct z exponents, so no two keys collide
+    return MultiPoly._packed(
+        {
+            key + _pack((0, 0, row.index(1), 0, 0)): coeff
+            for row, nxt, _ in _row_steps((0,) * n)
+            for key, coeff in suffix(nxt).items()
+        }
+    )
 
 
 def asm_to_json(a: Asm) -> list[list[int]]:

@@ -6,7 +6,9 @@ Subcommands:
              each kind's JSON line is compact json.dumps of its
              <kind>_to_json form, and a DPP's line is joined from the
              cached text of its rows, byte for byte the same
-  genfunc    print a generating function (determinant or brute force)
+  genfunc    print a generating function: a determinant (det, det-w)
+             or a sum over one family's step tables (brute-asm,
+             brute-dpp)
   table      CSV of per-(p, m, k) counts for both families
   verify     run the named verification suites (exit 1 on any failure)
   matrix     dump one of the named matrices as JSON term lists
@@ -23,7 +25,8 @@ main draws the first 512-line block before it opens the output, so a
 refused command never opens --output, and writes one block per write.
 --output FILE replaces a regular FILE only when every line is written;
 a device or a pipe is written through.  A failed open or write exits
-with 2: "error: cannot write <FILE or stdout>: <reason>".
+with 2: "error: cannot write <FILE or stdout>: <reason>"; an empty
+--output is refused with 2 before any work.
 Outputs are byte-deterministic given the command line and seed; verify
 prints timing only to stderr (one line per suite: checks, failures and
 seconds) or under --timings (json).
@@ -45,7 +48,7 @@ from typing import Iterable, Iterator, TextIO
 from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
 from .dpp import Dpp, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
-from .limits import MAX_N_ENV_VAR, check_order
+from .limits import ASM_SUM_MAX_N, DPP_SUM_MAX_N, MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
 from .paths import NilpSet, enumerate_nilp_families, nilp_to_json
 from .polynomial import VAR_NAMES, poly_str
@@ -123,7 +126,7 @@ def _output(name: str | None) -> Iterator[TextIO]:
     An OSError from opening, writing or flushing becomes a usage error
     that names the FILE the user gave, or stdout."""
     try:
-        if not name:
+        if name is None:
             yield sys.stdout
             sys.stdout.flush()
         elif (path := Path(name)).exists() and not path.is_file():
@@ -165,9 +168,10 @@ def cmd_genfunc(args: argparse.Namespace) -> tuple[Iterable[str], int]:
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[Iterable[str], int]:
-    # coefficients are keyed by (p, m, k, 0, 0), so they sort as (p, m, k)
-    asm_cells = z_asm_brute(args.n).terms
+    # coefficients are keyed by (p, m, k, 0, 0), so they sort as (p, m, k);
+    # the DPP sum has the lower cap, so an order past it is refused first
     dpp_cells = z_dpp_brute(args.n).terms
+    asm_cells = z_asm_brute(args.n).terms
     lines = ["p,m,k,asm_count,dpp_count,equal"]
     for key in sorted(set(asm_cells) | set(dpp_cells)):
         ac = asm_cells.get(key, 0)
@@ -251,7 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("genfunc", help="print a generating function")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--method", choices=tuple(_ROUTES), default="det")
+    p_gen.add_argument(
+        "--method",
+        choices=tuple(_ROUTES),
+        default="det",
+        help="det, det-w: expand a determinant; brute-asm, brute-dpp: sum one "
+        f"family over its step tables (to orders {ASM_SUM_MAX_N} and {DPP_SUM_MAX_N})",
+    )
     p_gen.add_argument("--format", choices=("text", "json"), default="text")
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(fn=cmd_genfunc)
@@ -286,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "limit", None) is not None and args.limit < 0:
         parser.error("--limit must be at least 0")
     try:
+        if args.output == "":
+            raise AsmDppError("--output must name a file")
         cap = _env_cap()
         if "n" in args:
             check_order(args.n, cap, MAX_N_ENV_VAR)

@@ -201,10 +201,16 @@ class MultiPoly:
                 for eb, cb in b:
                     key = ea + eb
                     out[key] = get(key, 0) + ca * cb
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        _check_fields(out)
-        return cls._raw(out)
+        return cls._packed(out)
+
+    @classmethod
+    def _packed(cls, terms: dict[int, int]) -> "MultiPoly":
+        """Internal constructor for packed terms summed outside ``__init__``:
+        zero coefficients are dropped and the exponent fields checked."""
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        _check_fields(terms)
+        return cls._raw(terms)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -391,11 +397,19 @@ class OmegaPoly:
     def __neg__(self) -> "OmegaPoly":
         return OmegaPoly([-c for c in self.coeffs])
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> "OmegaPoly":
         other = self._lift(other)
         if other is None:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other) -> "OmegaPoly":
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, MultiPoly)):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from asmdpp import asm
 from asmdpp.asm import (
     Asm,
     asm_nu_second_form,
@@ -17,6 +19,8 @@ from asmdpp.asm import (
     z_asm_brute,
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
+from asmdpp.limits import ASM_SUM_MAX_N
+from asmdpp.matrices import genfunc_det
 from asmdpp.polynomial import poly_str
 from helpers import ASMEX, Z7_SHA256, asm_list, per_node_asms, per_object_z_asm
 
@@ -47,7 +51,7 @@ def test_validation_rejects_bad_matrices():
 def test_validation_rejects_float_and_bool_entries():
     # 1.0 and True equal 1, but an ASM holds ints only
     for rows in (((1.0,),), ((True,),), ((0, 1), (1.0, 0))):
-        with pytest.raises(ValidationError, match="outside {-1,0,1}"):
+        with pytest.raises(ValidationError, match="is not an int$"):
             Asm(rows)
 
 
@@ -150,9 +154,30 @@ def test_z_brute_at_order_7_is_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == Z7_SHA256
 
 
+def test_z_brute_matches_the_determinant_past_order_7():
+    for n in range(8, 11):
+        assert z_asm_brute(n) == genfunc_det(n), n
+
+
+def test_z_brute_expands_each_column_state_once(monkeypatch):
+    # the sum pays per distinct column vector, not per matrix
+    expected = z_asm_brute(7)
+    expanded = Counter()
+    steps = asm._row_steps
+
+    def spy(col):
+        expanded[col] += 1
+        return steps(col)
+
+    monkeypatch.setattr(asm, "_row_steps", spy)
+    assert z_asm_brute.__wrapped__(7) == expected
+    assert set(expanded.values()) == {1}
+    assert len(expanded) <= 2**7 - 1
+
+
 def test_z_brute_limit():
     with pytest.raises(ResourceLimitError):
-        z_asm_brute(8)
+        z_asm_brute(ASM_SUM_MAX_N + 1)
 
 
 def test_boundary_relation_small():

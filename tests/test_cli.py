@@ -16,9 +16,10 @@ import asmdpp.dpp
 import asmdpp.paths
 import asmdpp.sixvertex
 from asmdpp.asm import Asm, asm_row_word, asm_to_json, enumerate_asms
-from asmdpp.cli import _KIND_FORMS, ENUMERATE_BLOCK, KINDS, main
+from asmdpp.cli import _KIND_FORMS, _ROUTES, ENUMERATE_BLOCK, KINDS, main
 from asmdpp.dpp import dpp_to_json
 from asmdpp.formulas import asm_total
+from asmdpp.limits import DPP_SUM_MAX_N
 from asmdpp.paths import enumerate_nilp_families, nilp_to_json
 from asmdpp.sixvertex import SixVertexConfig, config_to_json, enumerate_configs
 
@@ -377,10 +378,11 @@ def test_matrix_past_build_limit_is_refused(capsys):
 
 
 def test_table_past_brute_force_limit_is_refused(capsys):
-    code, out, err = run_cli(capsys, "table", "--n", "8")
+    # the table runs to the lower of the two sums' caps, the DPP one
+    code, out, err = run_cli(capsys, "table", "--n", str(DPP_SUM_MAX_N + 1))
     assert code == 2
     assert out == ""
-    assert "capped at order 7" in err
+    assert err == f"error: DPP step-table sum capped at order {DPP_SUM_MAX_N}\n"
 
 
 def test_output_file(capsys, tmp_path):
@@ -432,6 +434,14 @@ def test_output_to_a_directory_is_a_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_output_is_a_usage_error(capsys, monkeypatch):
+    # refused before the route runs, and nothing goes to stdout
+    monkeypatch.setitem(_ROUTES, "det", lambda n: pytest.fail("computed"))
+    code, out, err = run_cli(capsys, "genfunc", "--n", "2", "--output", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --output must name a file\n"
+
+
 def test_output_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "f"
     code, out, err = run_cli(capsys, "genfunc", "--n", "2", "--output", str(target))
@@ -447,7 +457,7 @@ def test_output_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
 REFUSED = (
     (("genfunc", "--n", "13"), {}),
     (("genfunc", "--n", "0"), {}),
-    (("table", "--n", "8"), {}),
+    (("table", "--n", str(DPP_SUM_MAX_N + 1)), {}),
     (("matrix", "--name", "M_BAR", "--n", "33"), {}),
     (("enumerate", "--kind", "asm", "--n", "0"), {}),
     (("verify", "--max-n", "0"), {}),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from asmdpp.dpp import (
     z_dpp_brute_wq,
 )
 from asmdpp.errors import ResourceLimitError, ValidationError
+from asmdpp.limits import DPP_SUM_MAX_N
+from asmdpp.matrices import genfunc_det
 from asmdpp.polynomial import poly_str
 from helpers import Z7_SHA256, _row_fillings, dpp_list, per_object_z_dpp_wq, walk_and_sort_dpps
 
@@ -159,9 +162,32 @@ def test_z_brute_at_order_7_is_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == Z7_SHA256
 
 
+def test_z_brute_matches_the_determinant_at_order_8():
+    assert z_dpp_brute(8) == genfunc_det(8)
+
+
+def test_z_brute_pays_per_row_state_not_per_array(monkeypatch):
+    # the sum pays per distinct row above, not per array: each state's
+    # rows are asked for once to count who reads the state and once to
+    # sum it.  Rows that differ only in their first part cap the next row
+    # alike and share a state
+    expected = z_dpp_brute_wq(7)
+    expanded = Counter()
+    fillings = dpp._row_fillings
+
+    def spy(first, length, low, prev):
+        expanded[first, length, low, None if prev is None else prev[1:]] += 1
+        return fillings(first, length, low, prev)
+
+    monkeypatch.setattr(dpp, "_row_fillings", spy)
+    assert z_dpp_brute_wq.__wrapped__(7) == expected
+    assert set(expanded.values()) == {2}
+    assert len({key[3] for key in expanded}) <= 1078
+
+
 def test_z_brute_limit():
     with pytest.raises(ResourceLimitError):
-        z_dpp_brute(8)
+        z_dpp_brute(DPP_SUM_MAX_N + 1)
 
 
 def test_q_sum_small():

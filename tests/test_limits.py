@@ -11,8 +11,10 @@ from asmdpp.asm import count_asm_no_isolated_by_mu, count_rotation_invariant, z_
 from asmdpp.dpp import z_dpp_brute_wq
 from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.limits import (
+    ASM_SUM_MAX_N,
     BRUTE_FORCE_LIMIT,
     DET_POLY_MAX_N,
+    DPP_SUM_MAX_N,
     IK_SAMPLE_MAX_N,
     MATRIX_BUILD_MAX_N,
     check_order,
@@ -25,16 +27,8 @@ from asmdpp.sixvertex import IkPoint, partition_function_explicit, sample_ik_poi
 
 # entry point -> (call at order n, cap, refusal message past the cap)
 CAPPED = {
-    "z_asm_brute": (
-        z_asm_brute,
-        BRUTE_FORCE_LIMIT,
-        "brute-force generating function capped at order 7",
-    ),
-    "z_dpp_brute_wq": (
-        z_dpp_brute_wq,
-        BRUTE_FORCE_LIMIT,
-        "brute-force generating function capped at order 7",
-    ),
+    "z_asm_brute": (z_asm_brute, ASM_SUM_MAX_N, "ASM step-table sum capped at order 11"),
+    "z_dpp_brute_wq": (z_dpp_brute_wq, DPP_SUM_MAX_N, "DPP step-table sum capped at order 8"),
     "lgv_nilp_sum": (lgv_nilp_sum, BRUTE_FORCE_LIMIT, "family enumeration capped at order 7"),
     "count_rotation_invariant": (
         count_rotation_invariant,

@@ -197,6 +197,8 @@ def test_omega_mixes_with_multipoly_and_int():
     assert OmegaPoly((X,)) == X and X == OmegaPoly((X,))
     assert p + Y == OmegaPoly((ONE + Y, X))
     assert p - Y == OmegaPoly((ONE - Y, X))
+    assert Y + p == p + Y
+    assert Y - p == -(p - Y) == OmegaPoly((Y - ONE, -X))
     assert p * Y == Y * p == OmegaPoly((Y, X * Y))
     assert p * 3 == 3 * p == OmegaPoly((3 * ONE, 3 * X))
     assert p != "1 + x*omega"
