@@ -289,10 +289,6 @@ def z_asm_brute(n: int) -> MultiPoly:
     )
 
 
-def asm_to_json(a: Asm) -> list[list[int]]:
-    return [list(row) for row in a.rows]
-
-
 def asm_row_word(a: Asm) -> str:
     """Compact text form: per row, the 1-based columns of the nonzero
     entries joined by '.', rows joined by '/'.  Signs are implied by the

@@ -3,9 +3,10 @@
 Subcommands:
 
   enumerate  stream one family in canonical order (json or text lines);
-             each kind's JSON line is compact json.dumps of its
-             <kind>_to_json form, and a DPP's line is joined from the
-             cached text of its rows, byte for byte the same
+             an ASM's, a DPP's or a six-vertex configuration's JSON line
+             is its grid of rows, joined from the cached compact
+             json.dumps text of each distinct row; a path family's is
+             compact json.dumps of nilp_to_json
   genfunc    print a generating function: a determinant (det, det-w)
              or a sum over one family's step tables (brute-asm,
              brute-dpp)
@@ -45,14 +46,14 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .asm import asm_row_word, asm_to_json, enumerate_asms, z_asm_brute
+from .asm import asm_row_word, enumerate_asms, z_asm_brute
 from .dpp import Dpp, enumerate_dpps, z_dpp_brute
 from .errors import AsmDppError
 from .limits import ASM_SUM_MAX_N, DPP_SUM_MAX_N, MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
 from .paths import NilpSet, enumerate_nilp_families, nilp_to_json
 from .polynomial import VAR_NAMES, poly_str
-from .sixvertex import SixVertexConfig, config_to_json, enumerate_configs
+from .sixvertex import SixVertexConfig, enumerate_configs
 
 # genfunc --method -> the route that computes the polynomial
 _ROUTES = {
@@ -88,31 +89,30 @@ def _nilp_text(fam: NilpSet) -> str:
     return " / ".join("".join(p.steps) or "-" for p in fam.paths)
 
 
-def _json_line(to_json):
-    """The JSON line of an object: compact json.dumps of its JSON form."""
-    return lambda obj: json.dumps(to_json(obj), separators=(",", ":"))
-
-
 @cache
-def _row_json(row: tuple[int, ...]) -> str:
-    # one entry per distinct row, the rows the DPP walk shares (1,078 at
-    # order 7)
+def _row_json(row: tuple) -> str:
+    # one entry per distinct row (at order 7: 64 ASM rows, 1,093
+    # six-vertex rows, 1,078 DPP rows)
     return json.dumps(row, separators=(",", ":"))
 
 
-def _dpp_json_line(d: Dpp) -> str:
-    """json.dumps(dpp_to_json(d)) with compact separators, joined from the
-    cached text of each row."""
-    return "[" + ",".join(map(_row_json, d.rows)) + "]"
+def _grid_json(rows: tuple[tuple, ...]) -> str:
+    """Compact json.dumps of a grid of rows, joined from the cached text
+    of each row."""
+    return "[" + ",".join(map(_row_json, rows)) + "]"
 
 
 # kind -> (enumerator, JSON line, text line); both lines are made straight
 # from the enumerated (already validated) objects
 _KIND_FORMS = {
-    "asm": (enumerate_asms, _json_line(asm_to_json), asm_row_word),
-    "dpp": (enumerate_dpps, _dpp_json_line, _dpp_text),
-    "sixvertex": (enumerate_configs, _json_line(config_to_json), _config_text),
-    "nilp": (enumerate_nilp_families, _json_line(nilp_to_json), _nilp_text),
+    "asm": (enumerate_asms, lambda a: _grid_json(a.rows), asm_row_word),
+    "dpp": (enumerate_dpps, lambda d: _grid_json(d.rows), _dpp_text),
+    "sixvertex": (enumerate_configs, lambda c: _grid_json(c.types), _config_text),
+    "nilp": (
+        enumerate_nilp_families,
+        lambda f: json.dumps(nilp_to_json(f), separators=(",", ":")),
+        _nilp_text,
+    ),
 }
 
 KINDS = tuple(_KIND_FORMS)

@@ -282,8 +282,3 @@ def q_sum_of_parts(n: int) -> MultiPoly:
     sum, as a polynomial in q."""
     by_parts_sum = marginal(z_dpp_brute_wq(n), Q_IDX)
     return MultiPoly(((0, 0, 0, 0, e), c) for e, c in by_parts_sum.items())
-
-
-def dpp_to_json(d: Dpp) -> list[list[int]]:
-    return [list(row) for row in d.rows]
-

@@ -18,7 +18,7 @@ from .asm import (
     count_rotation_invariant,
     z_asm_brute,
 )
-from .dpp import Dpp, dpp_stats, q_sum_of_parts
+from .dpp import Dpp, dpp_stats, z_dpp_brute_wq
 from .errors import InvariantError, ValidationError
 from .limits import check_order
 from .linalg import divide_exact
@@ -59,8 +59,8 @@ def refined_total(n: int, k: int) -> int:
 
 def vsasm_total(n: int) -> int:
     """Number of order-(2n+1) matrices invariant under the vertical
-    reflection: prod_{i=1}^{n} (6i-2)! / (2n+2i)!."""
-    check_order(n)
+    reflection: prod_{i=1}^{n} (6i-2)! / (2n+2i)!, which is 1 at n = 0."""
+    check_order(2 * n + 1)
     value = Fraction(1)
     for i in range(1, n + 1):
         value *= Fraction(factorial(6 * i - 2), factorial(2 * n + 2 * i))
@@ -160,7 +160,7 @@ def stanton_parity(n: int) -> tuple[int, int, int, int]:
 
     The part-sum parity gaps over the arrays equal the rotation-invariant
     matrix counts; both equalities are asserted before returning."""
-    by_parts_sum = marginal(q_sum_of_parts(n), Q_IDX)
+    by_parts_sum = marginal(z_dpp_brute_wq(n), Q_IDX)
     by_mod4 = [sum(c for e, c in by_parts_sum.items() if e % 4 == r) for r in range(4)]
     half, quarter = count_rotation_invariant(n)
     even_minus_odd = by_mod4[0] + by_mod4[2] - by_mod4[1] - by_mod4[3]

@@ -166,30 +166,17 @@ def divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(quotient)
 
 
-def _term_count(e) -> int:
-    """Terms of an entry; an OmegaPoly counts those of all its coefficients."""
-    if isinstance(e, OmegaPoly):
-        return sum(len(c._terms) for c in e.coeffs)
-    return len(e._terms)
-
-
 def det_poly(m: PolyMatrix):
     """Exact determinant of a square polynomial matrix (MultiPoly or
     OmegaPoly entries), by division-free expansion by minors.
 
     The expansion multiplies its last row into the top layer only, so it
-    runs along the heavier last line: if the last column has more terms
-    than the last row, it expands the transpose (det M = det M^t); on a
-    tie it keeps the rows."""
+    expands the transpose (det M = det M^t): the last column, which holds
+    z in every refined matrix, is multiplied in last."""
     if not m.is_square():
         raise ValidationError("determinant of a non-square matrix")
     check_order(m.n_rows, DET_POLY_MAX_N, "determinant")
-    entries = m.entries
-    last_row = sum(map(_term_count, entries[-1]))
-    last_col = sum(_term_count(row[-1]) for row in entries)
-    if last_col > last_row:
-        entries = m.transpose().entries
-    return _det_minors(entries)
+    return _det_minors(m.transpose().entries)
 
 
 def det_rat(m: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -32,7 +32,9 @@ paths.split_binom, splits the binomial whose top index is the column:
 with top = j+1 in M_BAR and M_DPRIME and top = j in M_ASM and M_PRIME.
 The unrefined matrix is the refined one at z = 1, and build alone makes
 it, by that substitution; unrefined M_DPP is M_BAR, since its last-column
-factor 1 + omega (z-1) is 1 at z = 1.
+factor 1 + omega (z-1) is 1 at z = 1.  det_poly expands every matrix,
+refined or not, along its last column, so z is multiplied in only at the
+top layer of the minor expansion.
 
 genfunc_det expands M_DPRIME (or its w form), not M_BAR: det B = 1, so
 the two determinants are equal, and an M_DPRIME entry has at most two

@@ -312,8 +312,3 @@ def sample_ik_point(n: int, rng: Random) -> IkPoint:
         t = tuple(frac() for _ in range(n))
         if _degeneracy(q, tuple(x * x for x in s), tuple(x * x for x in t)) is None:
             return IkPoint(q, s, t)
-
-
-def config_to_json(c: SixVertexConfig) -> list[list[str]]:
-    return [list(row) for row in c.types]
-

@@ -11,7 +11,6 @@ from asmdpp.asm import (
     asm_reflect,
     asm_row_word,
     asm_stats,
-    asm_to_json,
     count_asm_no_isolated_by_mu,
     enumerate_asms,
     isolated_ones_count,
@@ -189,7 +188,7 @@ def test_json_roundtrip():
     # the JSON text read back through the validating constructor
     for n in range(1, 6):
         for a in asm_list(n):
-            assert Asm(tuple(map(tuple, json.loads(json.dumps(asm_to_json(a)))))) == a
+            assert Asm(tuple(map(tuple, json.loads(json.dumps(a.rows))))) == a
 
 
 def test_row_word_is_injective():

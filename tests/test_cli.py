@@ -15,13 +15,12 @@ import asmdpp.asm
 import asmdpp.dpp
 import asmdpp.paths
 import asmdpp.sixvertex
-from asmdpp.asm import Asm, asm_row_word, asm_to_json, enumerate_asms
-from asmdpp.cli import _KIND_FORMS, _ROUTES, ENUMERATE_BLOCK, KINDS, main
-from asmdpp.dpp import dpp_to_json
+from asmdpp.asm import Asm, asm_row_word, enumerate_asms
+from asmdpp.cli import _KIND_FORMS, _ROUTES, ENUMERATE_BLOCK, KINDS, _row_json, main
 from asmdpp.formulas import asm_total
 from asmdpp.limits import DPP_SUM_MAX_N
 from asmdpp.paths import enumerate_nilp_families, nilp_to_json
-from asmdpp.sixvertex import SixVertexConfig, config_to_json, enumerate_configs
+from asmdpp.sixvertex import SixVertexConfig, enumerate_configs
 
 Z3 = "1 + x + x*z + x^2*z + x*y*z + x^2*z^2 + x^3*z^2"
 
@@ -86,11 +85,12 @@ def test_enumerate_lines_are_distinct(capsys, kind):
             assert len(set(lines)) == len(lines) == asm_total(n), (n, fmt)
 
 
-# the JSON form of each kind, which every JSON line must dump to
+# the JSON form of each kind, which every JSON line must dump to: the
+# grid of rows, or a path family's nilp_to_json
 TO_JSON = {
-    "asm": asm_to_json,
-    "dpp": dpp_to_json,
-    "sixvertex": config_to_json,
+    "asm": lambda a: a.rows,
+    "dpp": lambda d: d.rows,
+    "sixvertex": lambda c: c.types,
     "nilp": nilp_to_json,
 }
 
@@ -121,6 +121,14 @@ def test_enumerate_blocks_match_one_write_per_record(capsys, kind, fmt):
         )
         assert code == 0
         assert out == _one_write_per_record(kind, 6, fmt, limit), limit
+
+
+@pytest.mark.parametrize("kind, bound", (("asm", 32), ("sixvertex", 364), ("dpp", 286)))
+def test_row_text_is_cached_once_per_distinct_row(capsys, kind, bound):
+    _row_json.cache_clear()
+    code, out, _ = run_cli(capsys, "enumerate", "--kind", kind, "--n", "6")
+    assert code == 0 and len(out.splitlines()) == asm_total(6)
+    assert _row_json.cache_info().currsize <= bound
 
 
 def test_enumerate_writes_whole_blocks(monkeypatch):

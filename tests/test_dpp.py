@@ -10,7 +10,6 @@ from asmdpp.dpp import (
     Dpp,
     EMPTY_DPP,
     dpp_stats,
-    dpp_to_json,
     enumerate_dpps,
     q_sum_of_parts,
     z_dpp_brute,
@@ -207,4 +206,4 @@ def test_json_roundtrip():
     # the JSON text read back through the validating constructor
     for n in range(1, 6):
         for d in dpp_list(n):
-            assert Dpp(tuple(map(tuple, json.loads(json.dumps(dpp_to_json(d)))))) == d
+            assert Dpp(tuple(map(tuple, json.loads(json.dumps(d.rows))))) == d

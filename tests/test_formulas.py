@@ -1,6 +1,6 @@
 import pytest
 
-from asmdpp.asm import Asm, asm_reflect, asm_stats, z_asm_brute
+from asmdpp.asm import Asm, asm_reflect, asm_stats, enumerate_asms, z_asm_brute
 from asmdpp.dpp import Dpp, dpp_stats, q_sum_of_parts, z_dpp_brute
 from asmdpp.errors import ValidationError
 from asmdpp.formulas import (
@@ -45,11 +45,12 @@ def test_refined_totals_match_enumeration():
 
 
 def test_vsasm_totals():
-    assert vsasm_total(1) == 1
-    assert vsasm_total(2) == 3
-    for m, order in ((1, 3), (2, 5)):
-        count = sum(1 for a in asm_list(order) if asm_reflect(a) == a)
-        assert vsasm_total(m) == count
+    assert [vsasm_total(m) for m in range(3)] == [1, 1, 3]
+    for m in range(3):
+        assert vsasm_total(m) == sum(asm_reflect(a) == a for a in enumerate_asms(2 * m + 1)), m
+    # order 2m + 1 goes through the one order rule
+    with pytest.raises(ValidationError, match="order must be at least 1"):
+        vsasm_total(-1)
 
 
 def test_z_mu_zero():

@@ -14,7 +14,6 @@ from asmdpp.sixvertex import (
     SixVertexConfig,
     asm_to_sixvertex,
     check_refined_specialization,
-    config_to_json,
     enumerate_configs,
     ik_determinant_rat,
     partition_function_explicit,
@@ -200,5 +199,5 @@ def test_json_roundtrip():
     for n in range(1, 6):
         for a in asm_list(n):
             c = asm_to_sixvertex(a)
-            text = json.dumps(config_to_json(c))
+            text = json.dumps(c.types)
             assert SixVertexConfig(tuple(map(tuple, json.loads(text)))) == c

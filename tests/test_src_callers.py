@@ -15,7 +15,6 @@ UNCALLED = {
     "dpp_to_nilp": "the paper's bijection from DPPs to path families, checked against dpp_stats",
     "nilp_to_dpp": "the inverse of that bijection",
     "l_matrix_rat": "the rational reference that tests hold build('L') to",
-    "dpp_to_json": "the JSON form of a DPP, which tests hold each line of the enumerate stream to; the stream joins cached row text instead",
 }
 
 # class members never read as an attribute outside tests, and why they stay
