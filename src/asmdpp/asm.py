@@ -12,17 +12,18 @@ Statistics, for the generating function in (x, y, z):
     mu  - number of -1 entries
     rho - number of 0's left of the 1 in the first row
 
-Both statistics that span rows are sums of per-row terms: a row's
-entries v at column j close the pairs of nu with every entry above them
-at a column j' >= j, which adds v * (col[j] + ... + col[n-1]) where col
-holds the column sums of the rows above; its -1 entries add to mu.  So
-a row's share depends only on the row and col, and one step table per
-column vector, ``_row_steps``, serves both the enumeration and the
-generating function.  ``enumerate_asms`` walks the tables and hands out
-validated ``Asm`` objects, one per matrix.  ``z_asm_brute`` sums over
-them instead: the rest of a matrix below a column vector contributes the
-same polynomial whatever rows led there, so it is summed once per
-vector, at most 2^n - 1 of them, and no matrix is visited.
+Every statistic is a sum of per-row terms: a row's entries v at column
+j close the pairs of nu with every entry above them at a column j' >= j,
+which adds v * (col[j] + ... + col[n-1]) where col holds the column sums
+of the rows above; its -1 entries add to mu; and the first row, the one
+with col all zeros, adds rho.  So a row's share depends only on the row
+and col, and one step table per column vector, ``_row_steps``, serves
+both the enumeration and the generating function.  ``enumerate_asms``
+walks the tables and hands out validated ``Asm`` objects, one per
+matrix.  ``z_asm_brute`` sums over them instead, through the shared
+``MultiPoly._step_sum``: the rest of a matrix below a column vector
+contributes the same polynomial whatever rows led there, so it is summed
+once per vector, 2^n of them, and no matrix is visited.
 """
 
 from __future__ import annotations
@@ -124,18 +125,20 @@ def _row_candidates(col: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _row_steps(col: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """The steps from column state col: (row, next state, weight) for each
     row of ``_row_candidates(col)``, in its order.  The weight is the
-    packed key of x^d_nu y^d_mu: d_nu is the row's share of nu, the sum
-    of v * (col[j] + ... + col[n-1]) over its entries v at column j, and
-    d_mu its number of -1 entries.  Cached for the life of the process;
-    an order-n walk or sum reaches at most 2^n vectors (128 at n = 7)."""
+    packed key of x^d_nu y^d_mu z^d_rho: d_nu is the row's share of nu,
+    the sum of v * (col[j] + ... + col[n-1]) over its entries v at column
+    j, d_mu its number of -1 entries, and d_rho the column of its 1 in a
+    first row (col all zeros), else 0.  Cached for the life of the
+    process; an order-n walk or sum reaches 2^n vectors (128 at n = 7)."""
     suffix = [0] * (len(col) + 1)
     for j in reversed(range(len(col))):
         suffix[j] = suffix[j + 1] + col[j]
+    first = not any(col)
     return tuple(
         (
             row,
             tuple(c + v for c, v in zip(col, row)),
-            _pack((sum(v * s for v, s in zip(row, suffix)), row.count(-1), 0, 0, 0)),
+            _pack((sum(v * s for v, s in zip(row, suffix)), row.count(-1), row.index(1) if first else 0, 0, 0)),
         )
         for row in _row_candidates(col)
     )
@@ -256,36 +259,15 @@ def count_rotation_invariant(n: int) -> tuple[int, int]:
 @cache
 def z_asm_brute(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho over all order-n matrices, memoized,
-    summed over the step tables instead of over the matrices.
-
-    The state after some rows is their vector of column sums.
-    suffix(col) is the sum, over the ways to finish from col, of x^nu y^mu
-    of the rows still to come: 1 at the all-ones vector, and otherwise
-    each step of ``_row_steps(col)`` times suffix of its next state.  A
-    first row adds nothing to nu or mu, and z^j to rho when its 1 is in
-    column j.  There are at most 2^n - 1 states, each summed once on
-    packed keys."""
+    summed over the step tables instead of over the matrices: one
+    ``MultiPoly._step_sum`` from the zero column vector, whose walks end
+    at the all-ones vector, through the steps of ``_row_steps``.  There
+    are 2^n states, each summed once on packed keys."""
     check_order(n, ASM_SUM_MAX_N, "ASM step-table sum")
-    memo: dict[tuple[int, ...], dict[int, int]] = {(1,) * n: {0: 1}}
-
-    def suffix(col: tuple[int, ...]) -> dict[int, int]:
-        out = memo.get(col)
-        if out is None:
-            out = memo[col] = {}
-            get = out.get
-            for _, nxt, weight in _row_steps(col):
-                for key, coeff in suffix(nxt).items():
-                    key += weight
-                    out[key] = get(key, 0) + coeff
-        return out
-
-    # the first rows have distinct z exponents, so no two keys collide
-    return MultiPoly._packed(
-        {
-            key + _pack((0, 0, row.index(1), 0, 0)): coeff
-            for row, nxt, _ in _row_steps((0,) * n)
-            for key, coeff in suffix(nxt).items()
-        }
+    return MultiPoly._step_sum(
+        (0,) * n,
+        lambda col: [(weight, nxt) for _, nxt, weight in _row_steps(col)],
+        all,
     )
 
 

@@ -18,10 +18,10 @@ parts equal to n.
 Every statistic is a sum of per-row terms, since a part's offset within
 its row decides whether it is special.  ``enumerate_dpps`` walks the
 rows and hands out validated ``Dpp`` objects, one per array.
-``z_dpp_brute_wq`` sums over the same rows instead: the rows that may
-follow a row depend only on that row less its first part, so the part
-of the generating function below it is summed once per such tail, and
-no array is visited.
+``z_dpp_brute_wq`` sums over the same rows instead, through the shared
+``MultiPoly._step_sum``: the rows that may follow a row depend only on
+that row less its first part, its tail, so the part of the generating
+function below it is summed once per tail, and no array is visited.
 
 The walk fills each row from a cache keyed on the first part, the
 length, the least part at offset 1 and the parts of the row above that
@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .errors import ValidationError
 from .limits import DPP_SUM_MAX_N, check_order
-from .polynomial import Q_IDX, W_IDX, MultiPoly, _pack, marginal
+from .polynomial import Q_IDX, W_IDX, MultiPoly, _pack, marginal, monomial
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,6 @@ class Dpp:
         return sum(sum(row) for row in self.rows)
 
 
-EMPTY_DPP = Dpp(())
-
-
 @dataclass(frozen=True)
 class DppStats:
     nu: int
@@ -117,16 +114,15 @@ _FILLINGS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 _SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
-def _row_fillings(first: int, length: int, low: int, prev: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
+def _row_fillings(first: int, length: int, low: int, above: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
     """All weakly decreasing positive rows with the given first part and
-    length, part at offset 1 at least low, strictly below the previous
-    row where columns overlap; in ascending order.  The part at offset k
-    sits under offset k + 1 of the row above and is at most that part
-    less one, its cap, so only the parts at offsets 2..length of the row
-    above decide the rows.  They are cached on those parts (None for the
-    top row): 2,091 keys at order 7, where the whole row above gives
-    17,096."""
-    above = None if prev is None else prev[2 : length + 1]
+    length, part at offset 1 at least low, strictly below the row above
+    where columns overlap; in ascending order.  The part at offset k sits
+    under offset k + 1 of the row above and is at most that part less
+    one, its cap, so only the parts at offsets 2..length of the row
+    above, ``above``, decide the rows (None for the top row).  They are
+    cached on those parts: 2,091 keys at order 7, where the whole row
+    above gives 17,096."""
     key = (first, length, low, above)
     rows = _FILLINGS.get(key)
     if rows is not None:
@@ -171,7 +167,8 @@ def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             yield tuple(rows)
             return
         low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
-        for row in _row_fillings(firsts[i], lengths[i], low, rows[-1] if rows else None):
+        above = rows[-1][2 : lengths[i] + 1] if rows else None
+        for row in _row_fillings(firsts[i], lengths[i], low, above):
             rows.append(row)
             yield from fill(firsts, lengths)
             rows.pop()
@@ -201,21 +198,23 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
         yield Dpp(rows)
 
 
-def _next_rows(prev: tuple[int, ...] | None, n: int) -> Iterator[tuple[int, ...]]:
-    """Every row that may follow prev in an element of DPP(n), or start
-    one when prev is None.  Its first part sits under prev's part at
-    offset 1, so it is below that part and at most len(prev), and the row
-    is shorter than both its first part and prev.  Only prev[1:] decides
-    the rows."""
-    if prev is None:
+def _next_rows(tail: tuple[int, ...] | None, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The steps of ``z_dpp_brute_wq``: (weight, tail) of every row that
+    may follow a row with parts past the first tail in an element of
+    DPP(n), or start one when tail is None.  Its first part sits under
+    tail[0], so it is below that part and at most the length of the row
+    above, and the row is shorter than both its first part and the row
+    above, whose first part decides none of this."""
+    if tail is None:
         top, longest = n, n
-    elif len(prev) > 1:
-        top, longest = min(len(prev), prev[1] - 1), len(prev) - 1
+    elif tail:
+        top, longest = min(len(tail) + 1, tail[0] - 1), len(tail)
     else:
         return
     for first in range(2, top + 1):
         for length in range(1, min(first - 1, longest) + 1):
-            yield from _row_fillings(first, length, 1, prev)
+            for row in _row_fillings(first, length, 1, None if tail is None else tail[1:length]):
+                yield _row_weight(row, n), row[1:]
 
 
 @cache
@@ -223,47 +222,21 @@ def z_dpp_brute_wq(n: int) -> MultiPoly:
     """Sum of x^nu * y^mu * z^rho * w^(rows+1) * q^(sum of parts) over
     DPP(n), memoized, summed over the rows instead of over the arrays.
 
-    below(prev) is 1 (no more rows) plus the sum, over the rows r of
-    ``_next_rows(prev, n)``, of ``_row_weight(r, n)`` times below(r); the
-    whole sum is w times below(None).  The state is prev less its first
-    part, which does not bound the rows below it: 792 states at n = 7
-    (3,003 at n = 8), each summed once on packed keys.  A state's sum is
-    dropped once the last row above that needs it has read it, which
-    keeps the peak at n = 8 near 29 MB instead of 82 MB.  This is the one
-    pass that counts DPP statistics; the other DPP generating functions
-    are substitutions or marginals of it."""
+    It is w times one ``MultiPoly._step_sum`` from None, the top, through
+    the steps of ``_next_rows``: a state is a row less its first part,
+    and a walk may stop at every state.  The first part of a row does
+    not bound the rows below it, so there are 792 states at n = 7 (3,003
+    at n = 8), each summed once on packed keys and dropped once its last
+    reader has used it.  This is the one pass that counts DPP
+    statistics; the other DPP generating functions are substitutions or
+    marginals of it."""
     check_order(n, DPP_SUM_MAX_N, "DPP step-table sum")
-    # how many (row above, row) pairs read each state
-    readers: dict[tuple[int, ...], int] = {}
-    todo: list[tuple[int, ...] | None] = [None]
-    while todo:
-        for row in _next_rows(todo.pop(), n):
-            state = row[1:]
-            if state not in readers:
-                readers[state] = 0
-                todo.append(row)
-            readers[state] += 1
-    memo: dict[tuple[int, ...] | None, dict[int, int]] = {}
-
-    def below(prev: tuple[int, ...] | None) -> dict[int, int]:
-        state = None if prev is None else prev[1:]
-        out = memo.get(state)
-        if out is None:
-            out = memo[state] = {0: 1}
-            get = out.get
-            for row in _next_rows(prev, n):
-                weight = _row_weight(row, n)
-                for key, coeff in below(row).items():
-                    key += weight
-                    out[key] = get(key, 0) + coeff
-                read = row[1:]
-                readers[read] -= 1
-                if not readers[read]:
-                    del memo[read]
-        return out
-
-    w = _pack((0, 0, 0, 1, 0))
-    return MultiPoly._packed({key + w: coeff for key, coeff in below(None).items()})
+    z = MultiPoly._step_sum(
+        None,
+        lambda tail: _next_rows(tail, n),
+        lambda tail: True,
+    )
+    return z * monomial(1, w=1)
 
 
 def z_dpp_brute_w(n: int) -> MultiPoly:

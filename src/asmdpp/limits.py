@@ -16,15 +16,16 @@ is the largest size that enumerates in reasonable time in pure Python).
 ASM_SUM_MAX_N and DPP_SUM_MAX_N cap the brute-force generating functions
 (``genfunc --method brute-asm|brute-dpp``, and ``table``, which runs
 both).  Neither visits the objects: each sums the family's step tables
-once per state, a vector of column sums for the ASMs (at most 2^n - 1)
-and a row less its first part for the DPPs (792 at order 7, 3,003 at
-order 8).  On a 2-vCPU machine with CPython 3.11, ``genfunc --method
-brute-asm`` took 0.09 s and 17 MB peak RSS at order 7, 0.7-0.8 s and
-37 MB at 10 and 2.0-2.7 s and 75 MB at 11; the sum alone took 9.8 s and
-190 MB at 12, too close to 10 s to allow.  ``genfunc --method
-brute-dpp`` took 0.2-0.3 s and 18 MB at order 7 and 2.7-3.5 s and 28 MB
-at 8; an earlier row-level DPP sum took 119 s and 689 MB at order 9.
-Both commands took 0.5-0.9 s at order 7 when they visited every object.
+once per state, a vector of column sums for the ASMs (2^n) and a row
+less its first part for the DPPs (792 at order 7, 3,003 at order 8).
+On a 2-vCPU machine with CPython 3.11, ``genfunc --method brute-asm``
+took 0.07-0.09 s and 17 MB peak RSS at order 7, 0.5-0.8 s and 31 MB at
+10 and 2.0-3.8 s and 61 MB at 11 (37 and 75 MB before each state's sum
+was dropped after its last reader); 8.9-10.6 s at 12 is too close to
+10 s to allow.  ``genfunc --method brute-dpp`` took 0.2-0.3 s and 18 MB
+at order 7 and 2.3-3.3 s and 27 MB at 8; an earlier row-level DPP sum
+took 119 s and 689 MB at order 9.  Both commands took 0.5-0.9 s at
+order 7 when they visited every object.
 
 DET_POLY_MAX_N caps symbolic determinants; minor expansion computes one
 minor per column subset, so cost grows like 2^n.  At the cap,

@@ -6,11 +6,10 @@ from its entry rule.  The determinant is division-free expansion by
 minors, memoized over column subsets (2^n subproblems), which is safe
 over any commutative ring; each minor is one fused sum of products over
 the entry type.  The expansion multiplies its last row into the top
-layer only, so ``det_poly`` expands the transpose when the last column
-has more terms than the last row (an OmegaPoly entry counts the terms of
-all its coefficients; a tie keeps the rows): a z-refined last column
-then never enters a smaller minor.  ``divide_exact`` is exact polynomial
-division that raises unless the divisor divides.
+layer only, so ``det_poly`` always expands the transpose: the last
+column, which holds z in every refined matrix, then never enters a
+smaller minor.  ``divide_exact`` is exact polynomial division that
+raises unless the divisor divides.
 
 Rational matrices are plain nested lists of ``Fraction``; ``det_rat``
 uses exact Gaussian elimination.

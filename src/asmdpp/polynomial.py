@@ -19,6 +19,9 @@ The representation is canonical (zero coefficients are never stored), so
 ``==`` is exact identity of polynomials.  Coefficients are Python ints,
 which are arbitrary precision; evaluation returns ``Fraction``.
 
+``MultiPoly._step_sum`` sums step weights over the walks of an acyclic
+graph; each brute-force generating function is one call of it.
+
 The ring is Z[x, y, z, w, q], with the variable order fixed as
 (x, y, z, w, q): every polynomial has five exponents, and a module that
 only needs some of the variables leaves the others at 0, so equality
@@ -41,7 +44,7 @@ from functools import reduce
 from math import comb
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .limits import EXPONENT_FIELD_BITS as FIELD_BITS
@@ -211,6 +214,43 @@ class MultiPoly:
             terms = {k: c for k, c in terms.items() if c}
         _check_fields(terms)
         return cls._raw(terms)
+
+    @classmethod
+    def _step_sum(cls, start, steps: Callable, final: Callable) -> "MultiPoly":
+        """Sum, over every walk from ``start``, of the product of the
+        packed-key weights of its steps.  ``steps(state)`` gives the
+        ``(weight, next state)`` pairs of a finite acyclic graph; a walk may
+        stop wherever ``final(state)`` holds.  One pass counts each state's
+        readers (the steps into it); each state is then summed once and its
+        sum dropped after its last reader."""
+        readers = {start: 0}
+        todo = [start]
+        while todo:
+            for _, nxt in steps(todo.pop()):
+                if nxt not in readers:
+                    readers[nxt] = 0
+                    todo.append(nxt)
+                readers[nxt] += 1
+        memo: dict = {}
+
+        def visit(state) -> dict[int, int]:
+            out = memo[state] = {0: 1} if final(state) else {}
+            get = out.get
+            for weight, nxt in steps(state):
+                sub = memo.get(nxt)
+                if sub is None:
+                    sub = visit(nxt)
+                for key, coeff in sub.items():
+                    key += weight
+                    out[key] = get(key, 0) + coeff
+                readers[nxt] -= 1
+                if not readers[nxt]:
+                    del memo[nxt], readers[nxt]
+            return out
+
+        out = visit(start)
+        del visit  # it refers to itself: free memo now, not at the next gc pass
+        return cls._packed(out)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -159,7 +160,9 @@ def test_z_brute_matches_the_determinant_past_order_7():
 
 
 def test_z_brute_expands_each_column_state_once(monkeypatch):
-    # the sum pays per distinct column vector, not per matrix
+    # the sum pays per distinct column vector, not per matrix: each of the
+    # 2^7 vectors, the stepless all-ones one included, is asked for its
+    # steps once to count its readers and once to be summed
     expected = z_asm_brute(7)
     expanded = Counter()
     steps = asm._row_steps
@@ -170,8 +173,21 @@ def test_z_brute_expands_each_column_state_once(monkeypatch):
 
     monkeypatch.setattr(asm, "_row_steps", spy)
     assert z_asm_brute.__wrapped__(7) == expected
-    assert set(expanded.values()) == {1}
-    assert len(expanded) <= 2**7 - 1
+    assert len(expanded) == 2**7
+    assert set(expanded.values()) == {2}
+
+
+def test_z_brute_drops_each_state_after_its_last_reader():
+    # about 1.3 MB; keeping every column state's sum to the end peaked at
+    # 2.7-2.8 MB
+    z_asm_brute(9)  # builds the step tables outside the trace
+    tracemalloc.start()
+    try:
+        z_asm_brute.__wrapped__(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_z_brute_limit():

@@ -8,7 +8,6 @@ import pytest
 from asmdpp import dpp
 from asmdpp.dpp import (
     Dpp,
-    EMPTY_DPP,
     dpp_stats,
     enumerate_dpps,
     q_sum_of_parts,
@@ -82,23 +81,26 @@ def test_enumeration_matches_the_walk_and_sort_reference():
 
 
 def test_cached_row_fillings_match_the_reference(monkeypatch):
-    # every (first, length, low, row above) the walk asks for, against the
-    # uncached reference, which fills from the top part down and has no low
+    # every (first, length, low, capping parts above) the walk asks for,
+    # 425 of them at orders 1..6, against the uncached reference, which
+    # fills from the top part down, has no low and reads the row above
+    # from offset 2 on
     seen = set()
     cached = dpp._row_fillings
 
-    def spy(first, length, low, prev):
-        seen.add((first, length, low, prev))
-        return cached(first, length, low, prev)
+    def spy(first, length, low, above):
+        seen.add((first, length, low, above))
+        return cached(first, length, low, above)
 
     monkeypatch.setattr(dpp, "_row_fillings", spy)
     for n in range(1, 7):
         for _ in dpp._walk(n):
             pass
-    assert len(seen) > 1000
-    for first, length, low, prev in seen:
+    assert len(seen) == 425
+    for first, length, low, above in seen:
+        prev = None if above is None else (None, None) + above
         reference = sorted(r for r in _row_fillings(first, length, prev) if length < 2 or r[1] >= low)
-        assert list(cached(first, length, low, prev)) == reference, (first, length, low, prev)
+        assert list(cached(first, length, low, above)) == reference, (first, length, low, above)
 
 
 def test_row_fillings_cache_stays_small(monkeypatch):
@@ -120,7 +122,7 @@ def test_enumeration_streams():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == EMPTY_DPP
+    assert first == Dpp(())
     assert peak < 2 * 2**20, peak
 
 
@@ -132,7 +134,7 @@ def test_stats_worked_example():
 
 
 def test_stats_empty_and_single_row():
-    s = dpp_stats(EMPTY_DPP, 4)
+    s = dpp_stats(Dpp(()), 4)
     assert (s.nu, s.mu, s.rho, s.parts_sum, s.row_count) == (0, 0, 0, 0, 0)
     s = dpp_stats(Dpp(((3, 1),)), 3)
     assert (s.nu, s.mu, s.rho) == (1, 1, 1)
@@ -166,22 +168,22 @@ def test_z_brute_matches_the_determinant_at_order_8():
 
 
 def test_z_brute_pays_per_row_state_not_per_array(monkeypatch):
-    # the sum pays per distinct row above, not per array: each state's
-    # rows are asked for once to count who reads the state and once to
-    # sum it.  Rows that differ only in their first part cap the next row
-    # alike and share a state
+    # the sum pays per distinct row above less its first part, not per
+    # array: each of the 792 such tails and the top (None) is asked for
+    # its steps once to count its readers and once to be summed
     expected = z_dpp_brute_wq(7)
     expanded = Counter()
-    fillings = dpp._row_fillings
+    next_rows = dpp._next_rows
 
-    def spy(first, length, low, prev):
-        expanded[first, length, low, None if prev is None else prev[1:]] += 1
-        return fillings(first, length, low, prev)
+    def spy(tail, n):
+        expanded[tail] += 1
+        return next_rows(tail, n)
 
-    monkeypatch.setattr(dpp, "_row_fillings", spy)
+    monkeypatch.setattr(dpp, "_next_rows", spy)
     assert z_dpp_brute_wq.__wrapped__(7) == expected
+    assert len(expanded) == 793
+    assert None in expanded
     assert set(expanded.values()) == {2}
-    assert len({key[3] for key in expanded}) <= 1078
 
 
 def test_z_brute_limit():

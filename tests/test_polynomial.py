@@ -1,5 +1,7 @@
 import json
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from asmdpp.polynomial import (
     X,
     Y,
     Z,
+    _pack,
     binom,
     marginal,
     monomial,
@@ -256,6 +259,38 @@ def test_packed_kernel_matches_the_tuple_kernel(live):
             assert _same(_divide(divide_exact, pa, pb), _divide(tuple_divide_exact, ta, tb))
 
     check()
+
+
+# A small acyclic graph with exponent-tuple step weights: d has three
+# readers (b once, c twice over equal steps), e is a dead end that is not
+# final, and the final state d still has a step.
+GRAPH = {
+    "a": [((1, 0, 0, 0, 0), "b"), ((0, 1, 0, 0, 0), "c")],
+    "b": [((0, 0, 1, 0, 0), "d"), ((1, 0, 0, 0, 0), "e"), ((0, 0, 0, 1, 0), "f")],
+    "c": [((1, 1, 0, 0, 0), "d"), ((1, 1, 0, 0, 0), "d")],
+    "d": [((0, 0, 0, 0, 1), "f")],
+    "e": [],
+    "f": [],
+}
+FINAL = {"d", "f"}
+
+
+def _every_walk(state, exp):
+    # the exponent sum of each walk from state that stops at a final state
+    if state in FINAL:
+        yield exp
+    for step, nxt in GRAPH[state]:
+        yield from _every_walk(nxt, tuple(map(add, exp, step)))
+
+
+@pytest.mark.parametrize("start", sorted(GRAPH))
+def test_step_sum_matches_the_sum_over_every_walk(start):
+    got = MultiPoly._step_sum(
+        start, lambda state: [(_pack(step), nxt) for step, nxt in GRAPH[state]], FINAL.__contains__
+    )
+    assert got == MultiPoly(Counter(_every_walk(start, (0,) * NVARS)))
+    if start == "a":
+        assert poly_str(got) == "x*z + x*w + 2*x*y^2 + x*z*q + 2*x*y^2*q"
 
 
 def test_exponent_at_the_field_limit():
