@@ -43,6 +43,11 @@ class Asm:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.rows) is not tuple:
+            raise ValidationError(f"rows must be a tuple, not {type(self.rows).__name__}")
+        for r in self.rows:
+            if type(r) is not tuple:
+                raise ValidationError(f"each row must be a tuple, not {type(r).__name__}")
         n = len(self.rows)
         if n == 0:
             raise ValidationError("empty matrix")

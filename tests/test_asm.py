@@ -55,6 +55,15 @@ def test_validation_rejects_float_and_bool_entries():
             Asm(rows)
 
 
+def test_validation_refuses_rows_that_are_not_tuples():
+    # a list row would leave a frozen Asm mutable and unhashable
+    with pytest.raises(ValidationError, match="^rows must be a tuple, not list$"):
+        Asm([[1]])
+    with pytest.raises(ValidationError, match="^each row must be a tuple, not list$"):
+        Asm(((0, 1), [1, 0]))
+    hash(Asm(((0, 1), (1, 0))))
+
+
 def test_enumeration_small_orders():
     assert [a.rows for a in enumerate_asms(1)] == [((1,),)]
     assert {a.rows for a in enumerate_asms(3)} == ASM3_EXPECTED

@@ -55,6 +55,107 @@ def test_validation_rejects_float_and_bool_parts():
             Dpp(rows)
 
 
+def test_validation_refuses_rows_that_are_not_tuples():
+    # a list row would leave a frozen Dpp mutable and unhashable
+    with pytest.raises(ValidationError, match="^rows must be a tuple, not list$"):
+        Dpp([(3, 1)])
+    for rows in (([3, 1],), ((4, 3, 1), [2])):
+        with pytest.raises(ValidationError, match="^each row must be a tuple, not list$"):
+            Dpp(rows)
+    # also when the same values were accepted as shared rows before
+    walk = [d.rows for d in enumerate_dpps(4)]
+    for rows in walk[1:]:
+        with pytest.raises(ValidationError, match="^each row must be a tuple, not list$"):
+            Dpp(rows[:-1] + (list(rows[-1]),))
+        with pytest.raises(ValidationError, match="^rows must be a tuple, not list$"):
+            Dpp(list(rows))
+
+
+def _error(rows):
+    try:
+        Dpp(rows)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+def _perturbed(walk):
+    """Arrays near the walk's: the shared row objects in a new order, or
+    one row replaced by a fresh or shared tuple with one part changed."""
+    cases = {"plus_minus_one": [], "float": [], "bool": [], "dropped": [], "swapped": [], "fresh": []}
+    for i, rows in enumerate(walk):
+        if len(rows) >= 3:
+            cases["dropped"].append(rows[:1] + rows[2:])
+        if len(rows) >= 2:
+            cases["swapped"].append((rows[1], rows[0]) + rows[2:])
+        if not rows:
+            continue
+        r = i % len(rows)
+        row = rows[r]
+        k = i % len(row)
+
+        def put(part, shared):
+            new = row[:k] + (part,) + row[k + 1 :]
+            if shared:
+                new = dpp._SHARED_ROWS.get(new, new)
+            return rows[:r] + (new,) + rows[r + 1 :]
+
+        cases["plus_minus_one"] += [put(row[k] + 1, True), put(row[k] - 1, True)]
+        cases["float"].append(put(float(row[k]), False))
+        cases["bool"].append(put(True, False))
+        cases["fresh"].append(put(row[k] + (-1) ** i, False))
+    return cases
+
+
+def test_warm_cache_gives_the_full_loops_errors(monkeypatch):
+    walk = [d.rows for d in enumerate_dpps(6)]
+    cases = _perturbed(walk)
+    warm = {kind: [_error(rows) for rows in arrays] for kind, arrays in cases.items()}
+    # a value-equal copy of an accepted array is accepted, by the full loop
+    assert all(_error(tuple(map(tuple, rows))) is None for rows in walk)
+    # with no shared rows nothing is recorded, so every array takes the full loop
+    monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
+    monkeypatch.setattr(dpp, "_ACCEPTED", {})
+    cold = {kind: [_error(rows) for rows in arrays] for kind, arrays in cases.items()}
+    assert not dpp._ACCEPTED
+    assert warm == cold
+    assert set(warm["float"]) == set(warm["bool"]) == {"parts must be positive integers"}
+    # the rows above and below a middle row nest as the rules ask, and a
+    # row is longer than the first part of the row below it
+    assert set(warm["dropped"]) == {None}
+    assert set(warm["swapped"]) == {"row length chain violated"}
+    for kind in ("plus_minus_one", "fresh"):
+        assert None in warm[kind] and len(set(warm[kind])) >= 3, kind
+
+
+def test_validation_cache_pays_per_distinct_row_and_pair(monkeypatch):
+    monkeypatch.setattr(dpp, "_FILLINGS", {})
+    monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
+    monkeypatch.setattr(dpp, "_ACCEPTED", {})
+    full_loop = dpp._check_rows
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        full_loop(rows)
+
+    monkeypatch.setattr(dpp, "_check_rows", spy)
+    arrays = [d.rows for d in enumerate_dpps(6)]
+    assert len(arrays) == 7436
+    accepted_pairs = sum(bin(below).count("1") for _, _, below in dpp._ACCEPTED.values())
+    assert (len(dpp._ACCEPTED), accepted_pairs) == (286, 3431)
+    # each full loop records at least one new row or pair
+    assert len(calls) <= len(dpp._ACCEPTED) + accepted_pairs
+    # only the shared rows of the walk are held
+    assert all(dpp._SHARED_ROWS.get(row) is row for row, _, _ in dpp._ACCEPTED.values())
+
+
+def test_every_yielded_array_passes_the_full_loop():
+    for n in range(1, 7):
+        for d in enumerate_dpps(n):
+            dpp._check_rows(d.rows)
+
+
 def test_enumeration_small_orders():
     assert [d.rows for d in enumerate_dpps(1)] == [()]
     assert {d.rows for d in enumerate_dpps(2)} == {(), ((2,),)}
