@@ -3,10 +3,14 @@
 Subcommands:
 
   enumerate  stream one family in canonical order (json or text lines);
-             an ASM's, a DPP's or a six-vertex configuration's JSON line
-             is its grid of rows, joined from the cached compact
-             json.dumps text of each distinct row; a path family's is
-             compact json.dumps of nilp_to_json
+             an ASM's or a six-vertex configuration's JSON line is its
+             grid of rows, joined from the cached compact json.dumps text
+             of each distinct row; a path family's is compact json.dumps
+             of nilp_to_json; a DPP's line, in either format, is made per
+             block of the walk (dpp.dpp_blocks), which runs the rules once
+             per distinct row and row pair: the text of the rows the
+             block's arrays share, then the cached text of one last row,
+             with no Dpp object built
   genfunc    print a generating function: a determinant (det, det-w)
              or a sum over one family's step tables (brute-asm,
              brute-dpp)
@@ -47,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .asm import asm_row_word, enumerate_asms, z_asm_brute
-from .dpp import Dpp, enumerate_dpps, z_dpp_brute
+from .dpp import dpp_blocks, z_dpp_brute
 from .errors import AsmDppError
 from .limits import ASM_SUM_MAX_N, DPP_SUM_MAX_N, MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
@@ -77,10 +81,6 @@ def _env_cap() -> int | None:
         raise AsmDppError(f"{MAX_N_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _dpp_text(d: Dpp) -> str:
-    return " / ".join(" ".join(str(p) for p in row) for row in d.rows) if d.rows else "empty"
-
-
 def _config_text(c: SixVertexConfig) -> str:
     return " / ".join(" ".join(row) for row in c.types)
 
@@ -102,20 +102,52 @@ def _grid_json(rows: tuple[tuple, ...]) -> str:
     return "[" + ",".join(map(_row_json, rows)) + "]"
 
 
-# kind -> (enumerator, JSON line, text line); both lines are made straight
-# from the enumerated (already validated) objects
-_KIND_FORMS = {
-    "asm": (enumerate_asms, lambda a: _grid_json(a.rows), asm_row_word),
-    "dpp": (enumerate_dpps, lambda d: _grid_json(d.rows), _dpp_text),
-    "sixvertex": (enumerate_configs, lambda c: _grid_json(c.types), _config_text),
-    "nilp": (
+@cache
+def _row_text(row: tuple[int, ...]) -> str:
+    # the text of one DPP row; one entry per distinct row
+    return " ".join(map(str, row))
+
+
+# format -> a DPP stream's line for the empty array, the text of one row,
+# the text between two rows, and the texts that open and close a line
+_DPP_FORMS = {
+    "json": ("[]", _row_json, ",", "[", "]"),
+    "text": ("empty", _row_text, " / ", "", ""),
+}
+
+
+def _dpp_lines(n: int, fmt: str) -> Iterator[str]:
+    """The lines of every element of DPP(n), made per block of the walk:
+    a block's head, from the cached text of the rows its arrays share,
+    then for each of its arrays the cached text of the last row."""
+    empty, row_text, sep, open_, close = _DPP_FORMS[fmt]
+    yield empty
+    for prefix, fillings in dpp_blocks(n):
+        head = (open_ + sep.join(map(row_text, prefix)) + sep) if prefix else open_
+        for row in fillings:
+            yield head + row_text(row) + close
+
+
+def _object_lines(enumerator, json_line, text_line):
+    """The line source of a kind whose enumerator yields one object per
+    line; both lines are made straight from the enumerated (already
+    validated) objects."""
+    return lambda n, fmt: map(json_line if fmt == "json" else text_line, enumerator(n))
+
+
+# kind -> its line source, lines(n, format) in canonical order
+_KIND_LINES = {
+    "asm": _object_lines(enumerate_asms, lambda a: _grid_json(a.rows), asm_row_word),
+    "dpp": _dpp_lines,
+    "sixvertex": _object_lines(enumerate_configs, lambda c: _grid_json(c.types), _config_text),
+    "nilp": _object_lines(
         enumerate_nilp_families,
         lambda f: json.dumps(nilp_to_json(f), separators=(",", ":")),
         _nilp_text,
     ),
 }
 
-KINDS = tuple(_KIND_FORMS)
+KINDS = tuple(_KIND_LINES)
 
 
 @contextmanager
@@ -148,9 +180,8 @@ def _output(name: str | None) -> Iterator[TextIO]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[Iterable[str], int]:
-    enumerator, json_line, text_line = _KIND_FORMS[args.kind]
-    lines = map(json_line if args.format == "json" else text_line, enumerator(args.n))
-    # islice stops after the limit-th line without drawing another object
+    lines = _KIND_LINES[args.kind](args.n, args.format)
+    # islice stops after the limit-th line without drawing another one
     return islice(lines, args.limit), 0
 
 

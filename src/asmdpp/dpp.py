@@ -16,12 +16,15 @@ when it is <= k; nu counts nonspecial parts, mu special parts, rho the
 parts equal to n.
 
 Every statistic is a sum of per-row terms, since a part's offset within
-its row decides whether it is special.  ``enumerate_dpps`` walks the
-rows and hands out validated ``Dpp`` objects, one per array.
-``z_dpp_brute_wq`` sums over the same rows instead, through the shared
-``MultiPoly._step_sum``: the rows that may follow a row depend only on
-that row less its first part, its tail, so the part of the generating
-function below it is summed once per tail, and no array is visited.
+its row decides whether it is special.  ``dpp_blocks`` walks the rows
+and hands out blocks (prefix, fillings), the arrays that share every row
+but the last; ``enumerate_dpps`` expands them into validated ``Dpp``
+objects, one per array, and the command-line stream writes each array's
+line from its block without building one.  ``z_dpp_brute_wq`` sums over
+the same rows instead, through the shared ``MultiPoly._step_sum``: the
+rows that may follow a row depend only on that row less its first part,
+its tail, so the part of the generating function below it is summed
+once per tail, and no array is visited.
 
 The walk fills each row from a cache keyed on the first part, the
 length, the least part at offset 1 and the parts of the row above that
@@ -31,16 +34,29 @@ of them at order 7 (4,081 at order 8), so the arrays of the walk, and
 any cache keyed on rows, hold those objects and no copies.
 
 The rules of a DPP look at one row, or one row and the row above it, at
-a time.  So ``Dpp(rows)`` accepts an array at once when the full rule
-loop accepted each of its row objects and each consecutive pair of them
-before, and runs the loop otherwise, which gives the same first error.
-The loop records what it accepts, but only rows that are shared tuples
-of the walk, by object identity: a value-equal row such as (3, 1.0) is
-another object and takes the loop.  After DPP(7) the record holds 1,078
-rows and 42,238 pairs, one bit each in a mask per row (about 0.2 MB; 4,081
-rows and 527,136 pairs at order 8), and validating all 218,348 arrays
-costs a few lookups per row instead of the loop (about 0.6 s in place of
-1.4 s on one core of a 2-vCPU machine).
+a time, so they are three functions: a row's head rules, the pair rules,
+and a row's first part against its length.  ``_check_rows``, the full
+loop, runs them in that order on each row.  The walk validates per
+placement, one tuple of cached rows placed under one row above, or on
+top: before it yields a block, it confirms that the rules accepted each
+row placed and each pair (row above, row), and runs them on first sight,
+so the row rules run once per distinct row and the pair rules once per
+distinct pair, in the loop's order, with its first error.  What they
+accepted is recorded by object identity, one bit per pair in a mask per
+row: 1,078 rows and 42,238 pairs after DPP(7) (4,081 rows and 527,136
+pairs at order 8).  The placements confirmed are one mask of rows above
+per tuple of rows placed, 1,149 of them after DPP(7) (5,518 at order 8),
+so once a placement is confirmed the walk pays one lookup and one bit
+test for it, and nothing per array: DPP(7) comes in 127,348 blocks, and
+``asmdpp enumerate --kind dpp --n 7`` takes about 0.76 s on one core of
+a 2-vCPU machine (1.26 s when it built and validated a ``Dpp`` per
+array).
+
+``Dpp(rows)`` accepts an array at once when the rules accepted each of
+its row objects and each consecutive pair of them before, as for every
+array of the walk, and runs the full loop otherwise.  The loop records
+what it accepts, but only rows that are shared tuples of the walk: a
+value-equal row such as (3, 1.0) is another object and takes the loop.
 """
 
 from __future__ import annotations
@@ -112,45 +128,67 @@ def dpp_stats(d: Dpp, n: int) -> DppStats:
 _FILLINGS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 _SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-# what _check_rows has accepted, keyed on the id of a shared row: the row
+# what the rules have accepted, keyed on the id of a shared row: the row
 # itself, held so that no other object takes its id, its serial number,
 # and a mask with the bits of the serials of the shared rows accepted
 # directly below it (1,078 rows and 42,238 pairs after DPP(7))
 _ACCEPTED: dict[int, list] = {}
 
+# the placements the walk has confirmed, keyed on the id of a tuple of
+# rows from _row_fillings: the tuple itself, held so that no other object
+# takes its id, and a mask with bit s + 1 set once its rows were confirmed
+# under the accepted row of serial s, and bit 0 once on top (1,149 tuples
+# after DPP(7), where a dict per row above would hold 17,096 keys)
+_PLACED: dict[int, list] = {}
+
+
+def _check_row_head(row: tuple[int, ...]) -> None:
+    """The rules of one row, but its first part against its length."""
+    if not row:
+        raise ValidationError("rows must be nonempty")
+    if any(type(p) is not int or p < 1 for p in row):
+        raise ValidationError("parts must be positive integers")
+    if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
+        raise ValidationError("parts must decrease weakly along rows")
+
+
+def _check_pair(prev: tuple[int, ...], row: tuple[int, ...]) -> None:
+    """The rules of a row under the row above it, both passing
+    ``_check_row_head``."""
+    # chain: len(prev) >= row[0] and, below, prev row covers this one
+    if len(prev) < row[0]:
+        raise ValidationError("row length chain violated")
+    if len(row) > len(prev) - 1:
+        raise ValidationError("row extends past the row above")
+    # strict decrease down columns; offset k here sits under offset k+1 of
+    # the previous row
+    for k, part in enumerate(row):
+        if part >= prev[k + 1]:
+            raise ValidationError("parts must decrease strictly down columns")
+
+
+def _check_first_part(row: tuple[int, ...]) -> None:
+    if row[0] <= len(row):
+        raise ValidationError("first part must exceed the row length")
+
 
 def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
-    """The rules of a DPP, row by row: each row passes the row rules and
-    each row passes the pair rules with the row above it.  Raises
-    ValidationError at the first rule broken."""
+    """The rules of a DPP, row by row: each row passes its head rules, the
+    pair rules with the row above it, then its first part against its
+    length.  Raises ValidationError at the first rule broken."""
     prev = None
     for row in rows:
-        if not row:
-            raise ValidationError("rows must be nonempty")
-        if any(type(p) is not int or p < 1 for p in row):
-            raise ValidationError("parts must be positive integers")
-        if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
-            raise ValidationError("parts must decrease weakly along rows")
+        _check_row_head(row)
         if prev is not None:
-            # chain: len(prev) >= row[0] and, below, prev row covers this one
-            if len(prev) < row[0]:
-                raise ValidationError("row length chain violated")
-            if len(row) > len(prev) - 1:
-                raise ValidationError("row extends past the row above")
-            # strict decrease down columns; offset k here sits under
-            # offset k+1 of the previous row
-            for k, part in enumerate(row):
-                if part >= prev[k + 1]:
-                    raise ValidationError("parts must decrease strictly down columns")
-        if row[0] <= len(row):
-            raise ValidationError("first part must exceed the row length")
+            _check_pair(prev, row)
+        _check_first_part(row)
         prev = row
 
 
 def _accepted_before(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether ``_check_rows`` accepted each of these row objects, and
-    each consecutive pair of them, before.  The rules look at one row or
-    one pair at a time, so then it accepts the array too.  Identity, not
+    """Whether the rules accepted each of these row objects, and each
+    consecutive pair of them, before.  The rules look at one row or one
+    pair at a time, so then they accept the array too.  Identity, not
     equality, decides: (3, 1.0) equals (3, 1) but breaks a rule."""
     below = -1  # a first row has no row above it to pass
     for row in rows:
@@ -175,6 +213,38 @@ def _remember(rows: tuple[tuple[int, ...], ...]) -> None:
         if above is not None:
             above[2] |= 1 << seen[1]
         above = seen
+
+
+def _accept(above: list | None, row: tuple[int, ...]) -> None:
+    """Record that the rules accepted row placed under the row of
+    _ACCEPTED entry above, or on top when above is None; they run on the
+    first sight of the row and of the pair, in the order of
+    ``_check_rows``, and raise ValidationError at the first rule broken."""
+    seen = _ACCEPTED.get(id(row))
+    if seen is None:
+        _check_row_head(row)
+        if above is not None:
+            _check_pair(above[0], row)
+        _check_first_part(row)
+        seen = _ACCEPTED[id(row)] = [row, len(_ACCEPTED), 0]
+    elif above is not None and not above[2] >> seen[1] & 1:
+        _check_pair(above[0], row)
+    if above is not None:
+        above[2] |= 1 << seen[1]
+
+
+def _place(fillings: tuple[tuple[int, ...], ...], above: list | None) -> None:
+    """Confirm that the rules accepted each row of fillings placed under
+    the row of _ACCEPTED entry above, or on top: through ``_accept`` the
+    first time the walk makes this placement, by one bit test after."""
+    placed = _PLACED.get(id(fillings))
+    if placed is None:
+        placed = _PLACED[id(fillings)] = [fillings, 0]
+    bit = 1 if above is None else 2 << above[1]
+    if not placed[1] & bit:
+        for row in fillings:
+            _accept(above, row)
+        placed[1] |= bit
 
 
 def _row_fillings(first: int, length: int, low: int, above: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
@@ -218,30 +288,48 @@ def _row_weight(row: tuple[int, ...], n: int) -> int:
     return _pack((len(row) - mu, mu, row.count(n), 1, sum(row)))
 
 
-def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The rows of every element of DPP(n), in the enumeration order.
-    They are filled within the bounds that make the array valid and are
-    not validated again."""
+Rows = tuple[tuple[int, ...], ...]
+
+
+def dpp_blocks(n: int) -> Iterator[tuple[Rows, Rows]]:
+    """Every nonempty element of DPP(n), in the enumeration order, in
+    blocks (prefix, fillings): the arrays prefix + (row,) for each row of
+    the nonempty tuple fillings, which share every row but the last.  The
+    rows are filled within the bounds that make the array valid, and
+    ``_place`` confirmed that the rules accepted every placement in a
+    block before the block is yielded."""
     rows: list[tuple[int, ...]] = []
 
-    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...]):
+    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...], above: list | None):
         i = len(rows)
-        if i == len(firsts):
-            yield tuple(rows)
-            return
         low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
-        above = rows[-1][2 : lengths[i] + 1] if rows else None
-        for row in _row_fillings(firsts[i], lengths[i], low, above):
+        above_parts = rows[-1][2 : lengths[i] + 1] if rows else None
+        fillings = _row_fillings(firsts[i], lengths[i], low, above_parts)
+        _place(fillings, above)
+        if i + 1 == len(firsts):
+            if fillings:
+                yield tuple(rows), fillings
+            return
+        for row in fillings:
             rows.append(row)
-            yield from fill(firsts, lengths)
+            yield from fill(firsts, lengths, _ACCEPTED[id(row)])
             rows.pop()
 
-    for t in range(n):
+    for t in range(1, n):
         # combinations of a descending range come in descending order
         for firsts in reversed(list(combinations(range(n, 1, -1), t))):
             below = firsts[1:] + (1,)
             for lengths in product(*map(range, below, firsts)):
-                yield from fill(firsts, lengths)
+                yield from fill(firsts, lengths, None)
+
+
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The rows of every element of DPP(n), in the enumeration order: the
+    empty array, then the arrays of ``dpp_blocks``."""
+    yield ()
+    for prefix, fillings in dpp_blocks(n):
+        for row in fillings:
+            yield prefix + (row,)
 
 
 def enumerate_dpps(n: int) -> Iterator[Dpp]:

@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 import asmdpp.asm
+import asmdpp.cli
 import asmdpp.dpp
 import asmdpp.paths
 import asmdpp.sixvertex
 from asmdpp.asm import Asm, asm_row_word, enumerate_asms
-from asmdpp.cli import _KIND_FORMS, _ROUTES, ENUMERATE_BLOCK, KINDS, _row_json, main
+from asmdpp.cli import _ROUTES, ENUMERATE_BLOCK, KINDS, _config_text, _nilp_text, _row_json, main
+from asmdpp.dpp import enumerate_dpps
 from asmdpp.formulas import asm_total
 from asmdpp.limits import DPP_SUM_MAX_N
 from asmdpp.paths import enumerate_nilp_families, nilp_to_json
@@ -94,11 +96,21 @@ TO_JSON = {
     "nilp": nilp_to_json,
 }
 
+# the enumerator and the text line of each kind; the DPP stream makes its
+# lines from blocks of rows, not from Dpp objects, so its text form is
+# written out here
+REFERENCE = {
+    "asm": (enumerate_asms, asm_row_word),
+    "dpp": (enumerate_dpps, lambda d: " / ".join(" ".join(map(str, row)) for row in d.rows) or "empty"),
+    "sixvertex": (enumerate_configs, _config_text),
+    "nilp": (enumerate_nilp_families, _nilp_text),
+}
+
 
 def _one_write_per_record(kind, n, fmt, limit=None):
     """The stream as it was written before the blocks, one write per
     record, with each JSON line dumped from the kind's JSON form."""
-    enumerator, _, text_line = _KIND_FORMS[kind]
+    enumerator, text_line = REFERENCE[kind]
     if fmt == "text":
         form = text_line
     else:
@@ -146,35 +158,64 @@ def test_enumerate_writes_whole_blocks(monkeypatch):
     assert out.getvalue() == _one_write_per_record("dpp", 6, "json")
 
 
-# the class each enumerator builds once per object it yields
+# the class each enumerator builds once per object it yields; the DPP
+# stream builds none
 ENUMERATED_CLASS = {
     "asm": (asmdpp.asm, "Asm"),
-    "dpp": (asmdpp.dpp, "Dpp"),
+    "dpp": None,
     "sixvertex": (asmdpp.sixvertex, "SixVertexConfig"),
     "nilp": (asmdpp.paths, "NilpSet"),
 }
 
 
+def _count_dpp_draws(monkeypatch, drawn, blocks):
+    """Record each line the DPP line source makes in drawn, and each block
+    it draws from the walk in blocks."""
+    source, walk = asmdpp.cli._KIND_LINES["dpp"], asmdpp.cli.dpp_blocks
+
+    def counted_source(n, fmt):
+        for line in source(n, fmt):
+            drawn.append(line)
+            yield line
+
+    def counted_walk(n):
+        for block in walk(n):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setitem(asmdpp.cli._KIND_LINES, "dpp", counted_source)
+    monkeypatch.setattr(asmdpp.cli, "dpp_blocks", counted_walk)
+
+
 @pytest.mark.parametrize("fmt", ("json", "text"))
 @pytest.mark.parametrize("kind", sorted(ENUMERATED_CLASS))
 def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, fmt):
-    module, name = ENUMERATED_CLASS[kind]
-    drawn = []
+    drawn, blocks = [], []
+    if kind == "dpp":
+        _count_dpp_draws(monkeypatch, drawn, blocks)
+    else:
+        module, name = ENUMERATED_CLASS[kind]
 
-    class Counted(getattr(module, name)):
-        def __post_init__(self):
-            drawn.append(self)
-            super().__post_init__()
+        class Counted(getattr(module, name)):
+            def __post_init__(self):
+                drawn.append(self)
+                super().__post_init__()
 
-    monkeypatch.setattr(module, name, Counted)
+        monkeypatch.setattr(module, name, Counted)
     for limit in (0, 1, 3):
         drawn.clear()
+        blocks.clear()
         code, out, _ = run_cli(
             capsys, "enumerate", "--kind", kind, "--n", "5", "--format", fmt, "--limit", str(limit)
         )
         assert code == 0
         assert len(out.splitlines()) == limit
         assert len(drawn) == limit, limit
+        if kind == "dpp":
+            # the walk is drawn up to the block that holds the limit-th
+            # array and no further; the empty array comes first, from no block
+            sizes = [len(fillings) for _, fillings in blocks]
+            assert 1 + sum(sizes[:-1]) < limit <= 1 + sum(sizes) if blocks else limit <= 1, limit
 
 
 def test_enumerate_bad_kind_is_usage_error(capsys):

@@ -2,10 +2,12 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 
 from asmdpp import dpp
+from asmdpp.cli import _KIND_LINES, ENUMERATE_BLOCK, main
 from asmdpp.dpp import (
     Dpp,
     dpp_stats,
@@ -128,26 +130,46 @@ def test_warm_cache_gives_the_full_loops_errors(monkeypatch):
         assert None in warm[kind] and len(set(warm[kind])) >= 3, kind
 
 
-def test_validation_cache_pays_per_distinct_row_and_pair(monkeypatch):
-    monkeypatch.setattr(dpp, "_FILLINGS", {})
-    monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
-    monkeypatch.setattr(dpp, "_ACCEPTED", {})
-    full_loop = dpp._check_rows
-    calls = []
+def _clear_records(monkeypatch):
+    """Start from an empty cache of row fillings and empty records of the
+    rows, pairs and placements the rules have accepted."""
+    for name in ("_FILLINGS", "_SHARED_ROWS", "_ACCEPTED", "_PLACED"):
+        monkeypatch.setattr(dpp, name, {})
 
-    def spy(rows):
-        calls.append(rows)
-        full_loop(rows)
 
-    monkeypatch.setattr(dpp, "_check_rows", spy)
-    arrays = [d.rows for d in enumerate_dpps(6)]
-    assert len(arrays) == 7436
+RULES = ("_check_row_head", "_check_pair", "_check_first_part", "_check_rows")
+
+
+def _count_rules(monkeypatch):
+    """A Counter of the calls of each rule function and of the full loop."""
+    calls = Counter()
+    for name in RULES:
+
+        def spy(*args, _name=name, _rule=getattr(dpp, name)):
+            calls[_name] += 1
+            return _rule(*args)
+
+        monkeypatch.setattr(dpp, name, spy)
+    return calls
+
+
+def test_validation_cache_pays_per_distinct_row_and_pair(monkeypatch, capsys):
+    _clear_records(monkeypatch)
+    calls = _count_rules(monkeypatch)
+    assert main(["enumerate", "--kind", "dpp", "--n", "6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7436
     accepted_pairs = sum(bin(below).count("1") for _, _, below in dpp._ACCEPTED.values())
     assert (len(dpp._ACCEPTED), accepted_pairs) == (286, 3431)
-    # each full loop records at least one new row or pair
-    assert len(calls) <= len(dpp._ACCEPTED) + accepted_pairs
+    # the row rules ran once per distinct row and the pair rules once per
+    # distinct pair, and the full loop not at all
+    assert calls == {"_check_row_head": 286, "_check_first_part": 286, "_check_pair": 3431}
     # only the shared rows of the walk are held
     assert all(dpp._SHARED_ROWS.get(row) is row for row, _, _ in dpp._ACCEPTED.values())
+    # after the stream, neither the walk nor Dpp on every array it yields
+    # runs a rule
+    calls.clear()
+    arrays = [Dpp(rows) for rows in dpp._walk(6)]
+    assert len(arrays) == 7436 and not calls
 
 
 def test_every_yielded_array_passes_the_full_loop():
@@ -207,24 +229,103 @@ def test_cached_row_fillings_match_the_reference(monkeypatch):
 def test_row_fillings_cache_stays_small(monkeypatch):
     # keyed on the whole row above, the cache held 17,096 keys at order 7
     # and an unshared tuple per cached row, 29,509 of them
-    monkeypatch.setattr(dpp, "_FILLINGS", {})
-    monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
+    _clear_records(monkeypatch)
     assert sum(1 for _ in dpp._walk(7)) == 218348
     assert len(dpp._FILLINGS) <= 2091
     assert len({id(row) for rows in dpp._FILLINGS.values() for row in rows}) <= 1078
+    # the records of the stream: each distinct row and pair once, and one
+    # mask of rows above per tuple of rows placed (a dict per row above
+    # would hold 17,096 keys)
+    accepted_pairs = sum(bin(below).count("1") for _, _, below in dpp._ACCEPTED.values())
+    assert (len(dpp._ACCEPTED), accepted_pairs) == (1078, 42238)
+    assert len(dpp._PLACED) <= 2091
 
 
-def test_enumeration_streams():
+def _slip_in(monkeypatch, spoil, after):
+    """Make ``_row_fillings`` hand the walk one bad row: from its first
+    call past the after-th with a row above, the first row that spoil
+    spoils is replaced by spoil(row, above), there and on every later call
+    with the same arguments.  Returns {arguments: spoiled rows}."""
+    real = dpp._row_fillings
+    calls = []
+    spoiled = {}
+
+    def fillings(first, length, low, above):
+        key = (first, length, low, above)
+        rows = real(*key)
+        calls.append(key)
+        if not spoiled and len(calls) > after and above is not None:
+            for i, row in enumerate(rows):
+                bad = spoil(row, above)
+                if bad is not None:
+                    spoiled[key] = rows[:i] + (bad,) + rows[i + 1 :]
+                    break
+        return spoiled.get(key, rows)
+
+    monkeypatch.setattr(dpp, "_row_fillings", fillings)
+    return spoiled
+
+
+def _raise_a_part(row, above):
+    # the part at offset k >= 1 sits under above[k - 1]; raise it to that
+    # part where the part before it still allows
+    for k in range(1, len(row)):
+        if row[k - 1] >= above[k - 1]:
+            return row[:k] + (above[k - 1],) + row[k + 1 :]
+    return None
+
+
+SPOILERS = {
+    "raised part": (_raise_a_part, "parts must decrease strictly down columns"),
+    # equal to the row it replaces, but another object
+    "float part": (lambda row, above: row[:-1] + (float(row[-1]),), "parts must be positive integers"),
+    # longer than any row of DPP(6)
+    "long row": (lambda row, above: row + (1,) * 6, "row extends past the row above"),
+}
+
+
+@pytest.mark.parametrize("spoiler", SPOILERS)
+def test_the_stream_runs_the_rules_on_each_new_placement(monkeypatch, capsys, spoiler):
+    assert main(["enumerate", "--kind", "dpp", "--n", "6"]) == 0
+    good = capsys.readouterr().out.splitlines()
+    spoil, message = SPOILERS[spoiler]
+    _clear_records(monkeypatch)
+    spoiled = _slip_in(monkeypatch, spoil, after=3000)
+    code, out, err = main(["enumerate", "--kind", "dpp", "--n", "6"]), *capsys.readouterr()
+    assert spoiled and (code, err) == (2, f"error: {message}\n")
+    # whole blocks were written before the bad row came up, and every line
+    # is a line of the stream of valid arrays, so none holds that row
+    # where it was slipped in
+    lines = out.splitlines()
+    assert len(lines) >= ENUMERATE_BLOCK and lines == good[: len(lines)]
+    # the same from the line source, which stops at the bad block
+    monkeypatch.undo()
+    _clear_records(monkeypatch)
+    spoiled = _slip_in(monkeypatch, spoil, after=3000)
+    made = []
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        made.extend(_KIND_LINES["dpp"](6, "json"))
+    assert spoiled and len(lines) <= len(made) < len(good) and made == good[: len(made)]
+
+
+def test_enumeration_streams(monkeypatch):
     # the first record must not wait for the family: holding DPP(7)
-    # (218348 arrays) takes about 100 MB
-    tracemalloc.start()
-    try:
-        first = next(iter(enumerate_dpps(7)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert first == Dpp(())
-    assert peak < 2 * 2**20, peak
+    # (218348 arrays) takes about 100 MB; the CLI's line source is drawn
+    # to its first line from a block of the walk
+    firsts = (
+        lambda: next(iter(enumerate_dpps(7))),
+        lambda: list(islice(_KIND_LINES["dpp"](7, "json"), 2)),
+    )
+    for draw, expected in zip(firsts, (Dpp(()), ["[]", "[[2]]"])):
+        _clear_records(monkeypatch)
+        tracemalloc.start()
+        try:
+            first = draw()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == expected
+        assert peak < 2 * 2**20, peak
 
 
 def test_stats_worked_example():
