@@ -12,7 +12,8 @@ smaller minor.  ``divide_exact`` is exact polynomial division that
 raises unless the divisor divides.
 
 Rational matrices are plain nested lists of ``Fraction``; ``det_rat``
-uses exact Gaussian elimination.
+scales each row to ints and runs fraction-free (Bareiss) elimination,
+so its one ``Fraction`` reduction is the result's.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import ValidationError
@@ -179,24 +181,36 @@ def det_poly(m: PolyMatrix):
 
 
 def det_rat(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix by Gaussian elimination."""
+    """Exact determinant of a square rational matrix.
+
+    Each row is scaled to ints by the lcm of its denominators, then
+    fraction-free (Bareiss) elimination divides every update exactly by
+    the previous pivot, so the last pivot is the determinant of the
+    scaled matrix.  A zero pivot swaps in the first row below with a
+    nonzero entry in its column."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValidationError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot_row is None:
+    rows = []
+    scale = 1
+    for row in m:
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    # each pass drops the pivot row and the pivot column, so the next
+    # pivot column is always column 0 of the rows left
+    sign, prev = 1, 1
+    while rows:
+        first = next((r for r, row in enumerate(rows) if row[0]), None)
+        if first is None:
             return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        pivot = a[k][k]
-        det *= pivot
-        for r in range(k + 1, n):
-            if a[r][k]:
-                factor = a[r][k] / pivot
-                for c in range(k, n):
-                    a[r][c] -= factor * a[k][c]
-    return det
+        if first:
+            rows[0], rows[first] = rows[first], rows[0]
+            sign = -sign
+        pivot, *top = rows[0]
+        rows = [
+            [(pivot * x - f * y) // prev for x, y in zip(row, top)] for f, *row in rows[1:]
+        ]
+        prev = pivot
+    return Fraction(sign * prev, scale)

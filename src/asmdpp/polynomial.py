@@ -13,11 +13,13 @@ counts them by one statistic.
 
 Internally each exponent vector is packed into one int, a fixed-width
 field per variable, so multiplying two monomials is one int addition;
-``terms``, ``items`` and the printing and evaluation methods unpack to
-tuples.  An exponent past ``MAX_EXPONENT`` raises ``ResourceLimitError``.
-The representation is canonical (zero coefficients are never stored), so
+``terms``, ``items`` and the printing methods unpack to tuples.  An
+exponent past ``MAX_EXPONENT`` raises ``ResourceLimitError``.  The
+representation is canonical (zero coefficients are never stored), so
 ``==`` is exact identity of polynomials.  Coefficients are Python ints,
-which are arbitrary precision; evaluation returns ``Fraction``.
+which are arbitrary precision.  Evaluation at a rational point sums int
+terms over one common denominator, prod b_i^D_i for coordinates a_i/b_i
+and degrees D_i, and returns one reduced ``Fraction``.
 
 ``MultiPoly._step_sum`` sums step weights over the walks of an acyclic
 graph; each brute-force generating function is one call of it.
@@ -41,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import comb
 from operator import or_
 from types import MappingProxyType
@@ -100,12 +103,40 @@ def _check_fields(terms: dict[int, int]) -> None:
         )
 
 
+def _numerators(term_dicts: Sequence[dict[int, int]], point: Sequence) -> tuple[list[int], int]:
+    """The values of packed polynomials at a point, as int numerators over
+    one common denominator.  With coordinate i equal to a_i/b_i and D_i
+    the highest exponent of variable i in any of them, each term
+    c * prod a_i^e_i * b_i^(D_i - e_i) is an int over prod b_i^D_i; the
+    factor tables are built once per call."""
+    if len(point) != NVARS:
+        raise ValueError(f"point {tuple(point)} does not have {NVARS} coordinates")
+    den = 1
+    tables = []
+    present = reduce(or_, chain.from_iterable(term_dicts), 0)
+    for shift, p in zip(_SHIFTS, point):
+        if (present >> shift) & FIELD_MASK:
+            top = max((k >> shift) & FIELD_MASK for d in term_dicts for k in d)
+            p = Fraction(p)
+            a, b = p.numerator, p.denominator
+            tables.append((shift, [a**e * b ** (top - e) for e in range(top + 1)]))
+            den *= b**top
+    nums = []
+    for terms in term_dicts:
+        num = 0
+        for key, coeff in terms.items():
+            for shift, table in tables:
+                coeff *= table[(key >> shift) & FIELD_MASK]
+            num += coeff
+        nums.append(num)
+    return nums, den
+
+
 class MultiPoly:
     """Immutable sparse polynomial with integer coefficients.
 
     ``_terms`` maps packed exponent keys to coefficients; ``terms``,
-    ``items`` and the printing and evaluation methods unpack them to
-    exponent tuples.
+    ``items`` and the printing methods unpack them to exponent tuples.
     """
 
     __slots__ = ("_terms",)
@@ -265,17 +296,8 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Evaluate exactly at a point of rationals (or ints)."""
-        if len(point) != NVARS:
-            raise ValueError(f"point {tuple(point)} does not have {NVARS} coordinates")
-        vals = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for exp, coeff in self.items():
-            term = Fraction(coeff)
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        (num,), den = _numerators((self._terms,), point)
+        return Fraction(num, den)
 
     def substitute(self, index: int, value: int) -> "MultiPoly":
         """Set one variable to an integer constant; its exponent becomes 0."""
@@ -477,11 +499,14 @@ class OmegaPoly:
         return OmegaPoly([c.substitute(index, value) for c in self.coeffs])
 
     def evaluate(self, point: Sequence, omega: Fraction) -> Fraction:
+        """Evaluate exactly at a point and a value of omega: the omega^d
+        coefficients share one denominator, and so does the sum."""
+        nums, den = _numerators([c._terms for c in self.coeffs], point)
         omega = Fraction(omega)
-        total = Fraction(0)
-        for d, c in enumerate(self.coeffs):
-            total += c.evaluate(point) * omega**d
-        return total
+        top, bottom = omega.numerator, omega.denominator
+        last = len(nums) - 1
+        num = sum(c * top**d * bottom ** (last - d) for d, c in enumerate(nums))
+        return Fraction(num, den * bottom ** max(last, 0))
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -23,7 +23,10 @@ v_j = t_j^2, which removes the square root from the c-weight:
     b(u, v) = u/q - q/v
     c at (i, j) = (q^2 - q^-2) * s_i / t_j
 
-so every computation stays in exact rational arithmetic.
+so every computation stays in exact rational arithmetic.  The explicit
+partition function writes each cell's three weights as int numerators
+over one denominator, once per point, and sums int products over the
+configurations: one ``Fraction`` reduction per point.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import lcm, prod
 from random import Random
 from typing import Iterator
 
@@ -175,33 +180,42 @@ def weight_c(s_i: Fraction, t_j: Fraction, q: Fraction) -> Fraction:
     return (q * q - 1 / (q * q)) * s_i / t_j
 
 
-def config_weight(c: SixVertexConfig, pt: IkPoint) -> Fraction:
-    u, v = pt.u, pt.v
-    total = Fraction(1)
-    for i, row in enumerate(c.types):
-        for j, t in enumerate(row):
-            kind = t[0]
-            if kind == "a":
-                total *= weight_a(u[i], v[j], pt.q)
-            elif kind == "b":
-                total *= weight_b(u[i], v[j], pt.q)
-            else:
-                total *= weight_c(pt.s[i], pt.t[j], pt.q)
-    return total
-
-
 @lru_cache(maxsize=8)
-def _configs(n: int) -> tuple[SixVertexConfig, ...]:
-    # the explicit sum is taken at many points per order
+def _config_cells(n: int) -> tuple[tuple[int, ...], ...]:
+    # the explicit sum is taken at many points per order: each configuration
+    # as the index of its weight in a point's flat table, 3 per cell
+    # (a, b, c) in row-major order
     check_order(n, BRUTE_FORCE_LIMIT, "family enumeration")
-    return tuple(enumerate_configs(n))
+    kind = {"a": 0, "b": 1, "c": 2}
+    return tuple(
+        tuple(3 * cell + kind[t[0]] for cell, t in enumerate(chain.from_iterable(c.types)))
+        for c in enumerate_configs(n)
+    )
 
 
 def partition_function_explicit(n: int, pt: IkPoint) -> Fraction:
-    """Partition function as the explicit sum over all configurations."""
+    """Partition function as the explicit sum over all configurations.
+
+    Each cell's a, b and c weights are written as int numerators over
+    their lcm D_ij, once per point; the sum of the int products over the
+    configurations is divided once by prod D_ij."""
     if pt.n != n:
         raise ValidationError("point dimension does not match order")
-    return sum((config_weight(c, pt) for c in _configs(n)), Fraction(0))
+    q, u, v = pt.q, pt.u, pt.v
+    table: list[int] = []
+    den = 1
+    for i in range(n):
+        for j in range(n):
+            weights = (
+                weight_a(u[i], v[j], q),
+                weight_b(u[i], v[j], q),
+                weight_c(pt.s[i], pt.t[j], q),
+            )
+            d = lcm(*(w.denominator for w in weights))
+            table.extend(w.numerator * (d // w.denominator) for w in weights)
+            den *= d
+    weight = table.__getitem__
+    return Fraction(sum(prod(map(weight, cells)) for cells in _config_cells(n)), den)
 
 
 def _degeneracy(q: Fraction, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> str | None:

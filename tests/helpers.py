@@ -1,7 +1,8 @@
 """Shared cached enumerations so the suite never rebuilds a family twice,
 the reference polynomial kernel, brute-force counters, ASM and DPP
-enumerators and matrix builders of the differential tests, and a
-rational matrix product."""
+enumerators and matrix builders of the differential tests, the reference
+rational determinant and partition function, and a rational matrix
+product."""
 
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
 from asmdpp.errors import ValidationError
 from asmdpp.linalg import PolyMatrix
 from asmdpp.polynomial import NVARS, ONE, ZERO, MultiPoly, OmegaPoly, binom, monomial
+from asmdpp.sixvertex import IkPoint, enumerate_configs, weight_a, weight_b, weight_c
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +61,8 @@ ASMEX = Asm(
 # --- Reference polynomial kernel -------------------------------------------
 # The tuple-keyed MultiPoly arithmetic, OmegaPoly product and minors
 # determinant that the packed-exponent kernel replaced, kept verbatim as the
-# oracle of the differential tests.  Nothing under src/ uses them.
+# oracle of the differential tests, and the term-by-term Fraction evaluation
+# that the one-denominator evaluation replaced.  Nothing under src/ uses them.
 
 
 class TuplePoly:
@@ -128,6 +131,8 @@ class TuplePoly:
         return TuplePoly._raw(self.arity, out)
 
     def evaluate(self, point):
+        """The term-by-term Fraction evaluation that MultiPoly.evaluate
+        replaced: one reduction per term."""
         vals = [Fraction(p) for p in point]
         total = Fraction(0)
         for exp, coeff in self._terms.items():
@@ -185,7 +190,8 @@ def tuple_divide_exact(p, q):
 
 
 class TupleOmega:
-    """OmegaPoly over TuplePoly coefficients (sum, negation and product)."""
+    """OmegaPoly over TuplePoly coefficients (sum, negation, product and
+    evaluation)."""
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
@@ -235,6 +241,16 @@ class TupleOmega:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return TupleOmega(out)
+
+
+    def evaluate(self, point, omega):
+        """The term-by-term Fraction evaluation that OmegaPoly.evaluate
+        replaced."""
+        omega = Fraction(omega)
+        total = Fraction(0)
+        for d, c in enumerate(self.coeffs):
+            total += c.evaluate(point) * omega**d
+        return total
 
 
 def _tuple_one_like(sample):
@@ -620,3 +636,52 @@ def rat_matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]])
         raise ValidationError("matrix dimensions do not match for product")
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+# --- Reference rational kernels --------------------------------------------
+# The Fraction Gaussian elimination that the fraction-free det_rat replaced
+# and the per-configuration Fraction sum that the int partition function
+# replaced, kept verbatim (config_weight inlined) as the oracles of their
+# differential tests.  Nothing under src/ uses them.
+
+
+def gauss_det_rat(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant by Gaussian elimination over Q."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        pivot = a[k][k]
+        det *= pivot
+        for r in range(k + 1, n):
+            if a[r][k]:
+                factor = a[r][k] / pivot
+                for c in range(k, n):
+                    a[r][c] -= factor * a[k][c]
+    return det
+
+
+def per_config_partition_function(n: int, pt: IkPoint) -> Fraction:
+    """The explicit six-vertex sum, each configuration's weight a product
+    of Fraction cell weights."""
+    u, v = pt.u, pt.v
+    total = Fraction(0)
+    for c in enumerate_configs(n):
+        weight = Fraction(1)
+        for i, row in enumerate(c.types):
+            for j, t in enumerate(row):
+                kind = t[0]
+                if kind == "a":
+                    weight *= weight_a(u[i], v[j], pt.q)
+                elif kind == "b":
+                    weight *= weight_b(u[i], v[j], pt.q)
+                else:
+                    weight *= weight_c(pt.s[i], pt.t[j], pt.q)
+        total += weight
+    return total

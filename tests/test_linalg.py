@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -14,10 +15,10 @@ from asmdpp.linalg import (
     det_rat,
     divide_exact,
 )
-from asmdpp.matrices import FAMILY_NAMES, build, l_matrix_rat, shift_matrix
+from asmdpp.matrices import FAMILY_NAMES, build, evaluate_matrix_rat, l_matrix_rat, shift_matrix
 from asmdpp.polynomial import NVARS, ZERO, MultiPoly, OmegaPoly, ONE, X, Y, monomial
 
-from helpers import TupleOmega, TuplePoly, rat_matmul, tuple_det_minors
+from helpers import TupleOmega, TuplePoly, gauss_det_rat, rat_matmul, tuple_det_minors
 
 small_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * NVARS),
@@ -85,6 +86,62 @@ def test_det_of_mbar_evaluated_matches_det_rat():
     assert det_poly(m).evaluate(point) == det_rat(
         [[e.evaluate(point) for e in row] for row in m.entries]
     )
+
+
+def _rational_matrix(n, rng, ints=False):
+    def entry():
+        num = rng.randint(-9, 9)
+        return num if ints else Fraction(num, rng.randint(1, 7))
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_det_rat_matches_gaussian_elimination():
+    assert det_rat([]) == gauss_det_rat([]) == 1
+    rng = Random(27)
+    for n in range(1, 33):
+        cases = [_rational_matrix(n, rng), _rational_matrix(n, rng, ints=True)]
+        # zeros atop the first column: the first pivot is a swapped-in row
+        swap = _rational_matrix(n, rng)
+        for row in swap[: (n + 1) // 2]:
+            row[0] = Fraction(0)
+        cases.append(swap)
+        singular = []
+        if n > 1:
+            # the last row a rational combination of the first two (or of
+            # the first alone at n = 2), and a zero column
+            m = _rational_matrix(n, rng)
+            m[-1] = [Fraction(2, 3) * a - 5 * b for a, b in zip(m[0], m[1 % (n - 1)])]
+            singular = [m, [[Fraction(0)] + row[1:] for row in _rational_matrix(n, rng)]]
+        for m in cases + singular:
+            got = det_rat(m)
+            assert type(got) is Fraction
+            assert got == gauss_det_rat(m), n
+        assert not any(map(det_rat, singular))
+
+
+# The refined 2-enumeration of Mills, Robbins and Rumsey: at y = 1 + x the
+# determinant of order n is (1+x)^C(n-1,2) (1+xz)^(n-1).
+ANCHOR_X, ANCHOR_Z = Fraction(2, 3), Fraction(-4, 7)
+ANCHOR_POINT = (ANCHOR_X, 1 + ANCHOR_X, ANCHOR_Z, 1, 1)
+
+
+def _two_enumeration(n):
+    return (1 + ANCHOR_X) ** comb(n - 1, 2) * (1 + ANCHOR_X * ANCHOR_Z) ** (n - 1)
+
+
+@pytest.mark.parametrize("name, top", [("M_DPRIME", 32), ("M_BAR", 24)])
+def test_det_rat_anchors_the_refined_two_enumeration(name, top):
+    for n in range(1, top + 1):
+        rat = evaluate_matrix_rat(build(name, n), ANCHOR_POINT)
+        assert det_rat(rat) == _two_enumeration(n), (name, n)
+
+
+@pytest.mark.parametrize("name, n", [("M_DPRIME", 32), ("M_BAR", 24)])
+def test_two_enumeration_anchor_fails_on_a_bumped_entry(name, n):
+    rat = evaluate_matrix_rat(build(name, n), ANCHOR_POINT)
+    rat[n // 2][0] += 1
+    assert det_rat(rat) != _two_enumeration(n)
 
 
 @settings(max_examples=60)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asmdpp.errors import ResourceLimitError, ValidationError
@@ -27,7 +27,7 @@ from asmdpp.polynomial import (
     poly_str,
 )
 
-from helpers import TuplePoly, tuple_divide_exact
+from helpers import TupleOmega, TuplePoly, tuple_divide_exact
 
 exponents = st.tuples(*[st.integers(0, 3)] * NVARS)
 coeffs = st.integers(-6, 6).filter(bool)
@@ -215,6 +215,33 @@ def test_omega_evaluate():
     p = OmegaPoly((ONE, X))  # 1 + x*omega
     val = p.evaluate((Fraction(2), 0, 0, 0, 0), Fraction(3))
     assert val == 1 + 2 * 3
+
+
+# coordinates that are zero, negative or ints as well as fractions
+mixed = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+mixed_points = st.tuples(*[mixed] * NVARS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, mixed_points)
+@example(ZERO, (Fraction(1, 2), -1, 0, 2, Fraction(-3, 4)))
+@example(monomial(-7), (0, 0, 0, 0, 0))
+@example(X * X * Z - 3 * Y + monomial(4), (0, Fraction(-1, 2), 3, 0, 0))
+def test_evaluate_matches_the_term_by_term_reference(p, pt):
+    got = p.evaluate(pt)
+    assert type(got) is Fraction
+    assert got == TuplePoly.of(p).evaluate(pt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polys, max_size=3).map(OmegaPoly), mixed_points, mixed)
+@example(OmegaPoly(()), (1, 2, 3, 4, 5), Fraction(1, 3))
+@example(OmegaPoly((monomial(5),)), (0, 0, 0, 0, 0), 0)
+@example(OmegaPoly((ZERO, ZERO, X)), (Fraction(-2, 3), 0, 0, 0, 0), Fraction(-5, 2))
+def test_omega_evaluate_matches_the_term_by_term_reference(e, pt, omega):
+    got = e.evaluate(pt, omega)
+    assert type(got) is Fraction
+    assert got == TupleOmega.of(e).evaluate(pt, omega)
 
 
 def _packed_and_tuple(live):

@@ -15,6 +15,7 @@ from asmdpp.sixvertex import (
     asm_to_sixvertex,
     check_refined_specialization,
     enumerate_configs,
+    homogeneous_point,
     ik_determinant_rat,
     partition_function_explicit,
     sample_ik_point,
@@ -24,7 +25,8 @@ from asmdpp.sixvertex import (
     weight_b,
     weight_c,
 )
-from helpers import ASMEX, asm_list
+from asmdpp.verify import _ik_points
+from helpers import ASMEX, asm_list, per_config_partition_function
 
 
 def test_single_vertex_is_c1():
@@ -128,6 +130,34 @@ def test_ik_oracle_equivalence_random_points():
         for _ in range(5):
             pt = sample_ik_point(n, rng)
             assert ik_determinant_rat(pt) == partition_function_explicit(n, pt)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partition_function_matches_the_per_configuration_sum(n):
+    rng = Random(27 + n)
+    points = [sample_ik_point(n, rng) for _ in range(2 if n == 5 else 6)]
+    # every c weight is 0 at q = 1, and every a weight at q = 1/4, rho0 = 2
+    homogeneous = ((2, Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 2)), (1, 2), (Fraction(1, 4), 2))
+    points += [homogeneous_point(n, q, rho0) for q, rho0 in homogeneous]
+    for pt in points:
+        got = partition_function_explicit(n, pt)
+        assert type(got) is Fraction
+        assert got == per_config_partition_function(n, pt), pt
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ik_identity_fails_when_one_spectral_parameter_moves(n):
+    # negative control of verify's det_equals_sum, at its seed-0 points:
+    # doubling one t_j on the explicit side only must break the identity
+    for k, pt in enumerate(_ik_points(n, 0)):
+        det = ik_determinant_rat(pt)
+        assert det != 0
+        assert det == partition_function_explicit(n, pt)
+        j = k % n
+        moved = IkPoint(pt.q, pt.s, pt.t[:j] + (2 * pt.t[j],) + pt.t[j + 1 :])
+        explicit = partition_function_explicit(n, moved)
+        assert explicit != 0
+        assert explicit != det, (pt, j)
 
 
 # sha256 of 20 successive sample_ik_point(n, Random(0)) draws, one line
