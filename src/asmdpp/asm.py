@@ -271,6 +271,7 @@ def z_asm_brute(n: int) -> MultiPoly:
     check_order(n, ASM_SUM_MAX_N, "ASM step-table sum")
     return MultiPoly._step_sum(
         (0,) * n,
+        lambda col: [nxt for _, nxt, _ in _row_steps(col)],
         lambda col: [(weight, nxt) for _, nxt, weight in _row_steps(col)],
         all,
     )

@@ -6,11 +6,11 @@ Subcommands:
              an ASM's or a six-vertex configuration's JSON line is its
              grid of rows, joined from the cached compact json.dumps text
              of each distinct row; a path family's is compact json.dumps
-             of nilp_to_json; a DPP's line, in either format, is made per
-             block of the walk (dpp.dpp_blocks), which runs the rules once
-             per distinct row and row pair: the text of the rows the
-             block's arrays share, then the cached text of one last row,
-             with no Dpp object built
+             of nilp_to_json; a DPP's line, in either format, is the
+             text of its top row and then a completion below it, built
+             by the walk (dpp.dpp_walk) from cached row text once per
+             state of each group of rows, with the rules run once per
+             distinct row and row pair and no Dpp object built
   genfunc    print a generating function: a determinant (det, det-w)
              or a sum over one family's step tables (brute-asm,
              brute-dpp)
@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .asm import asm_row_word, enumerate_asms, z_asm_brute
-from .dpp import dpp_blocks, z_dpp_brute
+from .dpp import dpp_walk, z_dpp_brute
 from .errors import AsmDppError
 from .limits import ASM_SUM_MAX_N, DPP_SUM_MAX_N, MAX_N_ENV_VAR, check_order
 from .matrices import FAMILY_NAMES, build, genfunc_det, matrix_to_json
@@ -108,24 +108,22 @@ def _row_text(row: tuple[int, ...]) -> str:
     return " ".join(map(str, row))
 
 
-# format -> a DPP stream's line for the empty array, the text of one row,
-# the text between two rows, and the texts that open and close a line
+# format -> a DPP stream's line for the empty array, the text of a row
+# with rows below it, of a last row, and the text that opens a line
 _DPP_FORMS = {
-    "json": ("[]", _row_json, ",", "[", "]"),
-    "text": ("empty", _row_text, " / ", "", ""),
+    "json": ("[]", lambda row: _row_json(row) + ",", lambda row: _row_json(row) + "]", "["),
+    "text": ("empty", lambda row: _row_text(row) + " / ", _row_text, ""),
 }
 
 
 def _dpp_lines(n: int, fmt: str) -> Iterator[str]:
-    """The lines of every element of DPP(n), made per block of the walk:
-    a block's head, from the cached text of the rows its arrays share,
-    then for each of its arrays the cached text of the last row."""
-    empty, row_text, sep, open_, close = _DPP_FORMS[fmt]
+    """The lines of every element of DPP(n), from the units of the walk:
+    the text of a unit's top row, then each of the completions below it,
+    built from cached row text once per state of the walk."""
+    empty, head, last, open_ = _DPP_FORMS[fmt]
     yield empty
-    for prefix, fillings in dpp_blocks(n):
-        head = (open_ + sep.join(map(row_text, prefix)) + sep) if prefix else open_
-        for row in fillings:
-            yield head + row_text(row) + close
+    for prefix, done in dpp_walk(n, head, last, open_):
+        yield from map(prefix.__add__, done)
 
 
 def _object_lines(enumerator, json_line, text_line):

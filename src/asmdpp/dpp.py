@@ -16,41 +16,51 @@ when it is <= k; nu counts nonspecial parts, mu special parts, rho the
 parts equal to n.
 
 Every statistic is a sum of per-row terms, since a part's offset within
-its row decides whether it is special.  ``dpp_blocks`` walks the rows
-and hands out blocks (prefix, fillings), the arrays that share every row
-but the last; ``enumerate_dpps`` expands them into validated ``Dpp``
-objects, one per array, and the command-line stream writes each array's
-line from its block without building one.  ``z_dpp_brute_wq`` sums over
-the same rows instead, through the shared ``MultiPoly._step_sum``: the
-rows that may follow a row depend only on that row less its first part,
-its tail, so the part of the generating function below it is summed
-once per tail, and no array is visited.
+its row decides whether it is special.  ``dpp_walk`` walks the rows one
+group at a time, a group being one choice of first parts and row
+lengths.  Within a group the rows that may follow a row depend only on
+its parts at offsets 2..length of the next row, so a state, (row index,
+those parts), has one tuple of rows that may fill it and one tuple of
+completions, the forms of the arrays' rows from there down, each built
+once as row + completion below it and reused on every later visit; the
+memo is dropped when the group ends.  Order 7 has 14,393 states in its
+211 groups of two or more rows, and at most 9,792 completions held in
+one group.  ``enumerate_dpps`` has the walk build rows as tuples and
+makes validated ``Dpp`` objects of them, one per array; the command-line
+stream has it build the text of a line from the cached text of each
+row, and builds no ``Dpp``.  ``z_dpp_brute_wq`` sums over the same rows
+instead, through the shared ``MultiPoly._step_sum``: the rows that may
+follow a row depend only on that row less its first part, its tail, so
+the part of the generating function below it is summed once per tail,
+and no array is visited.
 
 The walk fills each row from a cache keyed on the first part, the
 length, the least part at offset 1 and the parts of the row above that
-cap the new row: 2,091 keys at order 7 (10,094 at order 8) for about
-242,000 rows placed.  Every cached row is one shared tuple object, 1,078
-of them at order 7 (4,081 at order 8), so the arrays of the walk, and
-any cache keyed on rows, hold those objects and no copies.
+cap the new row: 2,091 keys at order 7 (10,094 at order 8), asked for
+14,625 times by the walk, once per state and once per group's top row.
+Every cached row is one shared tuple object, 1,078 of them at order 7
+(4,081 at order 8), so the arrays of the walk, and any cache keyed on
+rows, hold those objects and no copies.
 
 The rules of a DPP look at one row, or one row and the row above it, at
 a time, so they are three functions: a row's head rules, the pair rules,
 and a row's first part against its length.  ``_check_rows``, the full
 loop, runs them in that order on each row.  The walk validates per
 placement, one tuple of cached rows placed under one row above, or on
-top: before it yields a block, it confirms that the rules accepted each
-row placed and each pair (row above, row), and runs them on first sight,
-so the row rules run once per distinct row and the pair rules once per
-distinct pair, in the loop's order, with its first error.  What they
-accepted is recorded by object identity, one bit per pair in a mask per
-row: 1,078 rows and 42,238 pairs after DPP(7) (4,081 rows and 527,136
-pairs at order 8).  The placements confirmed are one mask of rows above
-per tuple of rows placed, 1,149 of them after DPP(7) (5,518 at order 8),
-so once a placement is confirmed the walk pays one lookup and one bit
-test for it, and nothing per array: DPP(7) comes in 127,348 blocks, and
-``asmdpp enumerate --kind dpp --n 7`` takes about 0.76 s on one core of
-a 2-vCPU machine (1.26 s when it built and validated a ``Dpp`` per
-array).
+top: on every visit of a state, a remembered one too, it confirms that
+the rules accepted each row placed and each pair (row above, row), and
+runs them on first sight, so the row rules run once per distinct row
+and the pair rules once per distinct pair, in the loop's order, with its
+first error, and no array is yielded before its placements are
+confirmed.  What they accepted is recorded by object identity, one bit
+per pair in a mask per row: 1,078 rows and 42,238 pairs after DPP(7)
+(4,081 rows and 527,136 pairs at order 8).  The placements confirmed are
+one mask of rows above per tuple of rows placed, 1,149 of them after
+DPP(7) (5,518 at order 8), so once a placement is confirmed the walk
+pays one lookup and one bit test for it, and nothing per array:
+``asmdpp enumerate --kind dpp --n 7`` takes about 0.31 s on one core of
+a 2-vCPU machine (0.55 s measured alongside for a walk that visited each
+row of each array, not each state).
 
 ``Dpp(rows)`` accepts an array at once when the rules accepted each of
 its row objects and each consecutive pair of them before, as for every
@@ -64,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ValidationError
 from .limits import DPP_SUM_MAX_N, check_order
@@ -288,48 +298,76 @@ def _row_weight(row: tuple[int, ...], n: int) -> int:
     return _pack((len(row) - mu, mu, row.count(n), 1, sum(row)))
 
 
-Rows = tuple[tuple[int, ...], ...]
-
-
-def dpp_blocks(n: int) -> Iterator[tuple[Rows, Rows]]:
-    """Every nonempty element of DPP(n), in the enumeration order, in
-    blocks (prefix, fillings): the arrays prefix + (row,) for each row of
-    the nonempty tuple fillings, which share every row but the last.  The
-    rows are filled within the bounds that make the array valid, and
-    ``_place`` confirmed that the rules accepted every placement in a
-    block before the block is yielded."""
-    rows: list[tuple[int, ...]] = []
-
-    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...], above: list | None):
-        i = len(rows)
-        low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
-        above_parts = rows[-1][2 : lengths[i] + 1] if rows else None
-        fillings = _row_fillings(firsts[i], lengths[i], low, above_parts)
-        _place(fillings, above)
-        if i + 1 == len(firsts):
-            if fillings:
-                yield tuple(rows), fillings
-            return
+def _completions(i: int, above: tuple[int, ...], group: tuple, memo: dict) -> tuple:
+    """The completions of a walk of one group whose row i - 1 is above:
+    one per array of the group with that row, each the form's text (or
+    tuple) of rows i and below.  A state, (i, the parts of above at
+    offsets 2..length of row i), has one fillings tuple and one tuple of
+    completions, built on its first visit and held in memo; every visit
+    first confirms, through ``_place``, that the rules accept the
+    fillings under this row above."""
+    firsts, lengths, lows, head, last = group
+    parts = above[2 : lengths[i] + 1]
+    state = memo.get((i, parts))
+    if state is not None:
+        _place(state[0], _ACCEPTED[id(above)])
+        return state[1]
+    fillings = _row_fillings(firsts[i], lengths[i], lows[i], parts)
+    _place(fillings, _ACCEPTED[id(above)])
+    if i + 1 == len(firsts):
+        done = tuple(map(last, fillings))
+    else:
+        out: list = []
         for row in fillings:
-            rows.append(row)
-            yield from fill(firsts, lengths, _ACCEPTED[id(row)])
-            rows.pop()
+            out += map(head(row).__add__, _completions(i + 1, row, group, memo))
+        done = tuple(out)
+    memo[i, parts] = fillings, done
+    return done
 
+
+def dpp_walk(n: int, head: Callable, last: Callable, open_) -> Iterator[tuple]:
+    """Every nonempty element of DPP(n), in the enumeration order, as one
+    unit (prefix, completions) per top row, or per group of one row: the
+    arrays are prefix + c for each c of the nonempty tuple completions.
+    head(row) is the form of a row with rows below it and last(row) of a
+    last row, so that open_ + head(row) + last(below) is an array's form
+    (a tuple of rows, or the text of a line).
+
+    A group is one choice of first parts and row lengths, and the rows it
+    allows below a row depend only on the parts of that row at offsets
+    2..length of the next row, so the walk builds each state's
+    completions once per group (``_completions``) and drops them when the
+    group ends.  Each placement, a state's fillings under one row above,
+    is confirmed before any array holding it is yielded."""
     for t in range(1, n):
         # combinations of a descending range come in descending order
         for firsts in reversed(list(combinations(range(n, 1, -1), t))):
             below = firsts[1:] + (1,)
+            lows = tuple(f + 1 for f in firsts[1:]) + (1,)
             for lengths in product(*map(range, below, firsts)):
-                yield from fill(firsts, lengths, None)
+                top = _row_fillings(firsts[0], lengths[0], lows[0], None)
+                _place(top, None)
+                if t == 1:
+                    if top:
+                        yield open_, tuple(map(last, top))
+                    continue
+                group, memo = (firsts, lengths, lows, head, last), {}
+                for row in top:
+                    done = _completions(1, row, group, memo)
+                    if done:
+                        yield open_ + head(row), done
+
+
+def _one(row: tuple[int, ...]) -> tuple[tuple[int, ...]]:
+    return (row,)
 
 
 def _walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The rows of every element of DPP(n), in the enumeration order: the
-    empty array, then the arrays of ``dpp_blocks``."""
+    empty array, then the arrays of ``dpp_walk``."""
     yield ()
-    for prefix, fillings in dpp_blocks(n):
-        for row in fillings:
-            yield prefix + (row,)
+    for prefix, done in dpp_walk(n, _one, _one, ()):
+        yield from map(prefix.__add__, done)
 
 
 def enumerate_dpps(n: int) -> Iterator[Dpp]:
@@ -349,13 +387,13 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
         yield Dpp(rows)
 
 
-def _next_rows(tail: tuple[int, ...] | None, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The steps of ``z_dpp_brute_wq``: (weight, tail) of every row that
-    may follow a row with parts past the first tail in an element of
-    DPP(n), or start one when tail is None.  Its first part sits under
-    tail[0], so it is below that part and at most the length of the row
-    above, and the row is shorter than both its first part and the row
-    above, whose first part decides none of this."""
+def _next_rows(tail: tuple[int, ...] | None, n: int) -> Iterator[tuple[int, ...]]:
+    """The steps of ``z_dpp_brute_wq``: every row that may follow a row
+    with parts past the first tail in an element of DPP(n), or start one
+    when tail is None; the row's tail is the next state.  Its first part
+    sits under tail[0], so it is below that part and at most the length
+    of the row above, and the row is shorter than both its first part and
+    the row above, whose first part decides none of this."""
     if tail is None:
         top, longest = n, n
     elif tail:
@@ -364,8 +402,7 @@ def _next_rows(tail: tuple[int, ...] | None, n: int) -> Iterator[tuple[int, tupl
         return
     for first in range(2, top + 1):
         for length in range(1, min(first - 1, longest) + 1):
-            for row in _row_fillings(first, length, 1, None if tail is None else tail[1:length]):
-                yield _row_weight(row, n), row[1:]
+            yield from _row_fillings(first, length, 1, None if tail is None else tail[1:length])
 
 
 @cache
@@ -384,7 +421,8 @@ def z_dpp_brute_wq(n: int) -> MultiPoly:
     check_order(n, DPP_SUM_MAX_N, "DPP step-table sum")
     z = MultiPoly._step_sum(
         None,
-        lambda tail: _next_rows(tail, n),
+        lambda tail: [row[1:] for row in _next_rows(tail, n)],
+        lambda tail: [(_row_weight(row, n), row[1:]) for row in _next_rows(tail, n)],
         lambda tail: True,
     )
     return z * monomial(1, w=1)

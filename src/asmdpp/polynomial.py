@@ -247,17 +247,19 @@ class MultiPoly:
         return cls._raw(terms)
 
     @classmethod
-    def _step_sum(cls, start, steps: Callable, final: Callable) -> "MultiPoly":
+    def _step_sum(cls, start, nexts: Callable, steps: Callable, final: Callable) -> "MultiPoly":
         """Sum, over every walk from ``start``, of the product of the
         packed-key weights of its steps.  ``steps(state)`` gives the
-        ``(weight, next state)`` pairs of a finite acyclic graph; a walk may
-        stop wherever ``final(state)`` holds.  One pass counts each state's
-        readers (the steps into it); each state is then summed once and its
-        sum dropped after its last reader."""
+        ``(weight, next state)`` pairs of a finite acyclic graph, and
+        ``nexts(state)`` the next states alone, in the same number; a walk
+        may stop wherever ``final(state)`` holds.  One pass counts each
+        state's readers (the steps into it) from ``nexts``, with no weight
+        made; each state is then summed once and its sum dropped after its
+        last reader."""
         readers = {start: 0}
         todo = [start]
         while todo:
-            for _, nxt in steps(todo.pop()):
+            for nxt in nexts(todo.pop()):
                 if nxt not in readers:
                     readers[nxt] = 0
                     todo.append(nxt)

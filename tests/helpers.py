@@ -1,15 +1,18 @@
 """Shared cached enumerations so the suite never rebuilds a family twice,
 the reference polynomial kernel, brute-force counters, ASM and DPP
-enumerators and matrix builders of the differential tests, the reference
-rational determinant and partition function, and a rational matrix
-product."""
+enumerators (the DPP block walk and its stream lines among them) and
+matrix builders of the differential tests, the reference rational
+determinant and partition function, and a rational matrix product."""
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
+from asmdpp import dpp
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
+from asmdpp.cli import _row_json, _row_text
 from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
 from asmdpp.errors import ValidationError
 from asmdpp.linalg import PolyMatrix
@@ -347,6 +350,60 @@ def walk_and_sort_dpps(n: int) -> Iterator[Dpp]:
         )
     )
     yield from found
+
+
+# --- Reference DPP block walk -----------------------------------------------
+# The block walk that the state walk of dpp.dpp_walk replaced, kept
+# (renamed to block_walk_dpps) with the line join of the command-line
+# stream it fed, as the oracle of their differential test.  It fills and
+# places rows through the module's own cache and records.
+
+
+def block_walk_dpps(n: int) -> Iterator[tuple[tuple, tuple]]:
+    rows: list[tuple[int, ...]] = []
+
+    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...], above: list | None):
+        i = len(rows)
+        low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
+        above_parts = rows[-1][2 : lengths[i] + 1] if rows else None
+        fillings = dpp._row_fillings(firsts[i], lengths[i], low, above_parts)
+        dpp._place(fillings, above)
+        if i + 1 == len(firsts):
+            if fillings:
+                yield tuple(rows), fillings
+            return
+        for row in fillings:
+            rows.append(row)
+            yield from fill(firsts, lengths, dpp._ACCEPTED[id(row)])
+            rows.pop()
+
+    for t in range(1, n):
+        for firsts in reversed(list(combinations(range(n, 1, -1), t))):
+            below = firsts[1:] + (1,)
+            for lengths in product(*map(range, below, firsts)):
+                yield from fill(firsts, lengths, None)
+
+
+def block_walk_rows(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    yield ()
+    for prefix, fillings in block_walk_dpps(n):
+        for row in fillings:
+            yield prefix + (row,)
+
+
+_BLOCK_FORMS = {
+    "json": ("[]", _row_json, ",", "[", "]"),
+    "text": ("empty", _row_text, " / ", "", ""),
+}
+
+
+def block_walk_lines(n: int, fmt: str) -> Iterator[str]:
+    empty, row_text, sep, open_, close = _BLOCK_FORMS[fmt]
+    yield empty
+    for prefix, fillings in block_walk_dpps(n):
+        head = (open_ + sep.join(map(row_text, prefix)) + sep) if prefix else open_
+        for row in fillings:
+            yield head + row_text(row) + close
 
 
 # --- Reference brute-force counters -----------------------------------------

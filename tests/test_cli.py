@@ -168,31 +168,32 @@ ENUMERATED_CLASS = {
 }
 
 
-def _count_dpp_draws(monkeypatch, drawn, blocks):
-    """Record each line the DPP line source makes in drawn, and each block
-    it draws from the walk in blocks."""
-    source, walk = asmdpp.cli._KIND_LINES["dpp"], asmdpp.cli.dpp_blocks
+def _count_dpp_draws(monkeypatch, drawn, units):
+    """Record each line the DPP line source makes in drawn, and each unit
+    (a top row's prefix and the completions below it) it draws from the
+    walk in units."""
+    source, walk = asmdpp.cli._KIND_LINES["dpp"], asmdpp.cli.dpp_walk
 
     def counted_source(n, fmt):
         for line in source(n, fmt):
             drawn.append(line)
             yield line
 
-    def counted_walk(n):
-        for block in walk(n):
-            blocks.append(block)
-            yield block
+    def counted_walk(*args):
+        for unit in walk(*args):
+            units.append(unit)
+            yield unit
 
     monkeypatch.setitem(asmdpp.cli._KIND_LINES, "dpp", counted_source)
-    monkeypatch.setattr(asmdpp.cli, "dpp_blocks", counted_walk)
+    monkeypatch.setattr(asmdpp.cli, "dpp_walk", counted_walk)
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))
 @pytest.mark.parametrize("kind", sorted(ENUMERATED_CLASS))
 def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, fmt):
-    drawn, blocks = [], []
+    drawn, units = [], []
     if kind == "dpp":
-        _count_dpp_draws(monkeypatch, drawn, blocks)
+        _count_dpp_draws(monkeypatch, drawn, units)
     else:
         module, name = ENUMERATED_CLASS[kind]
 
@@ -202,9 +203,9 @@ def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, 
                 super().__post_init__()
 
         monkeypatch.setattr(module, name, Counted)
-    for limit in (0, 1, 3):
+    for limit in (0, 1, 3, 100):
         drawn.clear()
-        blocks.clear()
+        units.clear()
         code, out, _ = run_cli(
             capsys, "enumerate", "--kind", kind, "--n", "5", "--format", fmt, "--limit", str(limit)
         )
@@ -212,10 +213,10 @@ def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, 
         assert len(out.splitlines()) == limit
         assert len(drawn) == limit, limit
         if kind == "dpp":
-            # the walk is drawn up to the block that holds the limit-th
-            # array and no further; the empty array comes first, from no block
-            sizes = [len(fillings) for _, fillings in blocks]
-            assert 1 + sum(sizes[:-1]) < limit <= 1 + sum(sizes) if blocks else limit <= 1, limit
+            # the walk is drawn up to the unit that holds the limit-th
+            # array and no further; the empty array comes first, from no unit
+            sizes = [len(completions) for _, completions in units]
+            assert 1 + sum(sizes[:-1]) < limit <= 1 + sum(sizes) if units else limit <= 1, limit
 
 
 def test_enumerate_bad_kind_is_usage_error(capsys):

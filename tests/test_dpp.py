@@ -21,7 +21,15 @@ from asmdpp.errors import ResourceLimitError, ValidationError
 from asmdpp.limits import DPP_SUM_MAX_N
 from asmdpp.matrices import genfunc_det
 from asmdpp.polynomial import poly_str
-from helpers import Z7_SHA256, _row_fillings, dpp_list, per_object_z_dpp_wq, walk_and_sort_dpps
+from helpers import (
+    Z7_SHA256,
+    _row_fillings,
+    block_walk_lines,
+    block_walk_rows,
+    dpp_list,
+    per_object_z_dpp_wq,
+    walk_and_sort_dpps,
+)
 
 DPPEX = Dpp(((6, 6, 6, 5, 2), (4, 4, 1), (3,)))
 
@@ -244,8 +252,8 @@ def test_row_fillings_cache_stays_small(monkeypatch):
 def _slip_in(monkeypatch, spoil, after):
     """Make ``_row_fillings`` hand the walk one bad row: from its first
     call past the after-th with a row above, the first row that spoil
-    spoils is replaced by spoil(row, above), there and on every later call
-    with the same arguments.  Returns {arguments: spoiled rows}."""
+    spoils is replaced by spoil(row, above, low), there and on every later
+    call with the same arguments.  Returns {arguments: spoiled rows}."""
     real = dpp._row_fillings
     calls = []
     spoiled = {}
@@ -256,7 +264,7 @@ def _slip_in(monkeypatch, spoil, after):
         calls.append(key)
         if not spoiled and len(calls) > after and above is not None:
             for i, row in enumerate(rows):
-                bad = spoil(row, above)
+                bad = spoil(row, above, low)
                 if bad is not None:
                     spoiled[key] = rows[:i] + (bad,) + rows[i + 1 :]
                     break
@@ -266,7 +274,7 @@ def _slip_in(monkeypatch, spoil, after):
     return spoiled
 
 
-def _raise_a_part(row, above):
+def _raise_a_part(row, above, low):
     # the part at offset k >= 1 sits under above[k - 1]; raise it to that
     # part where the part before it still allows
     for k in range(1, len(row)):
@@ -275,12 +283,24 @@ def _raise_a_part(row, above):
     return None
 
 
+def _lower_a_part(row, above, low):
+    # the part at offset 1 sits over the first part of the next row,
+    # low - 1; lower it to that part.  The row (first, low, rest) shares
+    # the parts the next row's state is keyed on and comes first, so the
+    # walk meets the lowered row at a state it built under that row: only
+    # the rules run on this new placement find the fault
+    if low > 1 and len(row) > 1 and row[1] > low and (len(row) < 3 or row[2] < low):
+        return (row[0], low - 1) + row[2:]
+    return None
+
+
 SPOILERS = {
     "raised part": (_raise_a_part, "parts must decrease strictly down columns"),
     # equal to the row it replaces, but another object
-    "float part": (lambda row, above: row[:-1] + (float(row[-1]),), "parts must be positive integers"),
+    "float part": (lambda row, above, low: row[:-1] + (float(row[-1]),), "parts must be positive integers"),
     # longer than any row of DPP(6)
-    "long row": (lambda row, above: row + (1,) * 6, "row extends past the row above"),
+    "long row": (lambda row, above, low: row + (1,) * 6, "row extends past the row above"),
+    "lowered part": (_lower_a_part, "parts must decrease strictly down columns"),
 }
 
 
@@ -290,7 +310,7 @@ def test_the_stream_runs_the_rules_on_each_new_placement(monkeypatch, capsys, sp
     good = capsys.readouterr().out.splitlines()
     spoil, message = SPOILERS[spoiler]
     _clear_records(monkeypatch)
-    spoiled = _slip_in(monkeypatch, spoil, after=3000)
+    spoiled = _slip_in(monkeypatch, spoil, after=500)
     code, out, err = main(["enumerate", "--kind", "dpp", "--n", "6"]), *capsys.readouterr()
     assert spoiled and (code, err) == (2, f"error: {message}\n")
     # whole blocks were written before the bad row came up, and every line
@@ -298,14 +318,49 @@ def test_the_stream_runs_the_rules_on_each_new_placement(monkeypatch, capsys, sp
     # where it was slipped in
     lines = out.splitlines()
     assert len(lines) >= ENUMERATE_BLOCK and lines == good[: len(lines)]
-    # the same from the line source, which stops at the bad block
+    # the same from the line source, which stops at the unit of the walk
+    # that holds the bad row
     monkeypatch.undo()
     _clear_records(monkeypatch)
-    spoiled = _slip_in(monkeypatch, spoil, after=3000)
+    spoiled = _slip_in(monkeypatch, spoil, after=500)
     made = []
     with pytest.raises(ValidationError, match=f"^{message}$"):
         made.extend(_KIND_LINES["dpp"](6, "json"))
     assert spoiled and len(lines) <= len(made) < len(good) and made == good[: len(made)]
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_stream_lines_match_the_block_walk(fmt):
+    for n in range(1, 8):
+        assert list(_KIND_LINES["dpp"](n, fmt)) == list(block_walk_lines(n, fmt)), n
+    first = 50_000
+    assert list(islice(_KIND_LINES["dpp"](8, fmt), first)) == list(islice(block_walk_lines(8, fmt), first))
+
+
+def test_walked_arrays_match_the_block_walk():
+    # the same rows, and the same shared row objects
+    for n in range(1, 7):
+        walked, reference = list(dpp._walk(n)), list(block_walk_rows(n))
+        assert [d.rows for d in enumerate_dpps(n)] == walked == reference, n
+        assert [tuple(map(id, rows)) for rows in walked] == [tuple(map(id, rows)) for rows in reference]
+    first = 50_000
+    assert [d.rows for d in islice(enumerate_dpps(8), first)] == list(islice(block_walk_rows(8), first))
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_streaming_dpp7_stays_small(monkeypatch, fmt):
+    # the completions of one group of rows at a time, at most 9,792 of
+    # them at order 7, and the records of the rules; about 2.1 MB traced
+    # from empty records
+    _clear_records(monkeypatch)
+    tracemalloc.start()
+    try:
+        lines = sum(1 for _ in _KIND_LINES["dpp"](7, fmt))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines == 218348
+    assert peak < 3 * 2**20, peak
 
 
 def test_enumeration_streams(monkeypatch):
@@ -386,6 +441,29 @@ def test_z_brute_pays_per_row_state_not_per_array(monkeypatch):
     assert len(expanded) == 793
     assert None in expanded
     assert set(expanded.values()) == {2}
+
+
+def test_z_brute_weighs_each_step_once(monkeypatch):
+    # the pass that counts readers takes the next states alone, so a
+    # row's weight is asked for once per step, when the step is summed
+    expected = z_dpp_brute_wq(7)
+    rows, weights = Counter(), Counter()
+    next_rows, row_weight = dpp._next_rows, dpp._row_weight
+
+    def rows_spy(tail, n):
+        for row in next_rows(tail, n):
+            rows[row, tail] += 1
+            yield row
+
+    def weight_spy(row, n):
+        weights[row] += 1
+        return row_weight(row, n)
+
+    monkeypatch.setattr(dpp, "_next_rows", rows_spy)
+    monkeypatch.setattr(dpp, "_row_weight", weight_spy)
+    assert z_dpp_brute_wq.__wrapped__(7) == expected
+    assert set(rows.values()) == {2}
+    assert weights == Counter(row for row, _ in rows)
 
 
 def test_z_brute_limit():
