@@ -26,13 +26,13 @@ once as row + completion below it and reused on every later visit; the
 memo is dropped when the group ends.  Order 7 has 14,393 states in its
 211 groups of two or more rows, and at most 9,792 completions held in
 one group.  ``enumerate_dpps`` has the walk build rows as tuples and
-makes validated ``Dpp`` objects of them, one per array; the command-line
-stream has it build the text of a line from the cached text of each
-row, and builds no ``Dpp``.  ``z_dpp_brute_wq`` sums over the same rows
-instead, through the shared ``MultiPoly._step_sum``: the rows that may
-follow a row depend only on that row less its first part, its tail, so
-the part of the generating function below it is summed once per tail,
-and no array is visited.
+makes one ``Dpp`` object of each array; the command-line stream has it
+build the text of a line from the cached text of each row, and builds
+no ``Dpp``.  ``z_dpp_brute_wq`` sums over the same rows instead,
+through the shared ``MultiPoly._step_sum``: the rows that may follow a
+row depend only on that row less its first part, its tail, so the part
+of the generating function below it is summed once per tail, and no
+array is visited.
 
 The walk fills each row from a cache keyed on the first part, the
 length, the least part at offset 1 and the parts of the row above that
@@ -57,16 +57,12 @@ per pair in a mask per row: 1,078 rows and 42,238 pairs after DPP(7)
 (4,081 rows and 527,136 pairs at order 8).  The placements confirmed are
 one mask of rows above per tuple of rows placed, 1,149 of them after
 DPP(7) (5,518 at order 8), so once a placement is confirmed the walk
-pays one lookup and one bit test for it, and nothing per array:
-``asmdpp enumerate --kind dpp --n 7`` takes about 0.31 s on one core of
-a 2-vCPU machine (0.55 s measured alongside for a walk that visited each
-row of each array, not each state).
+pays one lookup and one bit test for it, and nothing per array.
 
-``Dpp(rows)`` accepts an array at once when the rules accepted each of
-its row objects and each consecutive pair of them before, as for every
-array of the walk, and runs the full loop otherwise.  The loop records
-what it accepts, but only rows that are shared tuples of the walk: a
-value-equal row such as (3, 1.0) is another object and takes the loop.
+These records belong to the walk.  ``Dpp(rows)`` runs the full loop on
+every array a caller passes in, and neither reads nor writes them; only
+``enumerate_dpps`` makes its objects without the loop, since the walk
+confirmed every row and row pair of an array before yielding it.
 """
 
 from __future__ import annotations
@@ -92,9 +88,16 @@ class Dpp:
         for row in rows:
             if type(row) is not tuple:
                 raise ValidationError(f"each row must be a tuple, not {type(row).__name__}")
-        if not _accepted_before(rows):
-            _check_rows(rows)
-            _remember(rows)
+        _check_rows(rows)
+
+    @classmethod
+    def _confirmed(cls, rows: tuple[tuple[int, ...], ...]) -> "Dpp":
+        # internal constructor for the arrays of _walk: _place confirmed
+        # that the rules accept every row and row pair of rows before the
+        # walk yielded it, so the rule loop would only repeat that
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     @property
     def row_count(self) -> int:
@@ -193,36 +196,6 @@ def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
             _check_pair(prev, row)
         _check_first_part(row)
         prev = row
-
-
-def _accepted_before(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the rules accepted each of these row objects, and each
-    consecutive pair of them, before.  The rules look at one row or one
-    pair at a time, so then they accept the array too.  Identity, not
-    equality, decides: (3, 1.0) equals (3, 1) but breaks a rule."""
-    below = -1  # a first row has no row above it to pass
-    for row in rows:
-        seen = _ACCEPTED.get(id(row))
-        if seen is None or not below >> seen[1] & 1:
-            return False
-        below = seen[2]
-    return True
-
-
-def _remember(rows: tuple[tuple[int, ...], ...]) -> None:
-    """Record the rows and consecutive pairs of an accepted array that are
-    shared rows of ``_row_fillings``; a caller's own tuples are not kept."""
-    above = None
-    for row in rows:
-        if _SHARED_ROWS.get(row) is not row:
-            above = None
-            continue
-        seen = _ACCEPTED.get(id(row))
-        if seen is None:
-            seen = _ACCEPTED[id(row)] = [row, len(_ACCEPTED), 0]
-        if above is not None:
-            above[2] |= 1 << seen[1]
-        above = seen
 
 
 def _accept(above: list | None, row: tuple[int, ...]) -> None:
@@ -383,8 +356,7 @@ def enumerate_dpps(n: int) -> Iterator[Dpp]:
     offset 1 must exceed the next row's first part, which sits under it.
     """
     check_order(n)
-    for rows in _walk(n):
-        yield Dpp(rows)
+    yield from map(Dpp._confirmed, _walk(n))
 
 
 def _next_rows(tail: tuple[int, ...] | None, n: int) -> Iterator[tuple[int, ...]]:

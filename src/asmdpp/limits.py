@@ -11,7 +11,11 @@ BRUTE_FORCE_LIMIT caps every exhaustive pass over a family: the direct
 path-family sum, the explicit six-vertex sum and the ASM counts behind
 the parity checks (both families have 218348 elements at order 7, which
 is the largest size that enumerates in reasonable time in pure Python).
-``enumerate`` streams past it, one object at a time.
+``enumerate`` streams past it.  The ASM, six-vertex and path streams
+hold one object at a time, but the DPP stream holds the completions of
+one group of first parts and row lengths (``dpp.dpp_walk``): at most
+9,792 at order 7, 272,636 at order 8 and 13,111,992 at order 9, so its
+memory grows with the order.
 
 ASM_SUM_MAX_N and DPP_SUM_MAX_N cap the brute-force generating functions
 (``genfunc --method brute-asm|brute-dpp``, and ``table``, which runs

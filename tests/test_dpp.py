@@ -123,7 +123,8 @@ def test_warm_cache_gives_the_full_loops_errors(monkeypatch):
     warm = {kind: [_error(rows) for rows in arrays] for kind, arrays in cases.items()}
     # a value-equal copy of an accepted array is accepted, by the full loop
     assert all(_error(tuple(map(tuple, rows))) is None for rows in walk)
-    # with no shared rows nothing is recorded, so every array takes the full loop
+    # Dpp runs the full loop and neither reads nor writes the records of the
+    # walk: emptied, they stay empty, and every array gives the same error
     monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
     monkeypatch.setattr(dpp, "_ACCEPTED", {})
     cold = {kind: [_error(rows) for rows in arrays] for kind, arrays in cases.items()}
@@ -143,6 +144,13 @@ def _clear_records(monkeypatch):
     rows, pairs and placements the rules have accepted."""
     for name in ("_FILLINGS", "_SHARED_ROWS", "_ACCEPTED", "_PLACED"):
         monkeypatch.setattr(dpp, name, {})
+
+
+def _records():
+    """The records of the walk, as values: each accepted row's serial and
+    mask of rows below it, and each placement's mask of rows above."""
+    accepted = {key: (serial, below) for key, (_, serial, below) in dpp._ACCEPTED.items()}
+    return accepted, {key: mask for key, (_, mask) in dpp._PLACED.items()}
 
 
 RULES = ("_check_row_head", "_check_pair", "_check_first_part", "_check_rows")
@@ -173,11 +181,18 @@ def test_validation_cache_pays_per_distinct_row_and_pair(monkeypatch, capsys):
     assert calls == {"_check_row_head": 286, "_check_first_part": 286, "_check_pair": 3431}
     # only the shared rows of the walk are held
     assert all(dpp._SHARED_ROWS.get(row) is row for row, _, _ in dpp._ACCEPTED.values())
-    # after the stream, neither the walk nor Dpp on every array it yields
-    # runs a rule
+    # after the stream, enumerate_dpps runs no rule: its objects are the
+    # arrays the walk confirmed
     calls.clear()
-    arrays = [Dpp(rows) for rows in dpp._walk(6)]
-    assert len(arrays) == 7436 and not calls
+    walked = [d.rows for d in enumerate_dpps(6)]
+    assert len(walked) == 7436 and not calls
+    # Dpp runs the full loop once on each array a caller passes in, and
+    # leaves the records of the walk as they were
+    records = _records()
+    for rows in walked:
+        Dpp(rows)
+    assert calls["_check_rows"] == 7436
+    assert _records() == records
 
 
 def test_every_yielded_array_passes_the_full_loop():
@@ -308,6 +323,7 @@ SPOILERS = {
 def test_the_stream_runs_the_rules_on_each_new_placement(monkeypatch, capsys, spoiler):
     assert main(["enumerate", "--kind", "dpp", "--n", "6"]) == 0
     good = capsys.readouterr().out.splitlines()
+    valid = [repr(d.rows) for d in enumerate_dpps(6)]
     spoil, message = SPOILERS[spoiler]
     _clear_records(monkeypatch)
     spoiled = _slip_in(monkeypatch, spoil, after=500)
@@ -327,6 +343,17 @@ def test_the_stream_runs_the_rules_on_each_new_placement(monkeypatch, capsys, sp
     with pytest.raises(ValidationError, match=f"^{message}$"):
         made.extend(_KIND_LINES["dpp"](6, "json"))
     assert spoiled and len(lines) <= len(made) < len(good) and made == good[: len(made)]
+    # the same from enumerate_dpps, which runs no rule of its own: every
+    # object it yields is one of the valid family, in its place, by repr,
+    # so that a float part equal to an int one shows
+    monkeypatch.undo()
+    _clear_records(monkeypatch)
+    spoiled = _slip_in(monkeypatch, spoil, after=500)
+    objects = []
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        objects.extend(enumerate_dpps(6))
+    assert spoiled and len(objects) == len(made)
+    assert [repr(d.rows) for d in objects] == valid[: len(objects)]
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))
