@@ -5,7 +5,9 @@ Subcommands:
   enumerate  stream one family in canonical order (json or text lines);
              an ASM's or a six-vertex configuration's JSON line is its
              grid of rows, joined from the cached compact json.dumps text
-             of each distinct row; a path family's is compact json.dumps
+             of each distinct row, of an object from the matrix walk,
+             whose rules ran once per distinct step (vector, row); a
+             path family's is compact json.dumps
              of nilp_to_json; a DPP's line, in either format, is the
              text of its top row and then a completion below it, built
              by the walk (dpp.dpp_walk) from cached row text once per
@@ -128,8 +130,8 @@ def _dpp_lines(n: int, fmt: str) -> Iterator[str]:
 
 def _object_lines(enumerator, json_line, text_line):
     """The line source of a kind whose enumerator yields one object per
-    line; both lines are made straight from the enumerated (already
-    validated) objects."""
+    line; both lines are made straight from the enumerated objects, which
+    the enumerator has already confirmed."""
     return lambda n, fmt: map(json_line if fmt == "json" else text_line, enumerator(n))
 
 

@@ -13,7 +13,6 @@ from math import factorial
 
 from .asm import (
     Asm,
-    asm_stats,
     count_asm_no_isolated_by_mu,
     count_rotation_invariant,
     z_asm_brute,
@@ -111,7 +110,7 @@ def m0_asm_to_dpp(a: Asm) -> Dpp:
     takes chi_i copies of the part n+1-i, placed greedily left to right,
     breaking to a new row as soon as the row length would exceed the part
     being placed."""
-    if asm_stats(a).mu != 0:
+    if any(-1 in row for row in a.rows):
         raise ValidationError("input must have no -1 entries")
     n = a.n
     pi = [row.index(1) for row in a.rows]

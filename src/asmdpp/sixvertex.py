@@ -16,6 +16,14 @@ Domain-wall boundaries fix the outer labels: 0 on the left and top, 1 on
 the right and bottom (horizontal boundary arrows incoming, vertical
 outgoing).  c1 corresponds to entry 1, c2 to entry -1 and the rest to 0.
 
+A row of types follows from one step of the matrix walk: the vector of
+column partial sums above the row gives its top labels, the row's
+partial sums its left labels, and the next vector its bottom labels.
+``enumerate_configs`` runs the matrix walk over type rows made and
+edge-checked once per distinct step (``_type_steps``), and hands out the
+grids without ``SixVertexConfig``'s edge loop, which every grid a
+caller builds still runs.
+
 Spectral weights at a point (q; s_1..s_n; t_1..t_n) use u_i = s_i^2 and
 v_j = t_j^2, which removes the square root from the c-weight:
 
@@ -26,7 +34,9 @@ v_j = t_j^2, which removes the square root from the c-weight:
 so every computation stays in exact rational arithmetic.  The explicit
 partition function writes each cell's three weights as int numerators
 over one denominator, once per point, and sums int products over the
-configurations: one ``Fraction`` reduction per point.
+configurations: one ``Fraction`` reduction per point.  The determinant
+form builds its prefactor and its matrix as ints the same way, and is
+reduced once per point too.
 """
 
 from __future__ import annotations
@@ -34,13 +44,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from math import lcm, prod
 from random import Random
 from typing import Iterator
 
-from .asm import Asm, enumerate_asms, z_asm_brute
+from .asm import Asm, _confirmed_steps, _walk, z_asm_brute
 from .errors import DegenerateParameterError, ValidationError
 from .limits import BRUTE_FORCE_LIMIT, IK_SAMPLE_MAX_N, check_order
 from .linalg import det_rat
@@ -94,6 +104,17 @@ class SixVertexConfig:
                 if i + 1 < n and bottom != EDGE_LABELS[self.types[i + 1][j]][2]:
                     raise ValidationError(f"vertical edge conflict at ({i + 1},{j + 1})")
 
+    @classmethod
+    def _confirmed(cls, types: tuple[tuple[str, ...], ...]) -> "SixVertexConfig":
+        # internal constructor for the grids of enumerate_configs: every
+        # type row was made from a confirmed step of the matrix walk and
+        # edge-checked by _check_type_row against the vectors above and
+        # below it, which covers every edge the loop compares, so the loop
+        # would only repeat that
+        self = object.__new__(cls)
+        object.__setattr__(self, "types", types)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.types)
@@ -123,10 +144,61 @@ def sixvertex_to_asm(c: SixVertexConfig) -> Asm:
     )
 
 
+def _check_type_row(types: tuple[str, ...], above: tuple[int, ...], below: tuple[int, ...], i: int) -> None:
+    """The edge rules of row i of a grid whose vertical edges above and
+    below the row carry the labels above and below: the boundary arrows,
+    each horizontal edge, and the top and bottom labels of every vertex
+    against the vectors.  The messages are those of ``SixVertexConfig``,
+    which names a vertical edge at the vertex above it."""
+    n = len(types)
+    for j, t in enumerate(types):
+        left, right, top, bottom = EDGE_LABELS[t]
+        if j == 0 and left != 0:
+            raise ValidationError(f"left boundary arrow wrong at row {i + 1}")
+        if j == n - 1 and right != 1:
+            raise ValidationError(f"right boundary arrow wrong at row {i + 1}")
+        if i == 0 and top != 0:
+            raise ValidationError(f"top boundary arrow wrong at column {j + 1}")
+        if i == n - 1 and bottom != 1:
+            raise ValidationError(f"bottom boundary arrow wrong at column {j + 1}")
+        if j + 1 < n and right != EDGE_LABELS[types[j + 1]][0]:
+            raise ValidationError(f"horizontal edge conflict at ({i + 1},{j + 1})")
+        if top != above[j]:
+            raise ValidationError(f"vertical edge conflict at ({i},{j + 1})")
+        if bottom != below[j]:
+            raise ValidationError(f"vertical edge conflict at ({i + 1},{j + 1})")
+
+
+@cache
+def _type_steps(col: tuple[int, ...], i: int) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
+    """The steps of ``asm._confirmed_steps(col, i)`` as (type row, next
+    vector) pairs: each vertex's type follows from the label left of it,
+    the label above it, col[j], and its matrix entry, and the type row is
+    edge-checked by ``_check_type_row`` between col and the next vector.
+    Built, and checked, once per distinct step: 1,093 at n = 7."""
+    out = []
+    for row, nxt in _confirmed_steps(col, i):
+        types = []
+        left = 0
+        for top, v in zip(col, row):
+            types.append(_TYPE_FROM_STATE[left, top, v])
+            left += v
+        types = tuple(types)
+        _check_type_row(types, col, nxt, i)
+        out.append((types, nxt))
+    return tuple(out)
+
+
 def enumerate_configs(n: int) -> Iterator[SixVertexConfig]:
-    """All domain-wall configurations, in the matrix enumeration order."""
-    for a in enumerate_asms(n):
-        yield asm_to_sixvertex(a)
+    """All domain-wall configurations, in the matrix enumeration order.
+
+    The matrix walk runs over the type rows of ``_type_steps`` in place of
+    the matrix rows, so each step is converted and edge-checked once, not
+    once per grid, and the grids are made by ``SixVertexConfig._confirmed``
+    without the edge loop.  ``asm_to_sixvertex`` is the same bijection one
+    matrix at a time."""
+    check_order(n)
+    yield from map(SixVertexConfig._confirmed, _walk(n, _type_steps))
 
 
 def vertex_counts(c: SixVertexConfig) -> tuple[Counter[str], Counter[str]]:
@@ -226,10 +298,12 @@ def _degeneracy(q: Fraction, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -
             for j in range(i + 1, len(seq)):
                 if seq[i] == seq[j]:
                     return f"{name}[{i + 1}] and {name}[{j + 1}] have equal squares"
-    q2 = q * q
+    # u_i * v_j against q^2 = qn/qd and q^-2 = qd/qn, crosswise in ints
+    qn, qd = q.numerator**2, q.denominator**2
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
-            if ui * vj in (q2, 1 / q2):
+            num, den = ui.numerator * vj.numerator, ui.denominator * vj.denominator
+            if num * qd == qn * den or num * qn == qd * den:
                 return f"pole at u[{i + 1}]*v[{j + 1}] = q^(+/-2)"
     return None
 
@@ -237,28 +311,49 @@ def _degeneracy(q: Fraction, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -
 def ik_determinant_rat(pt: IkPoint) -> Fraction:
     """Determinant form of the partition function, exactly, at a rational
     point.  Requires the u_i (and the v_j) pairwise distinct and no pole
-    u_i*v_j in {q^2, q^-2}."""
+    u_i*v_j in {q^2, q^-2}.
+
+    In lowest terms q = Q/Qd, u_i = U_i/Ud_i and v_j = V_j/Vd_j, so the
+    weights of cell (i, j) are a = A_ij/E_ij and b = B_ij/E_ij, with
+    A_ij = U_i V_j Q^2 - Ud_i Vd_j Qd^2, B_ij = U_i V_j Qd^2 - Ud_i Vd_j Q^2
+    and E_ij = Ud_i V_j Q Qd, and the matrix entry is
+    (Q^4 - Qd^4) (Ud_i Vd_j)^2 / (A_ij B_ij).  Row i times
+    prod_j A_ij B_ij is a row of ints, and that factor cancels the a and b
+    weights of the prefactor, so the whole value is one int over one int:
+    one ``Fraction`` reduction per point."""
     n = pt.n
-    q2 = pt.q * pt.q
-    q2inv = 1 / q2
-    u, v = pt.u, pt.v
-    reason = _degeneracy(pt.q, u, v)
+    reason = _degeneracy(pt.q, pt.u, pt.v)
     if reason is not None:
         raise DegenerateParameterError(reason)
-    prefactor = Fraction(1)
+    q2, qd2 = pt.q.numerator**2, pt.q.denominator**2
+    uu = [(x.numerator**2, x.denominator**2) for x in pt.s]
+    vv = [(x.numerator**2, x.denominator**2) for x in pt.t]
+    # the constant factor of the entries, and the Q Qd of every E_ij^2
+    num = (q2 * q2 - qd2 * qd2) ** n
+    den = (q2 * qd2) ** (n * n)
     for i in range(n):
-        prefactor *= pt.s[i] * pt.t[i] ** (2 * n + 1)
-    for i in range(n):
-        for j in range(n):
-            prefactor *= weight_a(u[i], v[j], pt.q) * weight_b(u[i], v[j], pt.q)
-    for i in range(n):
+        s, t, (_, ud), (v, vd) = pt.s[i], pt.t[i], uu[i], vv[i]
+        # s_i t_i^(2n+1); Ud_i^2 and Vd_i^2 from the entries, Ud_i^(2n) and
+        # V_i^(2n) from the E^2, and Ud_i^(n-1) and Vd_i^(n-1) from the
+        # denominators of the differences u_i - u_j and v_i - v_j
+        num *= s.numerator * t.numerator ** (2 * n + 1) * vd ** (n + 1)
+        den *= s.denominator * t.denominator ** (2 * n + 1) * ud ** (n - 1) * v ** (2 * n)
         for j in range(i + 1, n):
-            prefactor /= (u[i] - u[j]) * (v[i] - v[j])
-    matrix = [
-        [1 / (u[i] * v[j] - q2) - 1 / (u[i] * v[j] - q2inv) for j in range(n)]
-        for i in range(n)
-    ]
-    return prefactor * det_rat(matrix)
+            den *= (uu[i][0] * uu[j][1] - uu[j][0] * uu[i][1]) * (vv[i][0] * vv[j][1] - vv[j][0] * vv[i][1])
+    matrix = []
+    for u, ud in uu:
+        ab = [(u * v * q2 - ud * vd * qd2) * (u * v * qd2 - ud * vd * q2) for v, vd in vv]
+        # entry j is the product of the row's other A B, from the products
+        # of those before it and those after it
+        before = [1]
+        for x in ab[:-1]:
+            before.append(before[-1] * x)
+        after = 1
+        for j in reversed(range(n)):
+            before[j] *= after
+            after *= ab[j]
+        matrix.append(before)
+    return Fraction(num * det_rat(matrix).numerator, den)
 
 
 def homogeneous_weights(q: Fraction, rho0: Fraction) -> tuple[Fraction, Fraction, Fraction]:

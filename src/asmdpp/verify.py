@@ -160,9 +160,10 @@ def _sixvertex_checks(n: int) -> bool:
 
 def _m0_roundtrip(n: int) -> bool:
     for a in _asms(n):
-        s = asm_stats(a)
-        if s.mu != 0:
+        # mu counts the -1 entries, so a matrix with one is off the slice
+        if any(-1 in row for row in a.rows):
             continue
+        s = asm_stats(a)
         d = formulas.m0_asm_to_dpp(a)
         t = dpp_stats(d, n)
         if (t.nu, t.mu, t.rho) != (s.nu, 0, s.rho):

@@ -14,8 +14,8 @@ from asmdpp import dpp
 from asmdpp.asm import Asm, asm_stats, enumerate_asms
 from asmdpp.cli import _row_json, _row_text
 from asmdpp.dpp import Dpp, dpp_stats, enumerate_dpps
-from asmdpp.errors import ValidationError
-from asmdpp.linalg import PolyMatrix
+from asmdpp.errors import DegenerateParameterError, ValidationError
+from asmdpp.linalg import PolyMatrix, det_rat
 from asmdpp.polynomial import NVARS, ONE, ZERO, MultiPoly, OmegaPoly, binom, monomial
 from asmdpp.sixvertex import IkPoint, enumerate_configs, weight_a, weight_b, weight_c
 
@@ -696,10 +696,13 @@ def rat_matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]])
 
 
 # --- Reference rational kernels --------------------------------------------
-# The Fraction Gaussian elimination that the fraction-free det_rat replaced
-# and the per-configuration Fraction sum that the int partition function
-# replaced, kept verbatim (config_weight inlined) as the oracles of their
-# differential tests.  Nothing under src/ uses them.
+# The Fraction Gaussian elimination that the fraction-free det_rat replaced,
+# the per-configuration Fraction sum that the int partition function
+# replaced, and the Izergin-Korepin determinant with one Fraction reduction
+# per operation that the int one replaced, with its Fraction test for
+# degenerate points, kept verbatim (config_weight inlined, the last two
+# renamed to fraction_ik_determinant_rat and fraction_degeneracy) as the
+# oracles of their differential tests.  Nothing under src/ uses them.
 
 
 def gauss_det_rat(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -742,3 +745,46 @@ def per_config_partition_function(n: int, pt: IkPoint) -> Fraction:
                     weight *= weight_c(pt.s[i], pt.t[j], pt.q)
         total += weight
     return total
+
+
+def fraction_ik_determinant_rat(pt: IkPoint) -> Fraction:
+    """Determinant form of the partition function, exactly, at a rational
+    point.  Requires the u_i (and the v_j) pairwise distinct and no pole
+    u_i*v_j in {q^2, q^-2}."""
+    n = pt.n
+    q2 = pt.q * pt.q
+    q2inv = 1 / q2
+    u, v = pt.u, pt.v
+    reason = fraction_degeneracy(pt.q, u, v)
+    if reason is not None:
+        raise DegenerateParameterError(reason)
+    prefactor = Fraction(1)
+    for i in range(n):
+        prefactor *= pt.s[i] * pt.t[i] ** (2 * n + 1)
+    for i in range(n):
+        for j in range(n):
+            prefactor *= weight_a(u[i], v[j], pt.q) * weight_b(u[i], v[j], pt.q)
+    for i in range(n):
+        for j in range(i + 1, n):
+            prefactor /= (u[i] - u[j]) * (v[i] - v[j])
+    matrix = [
+        [1 / (u[i] * v[j] - q2) - 1 / (u[i] * v[j] - q2inv) for j in range(n)]
+        for i in range(n)
+    ]
+    return prefactor * det_rat(matrix)
+
+
+def fraction_degeneracy(q: Fraction, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> str | None:
+    """Why the determinant route rejects the point, or None: two equal u_i
+    (or v_j), or a pole u_i*v_j in {q^2, q^-2}."""
+    for name, seq in (("s", u), ("t", v)):
+        for i in range(len(seq)):
+            for j in range(i + 1, len(seq)):
+                if seq[i] == seq[j]:
+                    return f"{name}[{i + 1}] and {name}[{j + 1}] have equal squares"
+    q2 = q * q
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui * vj in (q2, 1 / q2):
+                return f"pole at u[{i + 1}]*v[{j + 1}] = q^(+/-2)"
+    return None

@@ -158,14 +158,49 @@ def test_enumerate_writes_whole_blocks(monkeypatch):
     assert out.getvalue() == _one_write_per_record("dpp", 6, "json")
 
 
-# the class each enumerator builds once per object it yields; the DPP
-# stream builds none
+# where each kind's stream makes its objects: the class whose constructor
+# runs once per object, or the private constructor through which an
+# enumerator hands out the objects its walk confirmed (a module, the
+# class and the counted method); the DPP stream builds none
 ENUMERATED_CLASS = {
-    "asm": (asmdpp.asm, "Asm"),
+    "asm": (asmdpp.asm, "Asm", "_confirmed"),
     "dpp": None,
-    "sixvertex": (asmdpp.sixvertex, "SixVertexConfig"),
-    "nilp": (asmdpp.paths, "NilpSet"),
+    "sixvertex": (asmdpp.sixvertex, "SixVertexConfig", "_confirmed"),
+    "nilp": (asmdpp.paths, "NilpSet", "__post_init__"),
 }
+
+
+def _count_objects(monkeypatch, kind, drawn, units):
+    """Record each object the stream of kind makes in drawn and, for the
+    kinds made from the matrix walk, each matrix it draws from the walk
+    in units."""
+    module, name, method = ENUMERATED_CLASS[kind]
+    cls = getattr(module, name)
+    if method == "__post_init__":
+
+        class Counted(cls):
+            def __post_init__(self):
+                drawn.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(module, name, Counted)
+        return
+    made = getattr(cls, method)
+
+    def counted(_, *args):
+        obj = made(*args)
+        drawn.append(obj)
+        return obj
+
+    monkeypatch.setattr(cls, method, classmethod(counted))
+    walk = module._walk
+
+    def counted_walk(*args):
+        for unit in walk(*args):
+            units.append(unit)
+            yield unit
+
+    monkeypatch.setattr(module, "_walk", counted_walk)
 
 
 def _count_dpp_draws(monkeypatch, drawn, units):
@@ -195,14 +230,7 @@ def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, 
     if kind == "dpp":
         _count_dpp_draws(monkeypatch, drawn, units)
     else:
-        module, name = ENUMERATED_CLASS[kind]
-
-        class Counted(getattr(module, name)):
-            def __post_init__(self):
-                drawn.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(module, name, Counted)
+        _count_objects(monkeypatch, kind, drawn, units)
     for limit in (0, 1, 3, 100):
         drawn.clear()
         units.clear()
@@ -217,6 +245,9 @@ def test_enumerate_limit_draws_exactly_limit_objects(capsys, monkeypatch, kind, 
             # array and no further; the empty array comes first, from no unit
             sizes = [len(completions) for _, completions in units]
             assert 1 + sum(sizes[:-1]) < limit <= 1 + sum(sizes) if units else limit <= 1, limit
+        elif kind != "nilp":
+            # one matrix of the walk per object, and none past the last
+            assert len(units) == limit, limit
 
 
 def test_enumerate_bad_kind_is_usage_error(capsys):

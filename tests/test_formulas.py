@@ -78,6 +78,17 @@ def test_m0_rejects_special_inputs():
         m0_dpp_to_asm(Dpp(((3, 1),)), 3)  # the trailing 1 is special
 
 
+def test_m0_refuses_every_asm_with_one_minus_one_entry():
+    # the guard reads the entries, not asm_stats; mu = 1 is the least a
+    # refused matrix can have
+    for n in range(3, 6):
+        single = [a for a in asm_list(n) if asm_stats(a).mu == 1]
+        assert single
+        for a in single:
+            with pytest.raises(ValidationError, match="^input must have no -1 entries$"):
+                m0_asm_to_dpp(a)
+
+
 def test_m0_roundtrip_preserves_statistics():
     for n in range(1, 6):
         for a in asm_list(n):

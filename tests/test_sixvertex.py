@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +13,7 @@ from asmdpp.matrices import check_weight_determinant
 from asmdpp.sixvertex import (
     IkPoint,
     SixVertexConfig,
+    _degeneracy,
     asm_to_sixvertex,
     check_refined_specialization,
     enumerate_configs,
@@ -26,7 +28,7 @@ from asmdpp.sixvertex import (
     weight_c,
 )
 from asmdpp.verify import _ik_points
-from helpers import ASMEX, asm_list, per_config_partition_function
+from helpers import ASMEX, asm_list, fraction_degeneracy, fraction_ik_determinant_rat, per_config_partition_function
 
 
 def test_single_vertex_is_c1():
@@ -130,6 +132,37 @@ def test_ik_oracle_equivalence_random_points():
         for _ in range(5):
             pt = sample_ik_point(n, rng)
             assert ik_determinant_rat(pt) == partition_function_explicit(n, pt)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", range(2, IK_SAMPLE_MAX_N + 1))
+def test_ik_determinant_matches_the_fraction_kernel(n, seed):
+    # every point verify's det_equals_sum checks at this order and seed,
+    # past verify's order 6 up to the sampling cap
+    for pt in _ik_points(n, seed):
+        got = ik_determinant_rat(pt)
+        assert type(got) is Fraction
+        assert got == fraction_ik_determinant_rat(pt), pt
+
+
+def test_degeneracy_matches_the_fraction_test():
+    # coordinates +-a/b with a, b <= 4 make many equal squares and poles;
+    # about half of these points are degenerate
+    rng = Random(3)
+
+    def frac():
+        return Fraction(rng.randint(1, 4), rng.randint(1, 4)) * rng.choice((1, -1))
+
+    reasons = Counter()
+    for n in (1, 2, 3):
+        for _ in range(400):
+            q = frac()
+            u = tuple(frac() ** 2 for _ in range(n))
+            v = tuple(frac() ** 2 for _ in range(n))
+            reason = _degeneracy(q, u, v)
+            assert reason == fraction_degeneracy(q, u, v), (q, u, v)
+            reasons[reason is None or reason.split()[0]] += 1
+    assert reasons[True] > 200 and reasons["pole"] > 100 and sum(reasons.values()) - reasons[True] - reasons["pole"] > 100
 
 
 @pytest.mark.parametrize("n", range(1, 6))
