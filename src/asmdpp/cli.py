@@ -12,7 +12,8 @@ Subcommands:
              text of its top row and then a completion below it, built
              by the walk (dpp.dpp_walk) from cached row text once per
              state of each group of rows, with the rules run once per
-             distinct row and row pair and no Dpp object built
+             key of what they read (dpp._confirmed_fillings: 3,921 keys
+             at n = 7) and no Dpp object built
   genfunc    print a generating function: a determinant (det, det-w)
              or a sum over one family's step tables (brute-asm,
              brute-dpp)

@@ -37,7 +37,7 @@ array is visited.
 The walk fills each row from a cache keyed on the first part, the
 length, the least part at offset 1 and the parts of the row above that
 cap the new row: 2,091 keys at order 7 (10,094 at order 8), asked for
-14,625 times by the walk, once per state and once per group's top row.
+3,921 times by the walk, once per key it confirms (below).
 Every cached row is one shared tuple object, 1,078 of them at order 7
 (4,081 at order 8), so the arrays of the walk, and any cache keyed on
 rows, hold those objects and no copies.
@@ -45,24 +45,25 @@ rows, hold those objects and no copies.
 The rules of a DPP look at one row, or one row and the row above it, at
 a time, so they are three functions: a row's head rules, the pair rules,
 and a row's first part against its length.  ``_check_rows``, the full
-loop, runs them in that order on each row.  The walk validates per
-placement, one tuple of cached rows placed under one row above, or on
-top: on every visit of a state, a remembered one too, it confirms that
-the rules accepted each row placed and each pair (row above, row), and
-runs them on first sight, so the row rules run once per distinct row
-and the pair rules once per distinct pair, in the loop's order, with its
-first error, and no array is yielded before its placements are
-confirmed.  What they accepted is recorded by object identity, one bit
-per pair in a mask per row: 1,078 rows and 42,238 pairs after DPP(7)
-(4,081 rows and 527,136 pairs at order 8).  The placements confirmed are
-one mask of rows above per tuple of rows placed, 1,149 of them after
-DPP(7) (5,518 at order 8), so once a placement is confirmed the walk
-pays one lookup and one bit test for it, and nothing per array.
+loop, runs them in that order on each row.  The pair rules read only the
+length of the row above and its parts at offsets 1..length of the row
+below, so the walk confirms its rows per key of what the rules read:
+``_confirmed_fillings`` runs the three rules on each row of a cached
+fillings tuple, in the loop's order and with its first error, once per
+key: (first part, length, least offset-1 part) on top, and under a row
+above those with that row's length and its parts at offsets 1..length.
+Every visit of a state, a remembered one too, asks for its key before
+any array holding its rows is yielded, so once a key is confirmed the
+walk pays one lookup for it per visit and nothing per array: 714 keys
+after DPP(6), 3,921 after DPP(7) and 20,376 after DPP(8).  The ASM and
+six-vertex walks confirm their step tables in the same way, one cached
+table per key.
 
-These records belong to the walk.  ``Dpp(rows)`` runs the full loop on
-every array a caller passes in, and neither reads nor writes them; only
-``enumerate_dpps`` makes its objects without the loop, since the walk
-confirmed every row and row pair of an array before yielding it.
+The keyed confirmations belong to the walk.  ``Dpp(rows)`` runs the full
+loop on every array a caller passes in, and neither reads nor writes
+them; only ``enumerate_dpps`` makes its objects without the loop, since
+the walk confirmed every row of an array under the row above it before
+yielding it.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class Dpp:
 
     @classmethod
     def _confirmed(cls, rows: tuple[tuple[int, ...], ...]) -> "Dpp":
-        # internal constructor for the arrays of _walk: _place confirmed
-        # that the rules accept every row and row pair of rows before the
-        # walk yielded it, so the rule loop would only repeat that
+        # internal constructor for the arrays of _walk: _confirmed_fillings
+        # confirmed that the rules accept every row of rows under the row
+        # above it before the walk yielded it, so the rule loop would only
+        # repeat that
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         return self
@@ -141,18 +143,11 @@ def dpp_stats(d: Dpp, n: int) -> DppStats:
 _FILLINGS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 _SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-# what the rules have accepted, keyed on the id of a shared row: the row
-# itself, held so that no other object takes its id, its serial number,
-# and a mask with the bits of the serials of the shared rows accepted
-# directly below it (1,078 rows and 42,238 pairs after DPP(7))
-_ACCEPTED: dict[int, list] = {}
-
-# the placements the walk has confirmed, keyed on the id of a tuple of
-# rows from _row_fillings: the tuple itself, held so that no other object
-# takes its id, and a mask with bit s + 1 set once its rows were confirmed
-# under the accepted row of serial s, and bit 0 once on top (1,149 tuples
-# after DPP(7), where a dict per row above would hold 17,096 keys)
-_PLACED: dict[int, list] = {}
+# the fillings the rules have accepted, keyed on every field they read:
+# (first, length, low) on top, and under a row above also its length and
+# its parts at offsets 1..length (714 keys after DPP(6), 3,921 after
+# DPP(7), 20,376 after DPP(8))
+_CONFIRMED: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
 def _check_row_head(row: tuple[int, ...]) -> None:
@@ -198,38 +193,6 @@ def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
         prev = row
 
 
-def _accept(above: list | None, row: tuple[int, ...]) -> None:
-    """Record that the rules accepted row placed under the row of
-    _ACCEPTED entry above, or on top when above is None; they run on the
-    first sight of the row and of the pair, in the order of
-    ``_check_rows``, and raise ValidationError at the first rule broken."""
-    seen = _ACCEPTED.get(id(row))
-    if seen is None:
-        _check_row_head(row)
-        if above is not None:
-            _check_pair(above[0], row)
-        _check_first_part(row)
-        seen = _ACCEPTED[id(row)] = [row, len(_ACCEPTED), 0]
-    elif above is not None and not above[2] >> seen[1] & 1:
-        _check_pair(above[0], row)
-    if above is not None:
-        above[2] |= 1 << seen[1]
-
-
-def _place(fillings: tuple[tuple[int, ...], ...], above: list | None) -> None:
-    """Confirm that the rules accepted each row of fillings placed under
-    the row of _ACCEPTED entry above, or on top: through ``_accept`` the
-    first time the walk makes this placement, by one bit test after."""
-    placed = _PLACED.get(id(fillings))
-    if placed is None:
-        placed = _PLACED[id(fillings)] = [fillings, 0]
-    bit = 1 if above is None else 2 << above[1]
-    if not placed[1] & bit:
-        for row in fillings:
-            _accept(above, row)
-        placed[1] |= bit
-
-
 def _row_fillings(first: int, length: int, low: int, above: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
     """All weakly decreasing positive rows with the given first part and
     length, part at offset 1 at least low, strictly below the row above
@@ -262,6 +225,28 @@ def _row_fillings(first: int, length: int, low: int, above: tuple[int, ...] | No
     return rows
 
 
+def _confirmed_fillings(first: int, length: int, low: int, above: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``_row_fillings`` with the given first part, length and
+    least offset-1 part under the row above (None on top), each confirmed
+    by the rules in the order of ``_check_rows``: its head rules, the pair
+    rules with above, then its first part against its length.  The pair
+    rules read only len(above) and above[1 : length + 1], so the rows are
+    confirmed, and the rules run, once per key of those fields: 714 keys
+    at n = 6, 3,921 at n = 7.  A broken rule raises its ValidationError,
+    and the key is not kept."""
+    key = (first, length, low) if above is None else (first, length, low, len(above), above[1 : length + 1])
+    rows = _CONFIRMED.get(key)
+    if rows is None:
+        rows = _row_fillings(first, length, low, None if above is None else above[2 : length + 1])
+        for row in rows:
+            _check_row_head(row)
+            if above is not None:
+                _check_pair(above, row)
+            _check_first_part(row)
+        _CONFIRMED[key] = rows
+    return rows
+
+
 @cache
 def _row_weight(row: tuple[int, ...], n: int) -> int:
     """The packed key of x^nu y^mu z^rho w q^(sum of parts) of one row of
@@ -275,18 +260,16 @@ def _completions(i: int, above: tuple[int, ...], group: tuple, memo: dict) -> tu
     """The completions of a walk of one group whose row i - 1 is above:
     one per array of the group with that row, each the form's text (or
     tuple) of rows i and below.  A state, (i, the parts of above at
-    offsets 2..length of row i), has one fillings tuple and one tuple of
-    completions, built on its first visit and held in memo; every visit
-    first confirms, through ``_place``, that the rules accept the
-    fillings under this row above."""
+    offsets 2..length of row i), has one tuple of completions, built on
+    its first visit and held in memo; every visit first confirms, through
+    ``_confirmed_fillings``, that the rules accept the state's rows under
+    this row above."""
     firsts, lengths, lows, head, last = group
+    fillings = _confirmed_fillings(firsts[i], lengths[i], lows[i], above)
     parts = above[2 : lengths[i] + 1]
-    state = memo.get((i, parts))
-    if state is not None:
-        _place(state[0], _ACCEPTED[id(above)])
-        return state[1]
-    fillings = _row_fillings(firsts[i], lengths[i], lows[i], parts)
-    _place(fillings, _ACCEPTED[id(above)])
+    done = memo.get((i, parts))
+    if done is not None:
+        return done
     if i + 1 == len(firsts):
         done = tuple(map(last, fillings))
     else:
@@ -294,7 +277,7 @@ def _completions(i: int, above: tuple[int, ...], group: tuple, memo: dict) -> tu
         for row in fillings:
             out += map(head(row).__add__, _completions(i + 1, row, group, memo))
         done = tuple(out)
-    memo[i, parts] = fillings, done
+    memo[i, parts] = done
     return done
 
 
@@ -310,16 +293,15 @@ def dpp_walk(n: int, head: Callable, last: Callable, open_) -> Iterator[tuple]:
     allows below a row depend only on the parts of that row at offsets
     2..length of the next row, so the walk builds each state's
     completions once per group (``_completions``) and drops them when the
-    group ends.  Each placement, a state's fillings under one row above,
-    is confirmed before any array holding it is yielded."""
+    group ends.  Each row is confirmed under the row above it, or on top,
+    by ``_confirmed_fillings`` before any array holding it is yielded."""
     for t in range(1, n):
         # combinations of a descending range come in descending order
         for firsts in reversed(list(combinations(range(n, 1, -1), t))):
             below = firsts[1:] + (1,)
             lows = tuple(f + 1 for f in firsts[1:]) + (1,)
             for lengths in product(*map(range, below, firsts)):
-                top = _row_fillings(firsts[0], lengths[0], lows[0], None)
-                _place(top, None)
+                top = _confirmed_fillings(firsts[0], lengths[0], lows[0], None)
                 if t == 1:
                     if top:
                         yield open_, tuple(map(last, top))

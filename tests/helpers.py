@@ -356,32 +356,30 @@ def walk_and_sort_dpps(n: int) -> Iterator[Dpp]:
 # The block walk that the state walk of dpp.dpp_walk replaced, kept
 # (renamed to block_walk_dpps) with the line join of the command-line
 # stream it fed, as the oracle of their differential test.  It fills and
-# places rows through the module's own cache and records.
+# confirms rows through the module's own cache and keyed confirmations.
 
 
 def block_walk_dpps(n: int) -> Iterator[tuple[tuple, tuple]]:
     rows: list[tuple[int, ...]] = []
 
-    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...], above: list | None):
+    def fill(firsts: tuple[int, ...], lengths: tuple[int, ...]):
         i = len(rows)
         low = firsts[i + 1] + 1 if i + 1 < len(firsts) else 1
-        above_parts = rows[-1][2 : lengths[i] + 1] if rows else None
-        fillings = dpp._row_fillings(firsts[i], lengths[i], low, above_parts)
-        dpp._place(fillings, above)
+        fillings = dpp._confirmed_fillings(firsts[i], lengths[i], low, rows[-1] if rows else None)
         if i + 1 == len(firsts):
             if fillings:
                 yield tuple(rows), fillings
             return
         for row in fillings:
             rows.append(row)
-            yield from fill(firsts, lengths, dpp._ACCEPTED[id(row)])
+            yield from fill(firsts, lengths)
             rows.pop()
 
     for t in range(1, n):
         for firsts in reversed(list(combinations(range(n, 1, -1), t))):
             below = firsts[1:] + (1,)
             for lengths in product(*map(range, below, firsts)):
-                yield from fill(firsts, lengths, None)
+                yield from fill(firsts, lengths)
 
 
 def block_walk_rows(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -123,12 +123,13 @@ def test_warm_cache_gives_the_full_loops_errors(monkeypatch):
     warm = {kind: [_error(rows) for rows in arrays] for kind, arrays in cases.items()}
     # a value-equal copy of an accepted array is accepted, by the full loop
     assert all(_error(tuple(map(tuple, rows))) is None for rows in walk)
-    # Dpp runs the full loop and neither reads nor writes the records of the
-    # walk: emptied, they stay empty, and every array gives the same error
+    # Dpp runs the full loop and neither reads nor writes the confirmations
+    # of the walk: emptied, they stay empty, and every array gives the same
+    # error
     monkeypatch.setattr(dpp, "_SHARED_ROWS", {})
-    monkeypatch.setattr(dpp, "_ACCEPTED", {})
+    monkeypatch.setattr(dpp, "_CONFIRMED", {})
     cold = {kind: [_error(rows) for rows in arrays] for kind, arrays in cases.items()}
-    assert not dpp._ACCEPTED
+    assert not dpp._CONFIRMED
     assert warm == cold
     assert set(warm["float"]) == set(warm["bool"]) == {"parts must be positive integers"}
     # the rows above and below a middle row nest as the rules ask, and a
@@ -140,17 +141,14 @@ def test_warm_cache_gives_the_full_loops_errors(monkeypatch):
 
 
 def _clear_records(monkeypatch):
-    """Start from an empty cache of row fillings and empty records of the
-    rows, pairs and placements the rules have accepted."""
-    for name in ("_FILLINGS", "_SHARED_ROWS", "_ACCEPTED", "_PLACED"):
+    """Start from an empty cache of row fillings and no keys confirmed."""
+    for name in ("_FILLINGS", "_SHARED_ROWS", "_CONFIRMED"):
         monkeypatch.setattr(dpp, name, {})
 
 
 def _records():
-    """The records of the walk, as values: each accepted row's serial and
-    mask of rows below it, and each placement's mask of rows above."""
-    accepted = {key: (serial, below) for key, (_, serial, below) in dpp._ACCEPTED.items()}
-    return accepted, {key: mask for key, (_, mask) in dpp._PLACED.items()}
+    """The keys the walk has confirmed, with their rows."""
+    return dict(dpp._CONFIRMED)
 
 
 RULES = ("_check_row_head", "_check_pair", "_check_first_part", "_check_rows")
@@ -169,30 +167,44 @@ def _count_rules(monkeypatch):
     return calls
 
 
-def test_validation_cache_pays_per_distinct_row_and_pair(monkeypatch, capsys):
+def test_validation_cache_pays_per_key(monkeypatch, capsys):
     _clear_records(monkeypatch)
     calls = _count_rules(monkeypatch)
     assert main(["enumerate", "--kind", "dpp", "--n", "6"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 7436
-    accepted_pairs = sum(bin(below).count("1") for _, _, below in dpp._ACCEPTED.values())
-    assert (len(dpp._ACCEPTED), accepted_pairs) == (286, 3431)
-    # the row rules ran once per distinct row and the pair rules once per
-    # distinct pair, and the full loop not at all
-    assert calls == {"_check_row_head": 286, "_check_first_part": 286, "_check_pair": 3431}
+    assert len(dpp._CONFIRMED) == 714
+    # the rules ran on each row of a key's fillings once per key, the pair
+    # rules on every key but the top rows', and the full loop not at all
+    assert calls == {"_check_row_head": 3080, "_check_first_part": 3080, "_check_pair": 2135}
     # only the shared rows of the walk are held
-    assert all(dpp._SHARED_ROWS.get(row) is row for row, _, _ in dpp._ACCEPTED.values())
+    assert all(dpp._SHARED_ROWS.get(row) is row for rows in dpp._CONFIRMED.values() for row in rows)
     # after the stream, enumerate_dpps runs no rule: its objects are the
     # arrays the walk confirmed
     calls.clear()
     walked = [d.rows for d in enumerate_dpps(6)]
     assert len(walked) == 7436 and not calls
     # Dpp runs the full loop once on each array a caller passes in, and
-    # leaves the records of the walk as they were
+    # leaves the confirmations of the walk as they were
     records = _records()
     for rows in walked:
         Dpp(rows)
     assert calls["_check_rows"] == 7436
     assert _records() == records
+
+
+def test_a_confirmation_key_holds_every_field_the_rules_read(monkeypatch):
+    # the pair rules read the length of the row above and its parts at
+    # offsets 1..length of the new row; each row above here shares the
+    # parts that cap the fillings, (), and differs from the first in one
+    # field the rules read
+    _clear_records(monkeypatch)
+    assert dpp._confirmed_fillings(3, 1, 1, (4, 4, 2)) == ((3,),)
+    with pytest.raises(ValidationError, match="^row length chain violated$"):
+        dpp._confirmed_fillings(3, 1, 1, (4, 4))
+    with pytest.raises(ValidationError, match="^parts must decrease strictly down columns$"):
+        dpp._confirmed_fillings(3, 1, 1, (4, 3, 2))
+    # a refused key is not kept
+    assert len(dpp._CONFIRMED) == 1
 
 
 def test_every_yielded_array_passes_the_full_loop():
@@ -230,7 +242,9 @@ def test_cached_row_fillings_match_the_reference(monkeypatch):
     # every (first, length, low, capping parts above) the walk asks for,
     # 425 of them at orders 1..6, against the uncached reference, which
     # fills from the top part down, has no low and reads the row above
-    # from offset 2 on
+    # from offset 2 on; from no keys confirmed, since a confirmed key asks
+    # the cache for nothing
+    _clear_records(monkeypatch)
     seen = set()
     cached = dpp._row_fillings
 
@@ -256,12 +270,9 @@ def test_row_fillings_cache_stays_small(monkeypatch):
     assert sum(1 for _ in dpp._walk(7)) == 218348
     assert len(dpp._FILLINGS) <= 2091
     assert len({id(row) for rows in dpp._FILLINGS.values() for row in rows}) <= 1078
-    # the records of the stream: each distinct row and pair once, and one
-    # mask of rows above per tuple of rows placed (a dict per row above
-    # would hold 17,096 keys)
-    accepted_pairs = sum(bin(below).count("1") for _, _, below in dpp._ACCEPTED.values())
-    assert (len(dpp._ACCEPTED), accepted_pairs) == (1078, 42238)
-    assert len(dpp._PLACED) <= 2091
+    # the confirmations of the stream: one per key of what the rules read,
+    # against 42,238 distinct (row above, row) pairs
+    assert len(dpp._CONFIRMED) == 3921
 
 
 def _slip_in(monkeypatch, spoil, after):
@@ -377,8 +388,8 @@ def test_walked_arrays_match_the_block_walk():
 @pytest.mark.parametrize("fmt", ("json", "text"))
 def test_streaming_dpp7_stays_small(monkeypatch, fmt):
     # the completions of one group of rows at a time, at most 9,792 of
-    # them at order 7, and the records of the rules; about 2.1 MB traced
-    # from empty records
+    # them at order 7, and the keys confirmed; about 2.1 MB traced from no
+    # keys
     _clear_records(monkeypatch)
     tracemalloc.start()
     try:
